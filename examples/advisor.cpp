@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.TakeString("--trace-out").value_or("");
   const std::vector<std::string> args = flags.TakePositional();
   if (!flags.ok()) {
-    std::cerr << flags.error() << "\n";
+    std::cerr << "error: " << flags.error() << "\n";
     return 1;
   }
   const int status = RunAdvisor(args);

@@ -14,6 +14,8 @@
 #ifndef SGP_EXAMPLES_FLAGS_H_
 #define SGP_EXAMPLES_FLAGS_H_
 
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <optional>
 #include <string>
@@ -21,6 +23,17 @@
 #include <vector>
 
 namespace sgp {
+
+/// Parses all of `text` as a decimal unsigned integer. A sign, an overflow,
+/// an empty string and trailing junk are all rejected (std::strtoull would
+/// wrap "-3" to 2^64 - 3 and skip leading whitespace).
+inline std::optional<uint64_t> ParseUint64(std::string_view text) {
+  uint64_t value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 class FlagParser {
  public:
@@ -59,14 +72,12 @@ class FlagParser {
   std::optional<uint64_t> TakeUint64(std::string_view name) {
     std::optional<std::string> value = TakeString(name);
     if (!value) return std::nullopt;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(value->c_str(), &end, 10);
-    if (end == value->c_str() || *end != '\0') {
+    const std::optional<uint64_t> parsed = ParseUint64(*value);
+    if (!parsed) {
       Fail(std::string("option ") + std::string(name) +
            " expects an unsigned integer, got '" + *value + "'");
-      return std::nullopt;
     }
-    return static_cast<uint64_t>(parsed);
+    return parsed;
   }
 
   std::optional<double> TakeDouble(std::string_view name) {

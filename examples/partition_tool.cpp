@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   const std::string trace_out = flags.TakeString("--trace-out").value_or("");
   std::vector<std::string> positional = flags.TakePositional();
   if (!flags.ok()) {
-    std::cerr << flags.error() << "\n";
+    std::cerr << "error: " << flags.error() << "\n";
     return 1;
   }
 
@@ -106,7 +107,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string algo = positional[expected - 2];
-  config.k = static_cast<PartitionId>(std::stoul(positional[expected - 1]));
+  const std::string& k_text = positional[expected - 1];
+  const std::optional<uint64_t> k = ParseUint64(k_text);
+  if (!k || *k == 0 || *k >= kInvalidPartition) {
+    std::cerr << "error: <k> expects a partition count from 1 to "
+              << kInvalidPartition - 1 << ", got '" << k_text << "'\n";
+    return 1;
+  }
+  config.k = static_cast<PartitionId>(*k);
   config.ingest_chunk_size = chunk_size;
 
   std::cout << "score mode: " << ScoreModeName(config.score_mode);

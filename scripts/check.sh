@@ -37,7 +37,12 @@ echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers
 # it standalone under the sanitizers so a buffer-lifetime bug in a chunk
 # refill cannot hide behind a sharded ctest run either.
 "$BUILD_DIR/tests/source_equivalence_test"
-echo "check.sh: source_equivalence_test passed standalone under sanitizers"
+# The block-scanning edge-list reader does raw pointer arithmetic at block
+# ends (the carried partial line, the end-of-input sentinel, the buffer
+# growth for an overlong line); its differential suite against the old
+# istringstream parser gets the same standalone sanitized pass.
+"$BUILD_DIR/tests/edge_list_scanner_test"
+echo "check.sh: source_equivalence_test + edge_list_scanner_test passed standalone under sanitizers"
 
 # The live-resharding suite moves ownership state while queries are in
 # flight; run it and the drain-guard regressions standalone under the

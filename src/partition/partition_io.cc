@@ -6,21 +6,23 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/text_writer.h"
 #include "partition/metrics.h"
 
 namespace sgp {
 
 void WritePartitioning(const Partitioning& partitioning, std::ostream& out) {
-  out << "sgp-partitioning v1\n";
-  out << "model " << CutModelName(partitioning.model) << " k "
-      << partitioning.k << " vertices "
-      << partitioning.vertex_to_partition.size() << " edges "
-      << partitioning.edge_to_partition.size() << '\n';
+  BlockTextWriter writer(out);
+  writer << "sgp-partitioning v1\n";
+  writer << "model " << CutModelName(partitioning.model) << " k "
+         << partitioning.k << " vertices "
+         << partitioning.vertex_to_partition.size() << " edges "
+         << partitioning.edge_to_partition.size() << '\n';
   for (size_t v = 0; v < partitioning.vertex_to_partition.size(); ++v) {
-    out << "v " << v << ' ' << partitioning.vertex_to_partition[v] << '\n';
+    writer << "v " << v << ' ' << partitioning.vertex_to_partition[v] << '\n';
   }
   for (size_t e = 0; e < partitioning.edge_to_partition.size(); ++e) {
-    out << "e " << e << ' ' << partitioning.edge_to_partition[e] << '\n';
+    writer << "e " << e << ' ' << partitioning.edge_to_partition[e] << '\n';
   }
 }
 

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "graph/io.h"
 
 namespace sgp {
 
@@ -85,52 +84,34 @@ EdgeListFileSource::EdgeListFileSource(const std::string& path)
 
 EdgeListFileSource::EdgeListFileSource(const std::string& path,
                                        const Options& options)
-    : path_(path), options_(options) {
+    : path_(path),
+      options_(options),
+      in_(path, std::ios::binary),
+      scanner_(in_, options.num_vertices != 0 ? options.num_vertices
+                                              : kInvalidVertex) {
   SGP_CHECK(options_.chunk_size >= 1);
   buffer_.reserve(options_.chunk_size);
-  Reset();
+  if (!in_.good()) open_error_ = "cannot open edge list file: " + path_;
 }
 
 void EdgeListFileSource::Reset() {
-  in_.close();
+  if (!in_.is_open()) return;
   in_.clear();
-  in_.open(path_);
-  line_number_ = 0;
+  in_.seekg(0);
+  scanner_.Reset();
   next_edge_id_ = 0;
-  skipped_lines_ = 0;
   max_vertex_bound_ = 0;
-  if (!in_.good()) {
-    ok_ = false;
-    error_ = "cannot open edge list file: " + path_;
-    return;
-  }
-  ok_ = true;
-  error_.clear();
+  open_error_ =
+      in_.good() ? std::string() : "cannot rewind edge list file: " + path_;
 }
 
 std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
-  if (!ok_) return {};
+  if (!ok()) return {};
   Timer timer;
   buffer_.clear();
-  const VertexId limit =
-      options_.num_vertices != 0 ? options_.num_vertices : kInvalidVertex;
-  std::string line;
-  while (buffer_.size() < options_.chunk_size && std::getline(in_, line)) {
-    ++line_number_;
-    Edge edge;
-    switch (ParseEdgeListLine(line, line_number_, limit, &edge, &error_)) {
-      case EdgeLineStatus::kIgnored:
-        continue;
-      case EdgeLineStatus::kSkipped:
-        ++skipped_lines_;
-        SourceMetrics::Get().disk_skipped_lines->Increment();
-        continue;
-      case EdgeLineStatus::kError:
-        ok_ = false;
-        return {};
-      case EdgeLineStatus::kEdge:
-        break;
-    }
+  const uint64_t skipped_before = scanner_.skipped_lines();
+  Edge edge;
+  while (buffer_.size() < options_.chunk_size && scanner_.Next(&edge)) {
     // GraphBuilder drops self-loops during canonicalization; mirroring
     // that here keeps disk edge ids aligned with in-memory EdgeIds for
     // duplicate-free inputs.
@@ -139,8 +120,10 @@ std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
     max_vertex_bound_ =
         std::max({max_vertex_bound_, edge.src + 1, edge.dst + 1});
   }
-  if (buffer_.empty()) return {};
   SourceMetrics& metrics = SourceMetrics::Get();
+  metrics.disk_skipped_lines->Increment(scanner_.skipped_lines() -
+                                        skipped_before);
+  if (!scanner_.ok() || buffer_.empty()) return {};
   metrics.chunks->Increment();
   metrics.disk_edges->Increment(buffer_.size());
   metrics.refill_nanos->Increment(timer.ElapsedNanos());

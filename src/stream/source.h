@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/io.h"
 #include "stream/stream.h"
 
 namespace sgp {
@@ -134,8 +135,8 @@ class InMemoryEdgeSource final : public EdgeStreamSource {
 };
 
 /// Bounded-memory disk edge source: streams a whitespace-separated edge
-/// list ("src dst" per line) through the hardened ParseEdgeListLine
-/// reader, holding only one chunk of edges in memory. Mirrors the
+/// list ("src dst" per line) through the EdgeListScanner of graph/io.h,
+/// holding one scanner block plus one chunk of edges in memory. Mirrors the
 /// GraphBuilder canonicalization it can afford statelessly: self-loops
 /// are dropped (duplicate suppression would need O(m) state, so inputs
 /// with duplicates simply stream them — ids then diverge from the
@@ -157,19 +158,22 @@ class EdgeListFileSource final : public EdgeStreamSource {
 
   /// False when the file cannot be opened or a line had an out-of-range
   /// id; `error()` carries the diagnostic. NextChunk() returns empty.
-  bool ok() const override { return ok_; }
-  std::string error() const override { return error_; }
+  bool ok() const override { return open_error_.empty() && scanner_.ok(); }
+  std::string error() const override {
+    return open_error_.empty() ? scanner_.error() : open_error_;
+  }
 
   std::span<const StreamEdge> NextChunk() override;
 
-  /// Re-opens the file (multi-pass, e.g. a degree-counting pre-pass).
-  /// Skipped-line and id-space accounting restart with the pass.
+  /// Seeks back to the start of the file (multi-pass, e.g. a
+  /// degree-counting pre-pass). Skipped-line and id-space accounting
+  /// restart with the pass.
   void Reset() override;
 
   uint64_t size_hint() const override { return 0; }
 
   /// Malformed lines skipped so far (this pass).
-  uint64_t skipped_lines() const { return skipped_lines_; }
+  uint64_t skipped_lines() const { return scanner_.skipped_lines(); }
 
   /// Max vertex id accepted + 1 so far (this pass); the id space a
   /// consumer must have grown to after draining the stream.
@@ -179,12 +183,10 @@ class EdgeListFileSource final : public EdgeStreamSource {
   std::string path_;
   Options options_;
   std::ifstream in_;
+  EdgeListScanner scanner_;
   std::vector<StreamEdge> buffer_;
-  bool ok_ = true;
-  std::string error_;
-  uint64_t line_number_ = 0;
+  std::string open_error_;
   uint64_t next_edge_id_ = 0;
-  uint64_t skipped_lines_ = 0;
   VertexId max_vertex_bound_ = 0;
 };
 
