@@ -19,7 +19,7 @@
 //   --order <o>           stream order: natural|random|bfs|dfs (in-memory)
 //   --chunk-size <n>      elements per ingest chunk (both modes)
 //   --seed <s>            RNG/hash seed
-//   --slack <b>           balance slack β (default 1.05)
+//   --slack <b>           balance slack β ≥ 1.0, finite (default 1.05)
 //   --score-mode <m>      scoring kernels: scalar|batched|simd (all modes
 //                         produce bit-identical partitionings; simd prints
 //                         the dispatched ISA tier at startup)
@@ -27,6 +27,7 @@
 //   --metrics-out <file>  dump the telemetry registry as JSON
 //   --trace-out <file>    dump the registry with traces included
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -96,6 +97,13 @@ int main(int argc, char** argv) {
   std::vector<std::string> positional = flags.TakePositional();
   if (!flags.ok()) {
     std::cerr << "error: " << flags.error() << "\n";
+    return 1;
+  }
+  // β < 1 caps every partition below its fair share, which the balance
+  // rule cannot meet; NaN or ∞ would disable the cap altogether.
+  if (!std::isfinite(config.balance_slack) || config.balance_slack < 1.0) {
+    std::cerr << "error: --slack expects a finite balance slack >= 1.0, got "
+              << config.balance_slack << "\n";
     return 1;
   }
 

@@ -42,7 +42,11 @@ echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers
 # growth for an overlong line); its differential suite against the old
 # istringstream parser gets the same standalone sanitized pass.
 "$BUILD_DIR/tests/edge_list_scanner_test"
-echo "check.sh: source_equivalence_test + edge_list_scanner_test passed standalone under sanitizers"
+# The master tracker probes an open-addressing overflow table that it
+# rehashes as it grows; its differential suite against the old
+# vector-of-vectors tally gets the same standalone sanitized pass.
+"$BUILD_DIR/tests/master_tracker_test"
+echo "check.sh: source_equivalence_test + edge_list_scanner_test + master_tracker_test passed standalone under sanitizers"
 
 # The live-resharding suite moves ownership state while queries are in
 # flight; run it and the drain-guard regressions standalone under the

@@ -60,30 +60,40 @@ class DenseBitset {
 /// membership sweep of an endpoint, and the scoring loops' row prefetches
 /// pull exactly the lines they will read. `words_per_row()` stays the
 /// logical ceil(cols/64); padding words past it are always zero.
+///
+/// Storage holds a row capacity beyond the logical `rows()`; rows past
+/// `rows()` are kept zero, so growing into them needs no clearing.
 class BitMatrix {
  public:
   BitMatrix() = default;
   BitMatrix(uint64_t rows, uint32_t cols) { Reset(rows, cols); }
 
-  /// Reshapes to rows × cols with every bit cleared.
+  /// Reshapes to rows × cols with every bit cleared; the row capacity is
+  /// exactly `rows`.
   void Reset(uint64_t rows, uint32_t cols) {
     rows_ = rows;
+    row_capacity_ = rows;
     cols_ = cols;
     words_per_row_ = (static_cast<uint64_t>(cols) + 63) / 64;
     row_stride_ = RowStride(words_per_row_);
     AllocateZeroed(rows * row_stride_);
   }
 
-  /// Grows the row count (column width fixed); new rows are zero,
-  /// existing rows keep their bits across the reallocation.
+  /// Grows the row count (column width fixed); new rows are zero and
+  /// existing rows keep their bits. A request beyond the capacity at least
+  /// doubles it and copies only the live rows, so growing an id space one
+  /// row at a time costs amortized O(1) row copies per row.
   void EnsureRows(uint64_t rows) {
     if (rows <= rows_) return;
-    std::vector<uint64_t> old_storage = std::move(storage_);
-    const uint64_t* old_base = base_;
-    const uint64_t old_words = rows_ * row_stride_;
+    if (rows > row_capacity_) {
+      std::vector<uint64_t> old_storage = std::move(storage_);
+      const uint64_t* old_base = base_;
+      const uint64_t old_words = rows_ * row_stride_;
+      row_capacity_ = std::max(rows, 2 * row_capacity_);
+      AllocateZeroed(row_capacity_ * row_stride_);
+      if (old_words > 0) std::copy(old_base, old_base + old_words, base_);
+    }
     rows_ = rows;
-    AllocateZeroed(rows * row_stride_);
-    if (old_words > 0) std::copy(old_base, old_base + old_words, base_);
   }
 
   uint64_t rows() const { return rows_; }
@@ -132,6 +142,7 @@ class BitMatrix {
   }
 
   uint64_t rows_ = 0;
+  uint64_t row_capacity_ = 0;
   uint32_t cols_ = 0;
   uint64_t words_per_row_ = 0;
   uint64_t row_stride_ = 0;

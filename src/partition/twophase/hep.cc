@@ -110,7 +110,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
-  MasterTracker masters;
+  MasterTracker masters(n);
   HdrfStats stats;
   auto record = [&](const StreamEdge& e, PartitionId target) {
     if (e.id >= assign.size()) {

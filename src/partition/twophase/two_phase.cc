@@ -102,7 +102,7 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
   };
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
-  MasterTracker masters;
+  MasterTracker masters(n);
   HdrfStats stats;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {

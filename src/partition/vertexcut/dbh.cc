@@ -46,8 +46,6 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
   PartitionState state(config);
   const CapacityAwareHasher hasher(state);
   ScoreCore core(state, config.score_mode);
-  MasterTracker masters;
-  VertexId max_bound = 0;
 
   // Degree pre-pass: stream occurrence counts stand in for degrees (equal
   // to graph degrees on duplicate-free undirected inputs).
@@ -72,6 +70,9 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
   }
   source.Rewind();
 
+  // The pre-pass saw every id: the degree table spans the id space.
+  const VertexId max_bound = static_cast<VertexId>(stream_degree.size());
+  MasterTracker masters(max_bound);
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
@@ -79,7 +80,6 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
       VertexId pivot =
           stream_degree[e.src] <= stream_degree[e.dst] ? e.src : e.dst;
       const PartitionId target = hasher.Pick(HashU64Seeded(pivot, config.seed));
-      max_bound = std::max({max_bound, e.src + 1, e.dst + 1});
       out.partitioning.edge_to_partition.push_back(target);
       masters.Note(e.src, target);
       masters.Note(e.dst, target);

@@ -1,5 +1,7 @@
 #include "partition/vertexcut/hash_vertexcut.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/hashing.h"
 #include "common/timer.h"
@@ -47,11 +49,11 @@ StreamRunResult HashVertexCutPartitioner::RunOnSource(
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
+    max_bound = std::max(max_bound, MaxEndpoint(chunk) + 1);
     for (const StreamEdge& e : chunk) {
       uint64_t h = HashCombine(HashU64Seeded(e.src, config.seed),
                                HashU64Seeded(e.dst, config.seed));
       const PartitionId target = hasher.Pick(h);
-      max_bound = std::max({max_bound, e.src + 1, e.dst + 1});
       out.partitioning.edge_to_partition.push_back(target);
       masters.Note(e.src, target);
       masters.Note(e.dst, target);

@@ -97,15 +97,13 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   HdrfStats stats;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
-    // Grow the id space over the whole chunk up front, so the scorer's
-    // bit-index rows are stable while it batches the chunk.
-    for (const StreamEdge& e : chunk) {
-      state.EnsureVertex(std::max(e.src, e.dst));
-    }
+    // Grow the id space once, to the chunk's largest endpoint, so the
+    // scorer's bit-index rows are stable while it batches the chunk.
+    const VertexId hi = MaxEndpoint(chunk);
+    state.EnsureVertex(hi);
+    max_bound = std::max(max_bound, hi + 1);
     core.PlaceHdrfChunk(chunk, config.hdrf_lambda, stats,
                         [&](const StreamEdge& e, PartitionId target) {
-                          max_bound = std::max({max_bound, e.src + 1,
-                                                e.dst + 1});
                           out.partitioning.edge_to_partition.push_back(target);
                           masters.Note(e.src, target);
                           masters.Note(e.dst, target);

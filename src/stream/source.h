@@ -1,6 +1,7 @@
 #ifndef SGP_STREAM_SOURCE_H_
 #define SGP_STREAM_SOURCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <span>
@@ -92,6 +93,14 @@ void ForEachStreamItem(Source& source, Fn&& fn) {
        chunk = source.NextChunk()) {
     for (const auto& item : chunk) fn(item);
   }
+}
+
+/// Largest endpoint id in `chunk` (0 for an empty chunk): one sweep, so a
+/// vertex-discovering consumer grows its id space once per chunk.
+inline VertexId MaxEndpoint(std::span<const StreamEdge> chunk) {
+  VertexId hi = 0;
+  for (const StreamEdge& e : chunk) hi = std::max({hi, e.src, e.dst});
+  return hi;
 }
 
 /// In-memory vertex source: replays MakeVertexStream(graph, order, seed)

@@ -6,6 +6,8 @@
 // (DESIGN.md §Score core). The SIMD sweeps run on every ISA tier the
 // host supports (the portable omp-simd twin always, AVX2 when present),
 // so one test binary pins tier-vs-tier agreement too.
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
@@ -17,6 +19,7 @@
 #include "partition/edgecut/parallel_streaming.h"
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
+#include "partition/state.h"
 #include "partition/stream_ingest.h"
 #include "partition/vertexcut/replica_state.h"
 #include "stream/source.h"
@@ -111,6 +114,91 @@ TEST(BitMatrixTest, CacheBlockedLayout) {
     EXPECT_EQ(reinterpret_cast<uintptr_t>(m.Row(0)) % 64, 0u)
         << "cols=" << c.cols;
     EXPECT_FALSE(m.Test(99, 0));
+  }
+}
+
+// Growing one row at a time, the way a vertex-discovering stream grows its
+// id space: bits survive, every new row (padding words included) reads
+// zero, the base stays line-aligned, and the storage moves only
+// O(log rows) times — the amortized-growth contract.
+TEST(BitMatrixTest, RowAtATimeGrowthIsAmortized) {
+  const uint64_t kRows = 100000;
+  for (uint32_t cols : {10u, 65u, 129u, 257u, 700u}) {
+    BitMatrix m(1, cols);
+    const uint64_t* base = m.Row(0);
+    uint64_t moves = 0;
+    auto bit_of = [cols](uint64_t r) {
+      return static_cast<uint32_t>((r * 7919) % cols);
+    };
+    m.Set(0, bit_of(0));
+    for (uint64_t r = 1; r < kRows; ++r) {
+      m.EnsureRows(r + 1);
+      ASSERT_EQ(m.rows(), r + 1);
+      if (m.Row(0) != base) {
+        ++moves;
+        base = m.Row(0);
+        ASSERT_EQ(reinterpret_cast<uintptr_t>(base) % 64, 0u)
+            << "cols=" << cols << " rows=" << r + 1;
+      }
+      const uint64_t* row = m.Row(r);
+      for (uint64_t w = 0; w < m.row_stride(); ++w) {
+        ASSERT_EQ(row[w], 0u) << "cols=" << cols << " new row " << r;
+      }
+      m.Set(r, bit_of(r));
+    }
+    for (uint64_t r = 0; r < kRows; ++r) {
+      for (uint64_t w = 0; w < m.words_per_row(); ++w) {
+        const uint32_t bit = bit_of(r);
+        const uint64_t expected =
+            w == bit / 64 ? uint64_t{1} << (bit % 64) : 0;
+        ASSERT_EQ(m.Row(r)[w], expected) << "cols=" << cols << " row " << r;
+      }
+    }
+    EXPECT_LE(moves, static_cast<uint64_t>(std::bit_width(kRows)) + 1)
+        << "cols=" << cols;
+  }
+}
+
+// A replica table grown vertex by vertex (the disk-ingest path) holds the
+// same sets and the same bit-index rows as one presized to n.
+TEST(ReplicaStateTest, GrownBitIndexMatchesPresized) {
+  const VertexId n = 3000;
+  for (PartitionId k : {10u, 65u, 257u}) {
+    PartitionConfig cfg;
+    cfg.k = k;
+    PartitionState grown(cfg);
+    grown.InitReplicas(0);
+    grown.replicas().EnableBitIndex(k);
+    PartitionState presized(cfg);
+    presized.InitReplicas(n);
+    presized.replicas().EnableBitIndex(k);
+    std::mt19937_64 rng(k);
+    for (VertexId u = 0; u < n; ++u) {
+      grown.EnsureVertex(u);
+      for (int i = 0; i < 3; ++i) {
+        // Touch the new vertex and an earlier one, as an edge would.
+        const VertexId w = static_cast<VertexId>(rng() % (u + 1));
+        const PartitionId p = static_cast<PartitionId>(rng() % k);
+        grown.replicas().Add(u, p);
+        grown.replicas().Add(w, p);
+        presized.replicas().Add(u, p);
+        presized.replicas().Add(w, p);
+      }
+    }
+    const ReplicaState& a = grown.replicas();
+    const ReplicaState& b = presized.replicas();
+    ASSERT_EQ(a.num_vertices(), b.num_vertices());
+    ASSERT_EQ(a.words_per_row(), b.words_per_row());
+    EXPECT_EQ(a.total_entries(), b.total_entries());
+    for (VertexId u = 0; u < n; ++u) {
+      const auto sa = a.Of(u);
+      const auto sb = b.Of(u);
+      ASSERT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()))
+          << "k=" << k << " u=" << u;
+      ASSERT_TRUE(std::equal(a.RowWords(u), a.RowWords(u) + a.words_per_row(),
+                             b.RowWords(u)))
+          << "k=" << k << " u=" << u;
+    }
   }
 }
 
