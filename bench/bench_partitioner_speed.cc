@@ -1,12 +1,10 @@
 // Scoring-path speed: ns/edge of every ScoreCore-backed streaming
-// partitioner across the three scoring modes — the scalar reference
-// scorer, the batched bit-packed path, and the SIMD kernel tier (AVX2 or
-// the portable omp-simd twin, picked by runtime dispatch) — across
-// partition counts. All modes are bit-identical (the fingerprint gauges
-// below and tests/score_core_test.cc pin that), so the ratios are pure
-// scoring cost: per-candidate Contains probes and branchy score loops vs
-// word-at-a-time membership and fused score/argmax sweeps vs vectorized
-// 4-lane score+argmax.
+// partitioner across partition counts, on the production kernels — the
+// AVX2 kernels when the CPU has them, the portable batched ones
+// otherwise (the banner names which). Both place every element
+// identically: each cell's fingerprint gauge pins the assignment bytes in
+// the golden, and tests/score_core_test.cc checks every kernel against
+// the scalar oracles of tests/score_oracle.h.
 //
 // Also keeps the Section 4.1 memory claim visible: streaming partitioners
 // hold only an O(n + k) synopsis (state_KB column), a fraction of what the
@@ -14,10 +12,10 @@
 //
 // Timing runs execute inside a scoped throwaway registry so repetition
 // can never leak wall time into the deterministic JSON section; one
-// canonical run per (algo, k, mode) cell then executes in the global
-// registry, contributing the decision counters and the partition.score.*
-// namespace plus a fingerprint gauge per cell. The deterministic section
-// is golden-gated by scripts/check.sh.
+// canonical run per (algo, k) cell then executes in the global registry,
+// contributing the decision counters and the partition.score.* namespace
+// plus a fingerprint gauge per cell. The deterministic section is
+// golden-gated by scripts/check.sh.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -60,12 +58,10 @@ struct Cell {
   uint64_t state_bytes = 0;
 };
 
-Cell RunCell(const Graph& g, const std::string& algo, PartitionId k,
-             ScoreMode mode) {
+Cell RunCell(const Graph& g, const std::string& algo, PartitionId k) {
   auto partitioner = CreatePartitioner(algo);
   PartitionConfig cfg;
   cfg.k = k;
-  cfg.score_mode = mode;
 
   Cell cell;
   double best_nanos = 0;
@@ -93,82 +89,38 @@ Cell RunCell(const Graph& g, const std::string& algo, PartitionId k,
 
 int main() {
   const uint32_t scale = bench::ScaleFromEnv();
-  bench::PrintBanner(
-      "Partitioner scoring speed",
-      "ns/edge of the scalar reference scorer vs the batched bit-packed "
-      "ScoreCore path vs the SIMD kernel tier (bit-identical assignments)",
-      scale);
-  std::cout << "simd dispatch: "
-            << score::SimdTierName(score::ActiveSimdTier()) << " tier\n";
+  bench::PrintBanner("Partitioner scoring speed",
+                     "ns/edge of the production ScoreCore kernels", scale);
+  std::cout << "score kernels: "
+            << (score::avx2::Available() ? "avx2" : "portable") << "\n";
   const Graph g(MakeDataset("twitter", scale));
 
   const std::vector<std::string> algos = {"LDG",  "FNL",  "HDRF", "PGG",
                                           "HG",   "ESG",  "RLDG", "RFNL"};
-  constexpr ScoreMode kModes[3] = {ScoreMode::kScalar, ScoreMode::kBatched,
-                                   ScoreMode::kSimd};
-  TablePrinter table({"Algo", "k", "scalar ns/edge", "batched ns/edge",
-                      "simd ns/edge", "batch_x", "simd_x", "state_KB"});
-  bool fingerprints_agree = true;
+  TablePrinter table({"Algo", "k", "ns/edge", "state_KB"});
   for (const std::string& algo : algos) {
     for (PartitionId k : {8u, 32u, 128u}) {
-      Cell cells[3];
-      for (int m = 0; m < 3; ++m) {
-        cells[m] = RunCell(g, algo, k, kModes[m]);
-        const std::string prefix = "partitioner_speed." + algo + ".k" +
-                                   std::to_string(k) + "." +
-                                   std::string(ScoreModeName(kModes[m]));
-        MetricsRegistry::Global()
-            .GetGauge(prefix + ".fingerprint")
-            ->Set(static_cast<double>(cells[m].fingerprint));
-        MetricsRegistry::Global()
-            .GetGauge(prefix + ".ns_per_edge.wall", MetricOptions::WallClock())
-            ->Set(cells[m].ns_per_edge);
-      }
-      // batch_x: scalar → batched gain. simd_x: batched → simd gain.
-      const double speedup = cells[1].ns_per_edge == 0
-                                 ? 0
-                                 : cells[0].ns_per_edge / cells[1].ns_per_edge;
-      const double simd_speedup =
-          cells[2].ns_per_edge == 0
-              ? 0
-              : cells[1].ns_per_edge / cells[2].ns_per_edge;
-      const std::string cell_key =
+      const Cell cell = RunCell(g, algo, k);
+      const std::string prefix =
           "partitioner_speed." + algo + ".k" + std::to_string(k);
       MetricsRegistry::Global()
-          .GetGauge(cell_key + ".speedup.wall", MetricOptions::WallClock())
-          ->Set(speedup);
+          .GetGauge(prefix + ".fingerprint")
+          ->Set(static_cast<double>(cell.fingerprint));
       MetricsRegistry::Global()
-          .GetGauge(cell_key + ".simd_speedup.wall", MetricOptions::WallClock())
-          ->Set(simd_speedup);
-      for (int m = 1; m < 3; ++m) {
-        if (cells[m].fingerprint != cells[0].fingerprint) {
-          fingerprints_agree = false;
-          std::cerr << "FINGERPRINT MISMATCH: " << algo << " k=" << k
-                    << " scalar=" << cells[0].fingerprint << " "
-                    << ScoreModeName(kModes[m]) << "="
-                    << cells[m].fingerprint << "\n";
-        }
-      }
-      table.AddRow({algo, std::to_string(k),
-                    FormatDouble(cells[0].ns_per_edge, 2),
-                    FormatDouble(cells[1].ns_per_edge, 2),
-                    FormatDouble(cells[2].ns_per_edge, 2),
-                    FormatDouble(speedup, 2) + "x",
-                    FormatDouble(simd_speedup, 2) + "x",
+          .GetGauge(prefix + ".ns_per_edge.wall", MetricOptions::WallClock())
+          ->Set(cell.ns_per_edge);
+      table.AddRow({algo, std::to_string(k), FormatDouble(cell.ns_per_edge, 2),
                     FormatDouble(
-                        static_cast<double>(cells[1].state_bytes) / 1024.0,
-                        1)});
+                        static_cast<double>(cell.state_bytes) / 1024.0, 1)});
     }
   }
   table.Print(std::cout);
   std::cout
-      << "\nExpected shape: the batched path pulls ahead as k grows — at\n"
-         "k=128 a candidate sweep reads two cache lines of membership words\n"
-         "instead of doing 128 probe round-trips, so HDRF lands >=3x — and\n"
-         "the simd tier stacks a further gain on top (target >=1.5x on HDRF\n"
-         "k=128; a wall-clock gauge, not hard-asserted). All columns place\n"
-         "every edge and vertex identically: each cell's fingerprint gauge\n"
-         "pins the assignment bytes in the golden.\n";
+      << "\nExpected shape: ns/edge grows with k for every code, steepest\n"
+         "for HDRF, whose sweep also reads two membership rows per edge.\n"
+         "state_KB grows with k only for the codes that keep per-vertex\n"
+         "partition sets (HDRF, PGG, ESG); the vertex-greedy codes hold\n"
+         "O(n + k) and stay flat.\n";
   bench::WriteBenchJson("partitioner_speed", scale);
-  return fingerprints_agree ? 0 : 1;
+  return 0;
 }

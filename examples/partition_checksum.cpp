@@ -4,9 +4,10 @@
 // repository must print byte-identical output — scripts/check.sh diffs a
 // portable build against a -march=native one (and the PR workflow diffs
 // refactors against the previous HEAD) to prove every scoring change is
-// behavior-preserving down to the last tie-break. --score-mode switches
-// every run onto the scalar / batched / simd kernels; the printed grid
-// must be byte-identical across all three (check.sh diffs them too).
+// behavior-preserving down to the last tie-break. The scale-9 grid is
+// committed as tests/golden/partition_checksum_scale9.txt; the
+// partition_checksum_matches_golden ctest diffs against it, on the AVX2
+// kernels or the portable ones, whichever the CPU selects.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -54,16 +55,6 @@ int main(int argc, char** argv) {
   FlagParser flags(argc, argv);
   const uint32_t scale =
       static_cast<uint32_t>(flags.TakeUint64("--scale").value_or(10));
-  ScoreMode score_mode = ScoreMode::kBatched;
-  if (auto mode = flags.TakeString("--score-mode")) {
-    if (!ParseScoreMode(*mode, &score_mode)) {
-      std::fprintf(stderr,
-                   "error: unknown score mode '%s'; valid values: scalar, "
-                   "batched, simd\n",
-                   mode->c_str());
-      return 1;
-    }
-  }
   flags.TakePositional();
   if (!flags.ok()) {
     std::fprintf(stderr, "error: %s\n", flags.error().c_str());
@@ -87,7 +78,6 @@ int main(int argc, char** argv) {
               cfg.k = k;
               cfg.seed = seed;
               cfg.order = order;
-              cfg.score_mode = score_mode;
               if (hetero) {
                 cfg.capacity_weights.resize(k);
                 for (PartitionId i = 0; i < k; ++i) {
@@ -114,7 +104,6 @@ int main(int argc, char** argv) {
           PartitionConfig cfg;
           cfg.k = k;
           cfg.seed = 42;
-          cfg.score_mode = score_mode;
           ParallelStreamOptions options;
           options.num_streams = workers;
           options.sync_interval = 64;

@@ -20,12 +20,12 @@
 //   --chunk-size <n>      elements per ingest chunk (both modes)
 //   --seed <s>            RNG/hash seed
 //   --slack <b>           balance slack β ≥ 1.0, finite (default 1.05)
-//   --score-mode <m>      scoring kernels: scalar|batched|simd (all modes
-//                         produce bit-identical partitionings; simd prints
-//                         the dispatched ISA tier at startup)
 //   --output <file>       write "vertex partition" lines
 //   --metrics-out <file>  dump the telemetry registry as JSON
 //   --trace-out <file>    dump the registry with traces included
+//
+// The first output line names the scoring kernels the CPU selected
+// (avx2 or portable); both produce identical partitionings.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -42,7 +42,6 @@
 #include "partition/partition_io.h"
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
-#include "partition/stream_ingest.h"
 #include "stream/source.h"
 
 namespace {
@@ -53,8 +52,8 @@ void PrintUsage() {
          "       partition_tool --input-edgelist <file> <algorithm> <k> "
          "[options]\n"
          "options: [--directed] [--order o] [--chunk-size n] [--seed s]\n"
-         "         [--slack b] [--score-mode scalar|batched|simd]\n"
-         "         [--output file] [--metrics-out file] [--trace-out file]\n"
+         "         [--slack b] [--output file] [--metrics-out file]\n"
+         "         [--trace-out file]\n"
          "algorithms (from the registry):\n"
       << sgp::PartitionerHelpText();
 }
@@ -83,13 +82,6 @@ int main(int argc, char** argv) {
   config.seed = flags.TakeUint64("--seed").value_or(config.seed);
   config.balance_slack =
       flags.TakeDouble("--slack").value_or(config.balance_slack);
-  if (auto mode = flags.TakeString("--score-mode")) {
-    if (!ParseScoreMode(*mode, &config.score_mode)) {
-      std::cerr << "error: unknown score mode '" << *mode
-                << "'; valid values: scalar, batched, simd\n";
-      return 1;
-    }
-  }
   const std::string output = flags.TakeString("--output").value_or("");
   const std::string metrics_out =
       flags.TakeString("--metrics-out").value_or("");
@@ -125,12 +117,8 @@ int main(int argc, char** argv) {
   config.k = static_cast<PartitionId>(*k);
   config.ingest_chunk_size = chunk_size;
 
-  std::cout << "score mode: " << ScoreModeName(config.score_mode);
-  if (config.score_mode == ScoreMode::kSimd) {
-    std::cout << " (dispatched ISA tier: "
-              << score::SimdTierName(score::ActiveSimdTier()) << ")";
-  }
-  std::cout << "\n";
+  std::cout << "score kernels: "
+            << (score::avx2::Available() ? "avx2" : "portable") << "\n";
 
   Partitioning partitioning;
   if (!stream_path.empty()) {

@@ -60,12 +60,11 @@ echo "check.sh: resharding + drain-guard tests passed standalone under sanitizer
 # runs through, and its batched path does word-level bit manipulation over
 # externally grown membership rows; run its suite standalone under the
 # sanitizers so an out-of-bounds word read in a partial tail block cannot
-# hide behind a sharded ctest run. A second run forces the SIMD dispatch
-# onto the portable omp-simd tier, so both tiers of the kSimd kernels get
-# a sanitized pass regardless of host ISA.
+# hide behind a sharded ctest run. Its kernel differential suite calls the
+# portable batched kernels directly, so they get a sanitized pass on AVX2
+# hosts too, where partitioners run the AVX2 kernels.
 "$BUILD_DIR/tests/score_core_test"
-SGP_FORCE_SCALAR_DISPATCH=1 "$BUILD_DIR/tests/score_core_test"
-echo "check.sh: score_core_test passed standalone under sanitizers (both SIMD tiers)"
+echo "check.sh: score_core_test passed standalone under sanitizers"
 
 # The two-phase family re-streams rewound sources and the registry hands
 # out pointers into a growable table; run both new suites standalone
@@ -128,10 +127,9 @@ python3 scripts/bench_diff.py \
   "$JSON_DIR/BENCH_ablation_monitoring.json"
 
 # And for the partitioner scoring bench: its deterministic section pins a
-# per-(algo, k, mode) fingerprint of the full assignment vectors plus the
-# partition.score.* counters, so a divergence means the scalar reference
-# scorer and the batched bit-packed ScoreCore path stopped agreeing
-# byte-for-byte (the bench also exits nonzero on any in-run mismatch).
+# per-(algo, k) fingerprint of the full assignment vectors plus the
+# partition.score.* counters, so a divergence means a ScoreCore kernel no
+# longer places every element as it did when the golden was recorded.
 python3 scripts/bench_diff.py \
   tests/golden/BENCH_partitioner_speed.json \
   "$JSON_DIR/BENCH_partitioner_speed.json"
@@ -175,10 +173,8 @@ export TSAN_OPTIONS="halt_on_error=1"
 "$TSAN_DIR/tests/monitor_test"
 # The sharded-scoring equivalence tests drive multi-worker ingest through
 # the batched bit-index path (global rows read while delta rows mutate
-# between barriers); TSan keeps that interval discipline honest. The
-# forced-portable re-run covers the omp-simd twin of the kSimd kernels.
+# between barriers); TSan keeps that interval discipline honest.
 "$TSAN_DIR/tests/score_core_test"
-SGP_FORCE_SCALAR_DISPATCH=1 "$TSAN_DIR/tests/score_core_test"
 # The two-phase partitioners run inside the parallel grid runner (each
 # cell a worker thread sharing the memoized dataset cache); their suite
 # under TSan keeps the per-run state honestly run-local.
@@ -187,31 +183,19 @@ echo "check.sh: concurrency tests passed under thread sanitizer"
 
 # Portable-vs-native smoke: build partition_checksum twice — the default
 # portable flags and -DSGP_NATIVE=ON (-march=native, FP contraction off) —
-# and require byte-identical fingerprints for every (algorithm, dataset,
-# k, seed, order, capacity profile) cell, in every score mode. This is
-# the guard that the scalar/batched/simd equivalence is expression-shape
-# stable, not an artifact of one compiler flag set.
+# and require both to reproduce the committed scale-9 grid byte for byte:
+# every (algorithm, dataset, k, seed, order, capacity profile) cell plus
+# the parallel drivers. This is the guard that the scoring kernels'
+# equivalence is expression-shape stable, not an artifact of one compiler
+# flag set.
 PORTABLE_DIR="${BUILD_DIR}-portable"
 NATIVE_DIR="${BUILD_DIR}-native"
 cmake -B "$PORTABLE_DIR" -S . > /dev/null
 cmake -B "$NATIVE_DIR" -S . -DSGP_NATIVE=ON > /dev/null
 cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target partition_checksum
 cmake --build "$NATIVE_DIR" -j "$(nproc)" --target partition_checksum
-for mode in scalar batched simd; do
-  "$PORTABLE_DIR/examples/partition_checksum" --scale 9 --score-mode "$mode" \
-    > "$JSON_DIR/ck_portable_$mode.txt"
-  diff "$JSON_DIR/ck_portable_$mode.txt" \
-       <("$NATIVE_DIR/examples/partition_checksum" --scale 9 --score-mode "$mode")
-  # Cross-mode: every mode must reproduce the scalar reference grid.
-  diff "$JSON_DIR/ck_portable_scalar.txt" "$JSON_DIR/ck_portable_$mode.txt"
+for dir in "$PORTABLE_DIR" "$NATIVE_DIR"; do
+  diff tests/golden/partition_checksum_scale9.txt \
+       <("$dir/examples/partition_checksum" --scale 9)
 done
-echo "check.sh: portable and -march=native builds partition identically in every score mode"
-
-# ISA-tier guard: forcing the SIMD dispatch onto the portable omp-simd
-# tier via the env override must reproduce the hardware tier's grid
-# byte-for-byte (on AVX2 hosts this diffs real vector kernels against
-# the portable twin; elsewhere it is a no-op consistency check).
-diff <(SGP_FORCE_SCALAR_DISPATCH=1 \
-         "$PORTABLE_DIR/examples/partition_checksum" --scale 9 --score-mode simd) \
-     "$JSON_DIR/ck_portable_simd.txt"
-echo "check.sh: forced-portable and hardware SIMD tiers partition identically"
+echo "check.sh: portable and -march=native builds reproduce the checksum golden"

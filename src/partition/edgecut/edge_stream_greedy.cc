@@ -23,7 +23,7 @@ Partitioning RunEdgeStreamGreedy(EdgeStreamSource& source,
   state.InitCapacities(n, config.balance_slack);
   const std::vector<double>& capacity = state.capacities();
   const std::vector<uint64_t>& sizes = state.loads();
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
 
   std::vector<PartitionId> assignment(n, kInvalidPartition);
   // Synopsis: per vertex, the count of already-seen neighbors per

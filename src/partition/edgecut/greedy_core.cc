@@ -22,7 +22,6 @@ namespace {
 struct GreedyMetrics {
   Counter* vertices_assigned = nullptr;
   Counter* neighbor_scans = nullptr;
-  Counter* tie_breaks = nullptr;
   Counter* capacity_fallbacks = nullptr;
   Counter* gather_blocks = nullptr;
   Counter* gather_prefetched = nullptr;
@@ -33,7 +32,6 @@ struct GreedyMetrics {
   explicit GreedyMetrics(MetricsRegistry& reg) {
     vertices_assigned = reg.GetCounter("partition.greedy.vertices.assigned");
     neighbor_scans = reg.GetCounter("partition.greedy.neighbor.scans");
-    tie_breaks = reg.GetCounter("partition.greedy.tie_breaks");
     capacity_fallbacks =
         reg.GetCounter("partition.greedy.capacity_fallbacks");
     gather_blocks = reg.GetCounter("partition.greedy.gather.blocks");
@@ -65,7 +63,7 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   // Equation (1). Scoring and the k-way pick live in the ScoreCore.
   PartitionState state(config);
   state.InitCapacities(n, config.balance_slack);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
 
   // FENNEL α: the paper's optimum α = m·k^{γ−1}/n^{γ}, which reduces to
   // √k·m/n^{3/2} at γ = 1.5.
@@ -91,7 +89,6 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   ScopedTimer score_assign_timer(metrics.score_assign_wall);
   uint64_t local_assigned = 0;
   uint64_t local_neighbor_scans = 0;
-  uint64_t local_tie_breaks = 0;
   uint64_t local_fallbacks = 0;
 
   std::vector<PartitionId> assignment(n, kInvalidPartition);
@@ -126,7 +123,7 @@ Partitioning RunStreamingGreedy(const Graph& graph,
                               neighbor_counts.data(), touched);
 
         PartitionId best = core.PickGreedyVertex(
-            neighbor_counts.data(), score_objective, &local_tie_breaks);
+            neighbor_counts.data(), state.loads().data(), score_objective);
         // All partitions at capacity can only happen transiently in
         // re-streaming passes; fall back to the least-loaded partition.
         if (best == kInvalidPartition) {
@@ -149,7 +146,6 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   }
 
   metrics.vertices_assigned->Increment(local_assigned);
-  metrics.tie_breaks->Increment(local_tie_breaks);
   metrics.capacity_fallbacks->Increment(local_fallbacks);
   metrics.gather_blocks->Increment(gather.blocks);
   metrics.gather_prefetched->Increment(gather.prefetched);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.h"
@@ -15,11 +14,11 @@ namespace sgp {
 
 namespace {
 
-// Worker-interval scratch of the batched sharded scorers: the combined
+// Worker-interval scratch of the sharded scorers: the combined
 // (published + own delta) loads materialized as flat arrays at the start
 // of each worker's interval and updated incrementally per placement.
 // Only the owning worker mutates state between barriers, so the scratch
-// stays exactly equal to CombinedLoad/CombinedEffectiveLoad — same
+// stays exactly equal to CombinedLoad and its effective load — same
 // integers, same division — for the whole interval.
 struct CombinedLoadScratch {
   std::vector<uint64_t> loads;
@@ -60,8 +59,6 @@ ParallelStreamResult RunParallelVertexStream(
   const uint32_t s = options.num_streams;
   ShardedPartitionState shard(config, s);
   shard.global().InitCapacities(n, config.balance_slack);
-  const std::vector<double>& weights = shard.global().weights();
-  const std::vector<double>& capacity = shard.global().capacities();
 
   // FENNEL α = m·k^{γ−1}/n^{γ} (√k·m/n^{3/2} at γ = 1.5), as in the
   // sequential greedy core.
@@ -100,20 +97,11 @@ ParallelStreamResult RunParallelVertexStream(
   objective.sqrt_form = gamma_is_three_halves;
 
   ParallelStreamResult result;
-  ScoreCoreStats score_stats;
+  ScoreCore core(shard.global());
   std::vector<uint32_t> neighbor_counts(k, 0);
-  std::vector<double> scores(k, 0.0);
   std::vector<PartitionId> touched;
   std::vector<size_t> cursor(s, 0);
   CombinedLoadScratch comb;
-  uint64_t tie_breaks = 0;  // counted by the kernels, not reported here
-  const ScoreMode mode = config.score_mode;
-  const score::SimdTier tier = mode == ScoreMode::kSimd
-                                   ? score::ActiveSimdTier()
-                                   : score::SimdTier::kPortable;
-  // Pow-form FENNEL has no SIMD twin; those picks fall back to batched.
-  const bool simd_greedy =
-      mode == ScoreMode::kSimd && (objective.ldg || objective.sqrt_form);
 
   bool work_left = true;
   while (work_left) {
@@ -126,7 +114,7 @@ ParallelStreamResult RunParallelVertexStream(
                                                     : published[v];
       };
       comb.Fill(shard, w, /*eff=*/false);
-      ++score_stats.batches;
+      core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
       for (size_t i = cursor[w]; i < end; ++i) {
@@ -136,26 +124,8 @@ ParallelStreamResult RunParallelVertexStream(
           if (p == kInvalidPartition) continue;
           if (neighbor_counts[p]++ == 0) touched.push_back(p);
         }
-        score_stats.candidates += k;
-        PartitionId best;
-        if (mode == ScoreMode::kScalar) {
-          best = score::GreedyPickScalar(k, neighbor_counts.data(),
-                                         comb.loads.data(), weights.data(),
-                                         capacity.data(), objective,
-                                         &tie_breaks);
-        } else if (simd_greedy) {
-          ++score_stats.simd_picks;
-          best = score::GreedyPickSimd(tier, k, neighbor_counts.data(),
-                                       comb.loads.data(), weights.data(),
-                                       capacity.data(), objective,
-                                       scores.data());
-        } else {
-          if (mode == ScoreMode::kSimd) ++score_stats.simd_fallbacks;
-          best = score::GreedyPickBatched(k, neighbor_counts.data(),
-                                          comb.loads.data(), weights.data(),
-                                          capacity.data(), objective,
-                                          scores.data(), &tie_breaks);
-        }
+        PartitionId best = core.PickGreedyVertex(
+            neighbor_counts.data(), comb.loads.data(), objective);
         if (best == kInvalidPartition) best = u % k;  // all full (stale)
         deltas[w].emplace_back(u, best);
         scratch_view[u] = best;
@@ -179,8 +149,6 @@ ParallelStreamResult RunParallelVertexStream(
     shard.Publish();
   }
 
-  (void)tie_breaks;
-  FlushScoreCoreStats(score_stats);
   result.partitioning.model = CutModel::kEdgeCut;
   result.partitioning.k = k;
   result.partitioning.vertex_to_partition = std::move(published);
@@ -199,47 +167,27 @@ ParallelStreamResult RunParallelVertexStream(
 // result equals the sequential algorithm's.
 // ---------------------------------------------------------------------
 
-// One batched (or SIMD — `simd` routes the sweep through HdrfPickSimd on
-// `tier`, same selection) HDRF placement against worker w's combined
-// view: the combined loads come from the interval scratch and replica
-// membership from the bit rows (published row OR delta row), scored by
-// the shared ScoreCore kernel. Bit-identical to PlaceHdrfSharded below.
-PartitionId PlaceHdrfShardedBatched(ShardedPartitionState& shard, uint32_t w,
-                                    CombinedLoadScratch& comb, VertexId u,
-                                    VertexId v, double lambda, bool simd,
-                                    score::SimdTier tier, double* scores,
-                                    ScoreCoreStats& stats) {
-  const PartitionId k = shard.global().k();
+// One HDRF placement against worker w's combined view: the combined
+// loads come from the interval scratch and replica membership from the bit
+// rows (published row OR delta row), scored by the shared ScoreCore pick.
+// Effective loads are recomputed from the combined integer loads, which
+// yields the same doubles the sequential incremental update maintains.
+PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
+                             CombinedLoadScratch& comb, ScoreCore& core,
+                             VertexId u, VertexId v, double lambda) {
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
   const double du = shard.CombinedDegree(w, u);
   const double dv = shard.CombinedDegree(w, v);
   const double theta_u = du / (du + dv);
   const double theta_v = 1.0 - theta_u;
-
-  double max_load, spread;
-  score::EffectiveSpread(comb.effective.data(), k, &max_load, &spread);
-
   const score::MembershipRow row_u{shard.GlobalReplicaRow(u),
                                    shard.DeltaReplicaRow(w, u)};
   const score::MembershipRow row_v{shard.GlobalReplicaRow(v),
                                    shard.DeltaReplicaRow(w, v)};
-  uint64_t ties = 0;  // the sharded driver does not report tie counts
-  stats.candidates += k;
-  PartitionId best;
-  if (simd) {
-    ++stats.simd_picks;
-    best = score::HdrfPickSimd(tier, k, comb.effective.data(),
-                               comb.loads.data(), row_u, row_v, theta_u,
-                               theta_v, lambda, max_load, spread, scores,
-                               &stats.bitset_hits);
-  } else {
-    best = score::HdrfPickBatched(k, comb.effective.data(), comb.loads.data(),
-                                  row_u, row_v, theta_u, theta_v, lambda,
-                                  max_load, spread, &ties,
-                                  &stats.bitset_hits);
-  }
-
+  const PartitionId best =
+      core.PickHdrf(comb.effective.data(), comb.loads.data(), row_u, row_v,
+                    theta_u, theta_v, lambda);
   shard.AddWorkerLoad(w, best);
   comb.AddLoad(shard, best, /*eff=*/true);
   if (!row_u.Test(best)) shard.AddWorkerReplica(w, u, best);
@@ -247,13 +195,15 @@ PartitionId PlaceHdrfShardedBatched(ShardedPartitionState& shard, uint32_t w,
   return best;
 }
 
-// One batched PGG placement against worker w's combined view; the
-// replica-set walks of PlacePggSharded become word-wise row operations.
-PartitionId PlacePggShardedBatched(ShardedPartitionState& shard, uint32_t w,
-                                   CombinedLoadScratch& comb,
-                                   const Graph& graph, VertexId u, VertexId v,
-                                   std::vector<uint64_t>& inter_words,
-                                   ScoreCoreStats& stats) {
+// One PGG placement against worker w's combined view, mirroring
+// ScoreCore::PlacePggChunk with word-wise operations on the combined rows.
+// The least-loaded rule ties toward the lower partition id, so it is
+// independent of the order the published and delta rows were filled in.
+PartitionId PlacePggSharded(ShardedPartitionState& shard, uint32_t w,
+                            CombinedLoadScratch& comb, const Graph& graph,
+                            VertexId u, VertexId v,
+                            std::vector<uint64_t>& inter_words,
+                            ScoreCoreStats& stats) {
   const PartitionId k = shard.global().k();
   const double* weights = shard.global().weights().data();
   const score::MembershipRow row_u{shard.GlobalReplicaRow(u),
@@ -301,115 +251,6 @@ PartitionId PlacePggShardedBatched(ShardedPartitionState& shard, uint32_t w,
   return target;
 }
 
-// One HDRF placement against worker w's combined (published + own delta)
-// view — the reference (scalar) path. Expressions mirror
-// ScoreCore::PlaceHdrfEdgeScalar; effective loads are recomputed from the
-// combined integer loads, which yields the same doubles the sequential
-// incremental update maintains.
-PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
-                             VertexId u, VertexId v, double lambda) {
-  const PartitionId k = shard.global().k();
-  shard.IncrementWorkerDegree(w, u);
-  shard.IncrementWorkerDegree(w, v);
-  const double du = shard.CombinedDegree(w, u);
-  const double dv = shard.CombinedDegree(w, v);
-  const double theta_u = du / (du + dv);
-  const double theta_v = 1.0 - theta_u;
-
-  double max_load = 0;
-  double min_load = shard.CombinedEffectiveLoad(w, 0);
-  for (PartitionId i = 0; i < k; ++i) {
-    const double eff = shard.CombinedEffectiveLoad(w, i);
-    max_load = std::max(max_load, eff);
-    min_load = std::min(min_load, eff);
-  }
-  const double spread = 1.0 + (max_load - min_load);  // ε = 1
-
-  PartitionId best = 0;
-  double best_score = -std::numeric_limits<double>::infinity();
-  for (PartitionId i = 0; i < k; ++i) {
-    double g = 0;
-    if (shard.ReplicaContains(w, u, i)) g += 1.0 + theta_v;
-    if (shard.ReplicaContains(w, v, i)) g += 1.0 + theta_u;
-    double score =
-        g + lambda * (max_load - shard.CombinedEffectiveLoad(w, i)) / spread;
-    if (score > best_score) {
-      best_score = score;
-      best = i;
-    } else if (score == best_score &&
-               shard.CombinedLoad(w, i) < shard.CombinedLoad(w, best)) {
-      best = i;
-    }
-  }
-  shard.AddWorkerLoad(w, best);
-  if (!shard.ReplicaContains(w, u, best)) shard.AddWorkerReplica(w, u, best);
-  if (!shard.ReplicaContains(w, v, best)) shard.AddWorkerReplica(w, v, best);
-  return best;
-}
-
-// One PGG placement against worker w's combined view. Mirrors the
-// sequential PowerGraphGreedyPartitioner; the least-loaded rule ties
-// toward the lower partition id, so it is independent of the order the
-// combined replica sets are visited in.
-PartitionId PlacePggSharded(ShardedPartitionState& shard, uint32_t w,
-                            const Graph& graph, VertexId u, VertexId v,
-                            std::vector<PartitionId>& setu,
-                            std::vector<PartitionId>& setv,
-                            std::vector<PartitionId>& intersection,
-                            const std::vector<PartitionId>& all) {
-  setu.clear();
-  setv.clear();
-  shard.ForEachReplica(w, u, [&](PartitionId p) { setu.push_back(p); });
-  shard.ForEachReplica(w, v, [&](PartitionId p) { setv.push_back(p); });
-
-  auto least_loaded = [&](const std::vector<PartitionId>& candidates) {
-    PartitionId best = candidates.front();
-    double best_load = shard.CombinedEffectiveLoad(w, best);
-    for (PartitionId p : candidates) {
-      const double load = shard.CombinedEffectiveLoad(w, p);
-      if (load < best_load || (load == best_load && p < best)) {
-        best_load = load;
-        best = p;
-      }
-    }
-    return best;
-  };
-
-  PartitionId target;
-  if (!setu.empty() && !setv.empty()) {
-    intersection.clear();
-    for (PartitionId p : setu) {
-      if (shard.ReplicaContains(w, v, p)) intersection.push_back(p);
-    }
-    if (!intersection.empty()) {
-      target = least_loaded(intersection);
-    } else {
-      const bool u_busier =
-          static_cast<int64_t>(graph.Degree(u)) - shard.CombinedDegree(w, u) >=
-          static_cast<int64_t>(graph.Degree(v)) - shard.CombinedDegree(w, v);
-      target = least_loaded(u_busier ? setu : setv);
-    }
-  } else if (!setu.empty()) {
-    target = least_loaded(setu);
-  } else if (!setv.empty()) {
-    target = least_loaded(setv);
-  } else {
-    target = least_loaded(all);
-  }
-
-  shard.AddWorkerLoad(w, target);
-  // Placed degrees update after the decision, as in the sequential code.
-  shard.IncrementWorkerDegree(w, u);
-  shard.IncrementWorkerDegree(w, v);
-  if (!shard.ReplicaContains(w, u, target)) {
-    shard.AddWorkerReplica(w, u, target);
-  }
-  if (!shard.ReplicaContains(w, v, target)) {
-    shard.AddWorkerReplica(w, v, target);
-  }
-  return target;
-}
-
 ParallelStreamResult RunParallelEdgeStream(
     const Graph& graph, const PartitionConfig& config,
     const ParallelStreamOptions& options, ParallelAlgo algo) {
@@ -437,22 +278,11 @@ ParallelStreamResult RunParallelEdgeStream(
   result.partitioning.k = k;
   result.partitioning.edge_to_partition.resize(graph.num_edges());
 
-  // kSimd rides the batched machinery: HDRF sweeps dispatch to the SIMD
-  // kernel, while PGG keeps the word-at-a-time bit scans (sparse replica
-  // sets — a dense k-lane sweep would be slower).
-  const bool batched = config.score_mode != ScoreMode::kScalar;
-  const bool simd = config.score_mode == ScoreMode::kSimd;
-  const score::SimdTier tier =
-      simd ? score::ActiveSimdTier() : score::SimdTier::kPortable;
-  if (batched) shard.EnableReplicaBitIndex();
+  shard.EnableReplicaBitIndex();
   const bool is_hdrf = algo == ParallelAlgo::kHdrf;
-  ScoreCoreStats score_stats;
+  ScoreCore core(shard.global());
   CombinedLoadScratch comb;
-  std::vector<double> scores(k, 0.0);
   std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
-  std::vector<PartitionId> all(k);
-  for (PartitionId i = 0; i < k; ++i) all[i] = i;
-  std::vector<PartitionId> setu, setv, intersection;
   std::vector<size_t> cursor(s, 0);
   std::vector<uint64_t> round_placed(s, 0);
 
@@ -460,33 +290,18 @@ ParallelStreamResult RunParallelEdgeStream(
   while (work_left) {
     work_left = false;
     for (uint32_t w = 0; w < s; ++w) {
-      if (batched) comb.Fill(shard, w, /*eff=*/is_hdrf);
-      ++score_stats.batches;
+      comb.Fill(shard, w, /*eff=*/is_hdrf);
+      core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
       round_placed[w] = end - cursor[w];
       for (size_t i = cursor[w]; i < end; ++i) {
         const StreamEdge& e = substreams[w][i];
-        PartitionId target;
-        if (batched) {
-          target = is_hdrf
-                       ? PlaceHdrfShardedBatched(shard, w, comb, e.src, e.dst,
-                                                 config.hdrf_lambda, simd,
-                                                 tier, scores.data(),
-                                                 score_stats)
-                       : PlacePggShardedBatched(shard, w, comb, graph, e.src,
-                                                e.dst, inter_words,
-                                                score_stats);
-        } else {
-          if (is_hdrf) {
-            score_stats.candidates += k;
-            target = PlaceHdrfSharded(shard, w, e.src, e.dst,
-                                      config.hdrf_lambda);
-          } else {
-            target = PlacePggSharded(shard, w, graph, e.src, e.dst, setu,
-                                     setv, intersection, all);
-          }
-        }
+        const PartitionId target =
+            is_hdrf ? PlaceHdrfSharded(shard, w, comb, core, e.src, e.dst,
+                                       config.hdrf_lambda)
+                    : PlacePggSharded(shard, w, comb, graph, e.src, e.dst,
+                                      inter_words, core.stats());
         result.partitioning.edge_to_partition[e.id] = target;
       }
       cursor[w] = end;
@@ -502,7 +317,6 @@ ParallelStreamResult RunParallelEdgeStream(
     shard.Publish();
   }
 
-  FlushScoreCoreStats(score_stats);
   DeriveMasterPlacement(graph, &result.partitioning);
   result.partitioning.state_bytes = shard.SynopsisBytes();
   result.partitioning.partitioning_seconds = timer.ElapsedSeconds();
@@ -542,12 +356,6 @@ ParallelStreamResult RunParallelStreaming(const Graph& graph,
   }
   SGP_CHECK(false && "unknown parallel algorithm");
   return {};
-}
-
-ParallelStreamResult ParallelStreamingLdg(
-    const Graph& graph, const PartitionConfig& config,
-    const ParallelStreamOptions& options) {
-  return RunParallelStreaming(graph, config, options, ParallelAlgo::kLdg);
 }
 
 }  // namespace sgp

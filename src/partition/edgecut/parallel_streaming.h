@@ -66,12 +66,6 @@ ParallelStreamResult RunParallelStreaming(const Graph& graph,
                                           const ParallelStreamOptions& options,
                                           ParallelAlgo algo);
 
-/// LDG via RunParallelStreaming — kept as the named entry point the
-/// ablation benches and tests built against.
-ParallelStreamResult ParallelStreamingLdg(
-    const Graph& graph, const PartitionConfig& config,
-    const ParallelStreamOptions& options);
-
 }  // namespace sgp
 
 #endif  // SGP_PARTITION_EDGECUT_PARALLEL_STREAMING_H_

@@ -73,8 +73,7 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
   const std::vector<uint64_t>& vertex_load = state.loads();
   const std::vector<uint64_t>& edge_load = state.secondary_loads();
 
-  ScoreCore core(state, config.score_mode);
-  uint64_t tie_breaks = 0;
+  ScoreCore core(state);
   std::vector<uint32_t> neighbor_counts(k, 0);
   std::vector<double> combined_loads(k, 0.0);
   std::vector<PartitionId> touched;
@@ -130,7 +129,7 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
       }
       PartitionId best = core.PickGingerVertex(
           neighbor_counts.data(), combined_loads.data(), combined_capacity,
-          alpha, gamma, &tie_breaks);
+          alpha, gamma);
       if (best == kInvalidPartition) {
         // Every partition at capacity: least combined load wins.
         best = 0;

@@ -55,7 +55,7 @@ class Partitioner {
   /// Partitions the edges pulled from `source` (from its current
   /// position) into `config.k` parts — the single entry point for
   /// stream-based callers (`partition_tool --input-edgelist`, ingest
-  /// pipelines), replacing the old side-door PartitionEdgeStream path.
+  /// pipelines).
   ///
   /// Streaming-capable algorithms override this to run graph-free with an
   /// O(n + k) synopsis; multi-pass overrides (DBH's degree pre-pass, the

@@ -7,31 +7,6 @@
 
 namespace sgp {
 
-std::string_view ScoreModeName(ScoreMode mode) {
-  switch (mode) {
-    case ScoreMode::kScalar:
-      return "scalar";
-    case ScoreMode::kBatched:
-      return "batched";
-    case ScoreMode::kSimd:
-      return "simd";
-  }
-  return "unknown";
-}
-
-bool ParseScoreMode(std::string_view name, ScoreMode* mode) {
-  if (name == "scalar") {
-    *mode = ScoreMode::kScalar;
-  } else if (name == "batched") {
-    *mode = ScoreMode::kBatched;
-  } else if (name == "simd") {
-    *mode = ScoreMode::kSimd;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 std::string_view CutModelName(CutModel model) {
   switch (model) {
     case CutModel::kEdgeCut:

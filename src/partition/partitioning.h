@@ -21,26 +21,6 @@ enum class CutModel {
 /// Human-readable name of `model`.
 std::string_view CutModelName(CutModel model);
 
-/// Implementation of the k-way candidate evaluation every streaming
-/// partitioner performs per stream element (partition/score_core.h).
-/// All modes produce bit-identical assignments — same scores, same
-/// tie-breaks (equal score → lighter load → lower id) — pinned by the
-/// equivalence suite; kScalar exists as the reference for that suite and
-/// for the per-mode rows of bench_partitioner_speed.
-enum class ScoreMode {
-  kBatched,  // chunk-batched SoA loops + bit-packed replica membership
-  kScalar,   // per-element loops with per-candidate replica-set probes
-  kSimd,     // explicit SIMD score+argmax kernels with runtime ISA dispatch
-             // (AVX2 or the #pragma omp simd portable twin)
-};
-
-/// Human-readable name of `mode` ("scalar" / "batched" / "simd").
-std::string_view ScoreModeName(ScoreMode mode);
-
-/// Parses a --score-mode value; returns false (leaving `*mode` untouched)
-/// for anything but "scalar", "batched" or "simd".
-bool ParseScoreMode(std::string_view name, ScoreMode* mode);
-
 /// Shared configuration for all partitioners. Algorithm-specific parameters
 /// carry the defaults used by the paper / original publications.
 struct PartitionConfig {
@@ -92,11 +72,6 @@ struct PartitionConfig {
   /// fast path for in-core graphs. Chunk boundaries never change the
   /// element sequence, so results are independent of this value.
   uint64_t ingest_chunk_size = 0;
-
-  /// Scoring-core implementation (partition/score_core.h). Assignments
-  /// are bit-identical in both modes; kScalar is the reference path the
-  /// equivalence tests and bench_partitioner_speed compare against.
-  ScoreMode score_mode = ScoreMode::kBatched;
 };
 
 /// Result of any partitioning algorithm, unified across cut models.

@@ -1,9 +1,9 @@
-#include "partition/score_simd_internal.h"
+#include "partition/score_core.h"
 
-// AVX2 backend of the SIMD kernel tier. Compiled with -mavx2 only (no
-// -mfma, so a*b+c cannot contract into FMA) plus -ffp-contract=off; every
+// AVX2 kernels of the scoring core. Compiled with -mavx2 only (no -mfma,
+// so a*b+c cannot contract into FMA) plus -ffp-contract=off; every
 // arithmetic op below maps 1:1 onto an IEEE-exact instruction in the
-// exact order of the scalar reference, which is what makes the selections
+// exact order of the batched kernels, which is what makes the selections
 // bit-identical:
 //   - membership bit → {0.0, 1.0} multiply becomes an AND against a
 //     cmpeq-derived all-ones mask (x & ~0 == x, x & 0 == +0.0 == 0.0·x
@@ -18,6 +18,13 @@
 // rule (score desc, load asc, index asc) — a plain lane-order reduction
 // would mis-rank equal (score, load) pairs whose indices interleave
 // across lanes.
+//
+// This unit calls none of the inline helpers of score_core.h: any
+// COMDAT-inline function it emitted with AVX2 flags could be picked by
+// the linker for every other caller, leaking VEX-encoded code into builds
+// that must run on pre-AVX hardware. The few scalar expressions it needs
+// (tail elements, membership words) are re-derived here with internal
+// linkage, kept textually identical to their score_core.h originals.
 
 #if defined(__x86_64__) && defined(__AVX2__)
 
@@ -28,6 +35,30 @@
 namespace sgp::score::avx2 {
 
 namespace {
+
+// Running lexicographic argmax over (score desc, load asc, index asc) —
+// the canonical tie-break. Used for the cross-lane/tail merges, where the
+// within-lane "keep the incumbent on full ties" shortcut is wrong because
+// lane winners' indices interleave.
+template <typename Load>
+struct LexBest {
+  double score = kNegInf;
+  Load load = 0;
+  PartitionId index = kInvalidPartition;
+
+  void Merge(double s, Load l, PartitionId i) {
+    if (s > score || (s == score && (l < load || (l == load && i < index)))) {
+      score = s;
+      load = l;
+      index = i;
+    }
+  }
+};
+
+// Keep in sync with MembershipRow::Word (score_core.h).
+inline uint64_t RowWord(const MembershipRow& row, uint64_t w) {
+  return row.delta == nullptr ? row.base[w] : row.base[w] | row.delta[w];
+}
 
 // u64 → double, exact for values < 2^52: OR the value into the mantissa
 // of 2^52 and subtract 2^52.
@@ -47,9 +78,8 @@ inline __m256i BlendI64(__m256i keep, __m256i take, __m256d mask) {
       _mm256_castsi256_pd(keep), _mm256_castsi256_pd(take), mask));
 }
 
-// Keep in sync with score::GreedyScore (score_core.h); re-derived here so
-// this unit emits no COMDAT-inline copy compiled with AVX2 flags. The
-// dispatcher guarantees sqrt-form (or LDG).
+// Keep in sync with score::GreedyScore (score_core.h). ScoreCore only
+// routes LDG and sqrt-form FENNEL here.
 inline double GreedyScoreTail(const GreedyObjective& obj, uint32_t count,
                               double size, double capacity, double weight) {
   if (obj.ldg) {
@@ -66,9 +96,11 @@ bool Available() { return __builtin_cpu_supports("avx2"); }
 
 PartitionId HdrfPick(PartitionId k, const double* effective,
                      const uint64_t* loads, MembershipRow u_row,
-                     MembershipRow v_row, double gain_u, double gain_v,
+                     MembershipRow v_row, double theta_u, double theta_v,
                      double lambda, double max_load, double spread,
                      uint64_t* bitset_hits) {
+  const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
+  const double gain_v = 1.0 + theta_u;
   // Bitset-hit audit, identical to the HdrfPickBatched popcount loop so
   // the counter stays ISA-independent.
   uint64_t hits = 0;
@@ -140,7 +172,7 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
     cur_ix = _mm256_add_epi64(cur_ix, v_four);
   }
 
-  LexBestU64 best;
+  LexBest<uint64_t> best;
   if (vec_end > 0) {
     alignas(32) double lane_sc[4];
     alignas(32) uint64_t lane_ld[4];
@@ -149,7 +181,7 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ld), best_ld);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
     for (int l = 0; l < 4; ++l) {
-      MergeU64(&best, lane_sc[l], lane_ld[l],
+      best.Merge(lane_sc[l], lane_ld[l],
                static_cast<PartitionId>(lane_ix[l]));
     }
   }
@@ -160,7 +192,7 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
     const double bv = static_cast<double>((wv >> (i & 63)) & 1u);
     const double g = bu * gain_u + bv * gain_v;
     const double sc = g + lambda * (max_load - effective[i]) / spread;
-    MergeU64(&best, sc, loads[i], i);
+    best.Merge(sc, loads[i], i);
   }
   return best.index;
 }
@@ -215,7 +247,7 @@ PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
     cur_ix = _mm256_add_epi64(cur_ix, v_four);
   }
 
-  LexBestU64 best;
+  LexBest<uint64_t> best;
   if (vec_end > 0) {
     alignas(32) double lane_sc[4];
     alignas(32) uint64_t lane_ld[4];
@@ -224,7 +256,7 @@ PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ld), best_ld);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
     for (int l = 0; l < 4; ++l) {
-      MergeU64(&best, lane_sc[l], lane_ld[l],
+      best.Merge(lane_sc[l], lane_ld[l],
                static_cast<PartitionId>(lane_ix[l]));
     }
   }
@@ -233,7 +265,7 @@ PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
     const double sc =
         GreedyScoreTail(obj, neighbor_counts[i], size, capacity[i],
                         weights[i]);
-    MergeU64(&best, size + 1.0 > capacity[i] ? kNegInf : sc, loads[i], i);
+    best.Merge(size + 1.0 > capacity[i] ? kNegInf : sc, loads[i], i);
   }
   return best.score == kNegInf ? kInvalidPartition : best.index;
 }
@@ -273,7 +305,7 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
     cur_ix = _mm256_add_epi64(cur_ix, v_four);
   }
 
-  LexBestF64 best;
+  LexBest<double> best;
   if (vec_end > 0) {
     alignas(32) double lane_sc[4];
     alignas(32) double lane_ld[4];
@@ -282,7 +314,7 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
     _mm256_store_pd(lane_ld, best_ld);
     _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
     for (int l = 0; l < 4; ++l) {
-      MergeF64(&best, lane_sc[l], lane_ld[l],
+      best.Merge(lane_sc[l], lane_ld[l],
                static_cast<PartitionId>(lane_ix[l]));
     }
   }
@@ -291,88 +323,17 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
     const double sc =
         static_cast<double>(neighbor_counts[i]) - alpha * gamma *
         std::sqrt(load);
-    MergeF64(&best, load >= combined_capacity ? kNegInf : sc, load, i);
+    best.Merge(load >= combined_capacity ? kNegInf : sc, load, i);
   }
   return best.score == kNegInf ? kInvalidPartition : best.index;
-}
-
-namespace {
-
-// Shared least-loaded scan: effective loads with capacity-violating (or
-// no) entries masked to +inf, lex-min (effective, index).
-inline LexMin LeastLoadedScan(PartitionId k, const uint64_t* loads,
-                              const double* weights, const double* capacity) {
-  const __m256d v_inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const __m256d v_one = _mm256_set1_pd(1.0);
-  const __m256i v_four = _mm256_set1_epi64x(4);
-  const __m256i lane_off = _mm256_setr_epi64x(0, 1, 2, 3);
-
-  __m256d best_eff = v_inf;
-  __m256i best_ix = _mm256_setzero_si256();
-  __m256i cur_ix = lane_off;
-
-  const PartitionId vec_end = k & ~PartitionId{3};
-  PartitionId i = 0;
-  for (; i < vec_end; i += 4) {
-    const __m256i ld = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(loads + i));
-    const __m256d size = U64ToDouble(ld);
-    const __m256d wgt = _mm256_loadu_pd(weights + i);
-    __m256d eff = _mm256_div_pd(size, wgt);
-    if (capacity != nullptr) {
-      const __m256d cap = _mm256_loadu_pd(capacity + i);
-      const __m256d over =
-          _mm256_cmp_pd(_mm256_add_pd(size, v_one), cap, _CMP_GT_OQ);
-      eff = BlendPd(eff, v_inf, over);
-    }
-    const __m256d take = _mm256_cmp_pd(eff, best_eff, _CMP_LT_OQ);
-    best_eff = BlendPd(best_eff, eff, take);
-    best_ix = BlendI64(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, v_four);
-  }
-
-  LexMin best;
-  if (vec_end > 0) {
-    alignas(32) double lane_eff[4];
-    alignas(32) uint64_t lane_ix[4];
-    _mm256_store_pd(lane_eff, best_eff);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-    for (int l = 0; l < 4; ++l) {
-      MergeMin(&best, lane_eff[l], static_cast<PartitionId>(lane_ix[l]));
-    }
-  }
-  for (; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    const bool over = capacity != nullptr && size + 1.0 > capacity[i];
-    MergeMin(&best,
-             over ? std::numeric_limits<double>::infinity()
-                  : size / weights[i],
-             i);
-  }
-  return best;
-}
-
-}  // namespace
-
-PartitionId LeastLoadedWithRoom(PartitionId k, const uint64_t* loads,
-                                const double* weights,
-                                const double* capacity) {
-  const LexMin best = LeastLoadedScan(k, loads, weights, capacity);
-  return best.eff == std::numeric_limits<double>::infinity() ? 0 : best.index;
-}
-
-PartitionId LeastLoadedAll(PartitionId k, const uint64_t* loads,
-                           const double* weights) {
-  return LeastLoadedScan(k, loads, weights, nullptr).index;
 }
 
 }  // namespace sgp::score::avx2
 
 #else  // !(defined(__x86_64__) && defined(__AVX2__))
 
-// Non-x86-64 (or a toolchain without AVX2 support): the dispatcher sees
-// Available() == false and routes every pick to the portable tier; the
-// kernel stubs are unreachable.
+// Non-x86-64 (or a toolchain without AVX2 support): Available() is false,
+// so ScoreCore runs the batched kernels and these stubs are unreachable.
 
 namespace sgp::score::avx2 {
 
@@ -393,17 +354,6 @@ PartitionId GreedyPick(PartitionId, const uint32_t*, const uint64_t*,
 
 PartitionId GingerPick(PartitionId, const uint32_t*, const double*, double,
                        double, double) {
-  SGP_CHECK(false);
-  return kInvalidPartition;
-}
-
-PartitionId LeastLoadedWithRoom(PartitionId, const uint64_t*, const double*,
-                                const double*) {
-  SGP_CHECK(false);
-  return kInvalidPartition;
-}
-
-PartitionId LeastLoadedAll(PartitionId, const uint64_t*, const double*) {
   SGP_CHECK(false);
   return kInvalidPartition;
 }

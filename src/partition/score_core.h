@@ -1,13 +1,12 @@
 #ifndef SGP_PARTITION_SCORE_CORE_H_
 #define SGP_PARTITION_SCORE_CORE_H_
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "common/check.h"
@@ -28,47 +27,27 @@ namespace sgp {
 /// argmax with the canonical tie-break: equal score → lighter load →
 /// lower id) → partitioner (stream order, gather, placement recording).
 ///
-/// Three modes, bit-identical by construction and pinned by the
-/// equivalence suite (tests/score_core_test.cc,
-/// partitioner_property_test.cc):
-///  - kBatched: a chunk of B stream elements per call, inner loops reading
-///    the SoA arrays directly and replica membership from the bit index
-///    (one 64-candidate word per load instead of per-candidate set
-///    probes), branch-free score evaluation where it pays.
-///  - kScalar: the reference per-element loops with ReplicaState::Contains
-///    probes — the pre-refactor code shape, kept for the per-mode rows of
-///    bench_partitioner_speed.
-///  - kSimd: explicit SIMD kernels behind runtime ISA dispatch (the
-///    SimdTier block below) — AVX2 intrinsics or a #pragma omp simd
-///    portable twin, same selections, no tie-audit counters.
-///
-/// Every floating-point expression is textually identical between modes
-/// (and to the pre-ScoreCore algorithms), so assignments match down to
-/// the last tie-break. Builds must not let the compiler contract a*b+c
-/// into FMA (see SGP_NATIVE in CMakeLists.txt) or the two shapes could
-/// round differently.
+/// One production path per kernel: a portable batched kernel (SoA loops,
+/// replica membership read one 64-candidate word at a time from the bit
+/// index) that every host runs, plus an AVX2 kernel for the HDRF/cluster,
+/// LDG/FENNEL and Ginger picks, chosen once per ScoreCore from
+/// score::avx2::Available(). Both produce the same selection to the last
+/// tie-break; the scalar per-candidate loops they replace live on as the
+/// oracles of tests/score_oracle.h. Builds must not let the compiler
+/// contract a*b+c into FMA (see SGP_NATIVE in CMakeLists.txt) or the
+/// kernels could round differently.
 
 /// Decision counters of the scoring core, accumulated in plain locals and
 /// flushed once per run (partition.score.*, docs/OBSERVABILITY.md).
 struct ScoreCoreStats {
   uint64_t batches = 0;      // chunk-level scorer invocations
   uint64_t candidates = 0;   // candidate partitions evaluated
-  uint64_t bitset_hits = 0;  // replica-membership bits found set (batched)
-  uint64_t simd_picks = 0;   // picks served by a SIMD kernel (kSimd only)
-  uint64_t simd_fallbacks = 0;  // kSimd picks routed to the batched kernel
-                                // (pow-form FENNEL has no SIMD twin)
+  uint64_t bitset_hits = 0;  // replica-membership bits found set
 };
 
 /// Flushes `stats` into the current registry's
 /// partition.score.{batches,candidates,bitset_hits} counters.
 void FlushScoreCoreStats(const ScoreCoreStats& stats);
-
-/// Decision counters of the HDRF scoring loop (kept distinct from
-/// ScoreCoreStats: they feed the long-standing partition.hdrf.* metrics).
-struct HdrfStats {
-  uint64_t degree_hits = 0;
-  uint64_t tie_breaks = 0;
-};
 
 namespace score {
 
@@ -88,7 +67,7 @@ struct MembershipRow {
 };
 
 /// Max effective load and the normalized HDRF spread 1 + (max − min)
-/// (ε = 1), with the exact accumulation order of the scalar loop.
+/// (ε = 1), in the one accumulation order every HDRF kernel shares.
 inline void EffectiveSpread(const double* effective, PartitionId k,
                             double* max_out, double* spread_out) {
   double max_load = 0;
@@ -104,19 +83,17 @@ inline void EffectiveSpread(const double* effective, PartitionId k,
 /// Batched HDRF candidate evaluation: one membership word per endpoint
 /// per 64-candidate block, branch-free g-term, argmax with the canonical
 /// tie-break. The g accumulation order (u-term then v-term) matches the
-/// scalar Contains-probe loop, so scores are bit-identical.
+/// per-candidate probe loop of the oracle, so scores are bit-identical.
 inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
                                    const uint64_t* loads, MembershipRow u_row,
                                    MembershipRow v_row, double theta_u,
                                    double theta_v, double lambda,
                                    double max_load, double spread,
-                                   uint64_t* tie_breaks,
                                    uint64_t* bitset_hits) {
   const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
   const double gain_v = 1.0 + theta_u;
   PartitionId best = 0;
   double best_score = kNegInf;
-  uint64_t ties = 0;
   uint64_t hits = 0;
   for (PartitionId blk = 0; blk < k; blk += 64) {
     const uint64_t wu = u_row.Word(blk >> 6);
@@ -136,12 +113,10 @@ inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
         best_score = sc;
         best = i;
       } else if (sc == best_score && loads[i] < loads[best]) {
-        ++ties;
         best = i;
       }
     }
   }
-  *tie_breaks += ties;
   *bitset_hits += hits;
   return best;
 }
@@ -168,50 +143,20 @@ inline double GreedyScore(const GreedyObjective& obj, uint32_t count,
   return static_cast<double>(count) - obj.alpha * obj.gamma * load;
 }
 
-/// Reference per-element LDG/FENNEL pick: hard capacity skip, argmax,
-/// ties toward the smaller partition. kInvalidPartition when every
-/// partition is at capacity.
-inline PartitionId GreedyPickScalar(PartitionId k,
-                                    const uint32_t* neighbor_counts,
-                                    const uint64_t* loads,
-                                    const double* weights,
-                                    const double* capacity,
-                                    const GreedyObjective& obj,
-                                    uint64_t* tie_breaks) {
-  PartitionId best = kInvalidPartition;
-  double best_score = kNegInf;
-  uint64_t best_load = 0;
-  for (PartitionId i = 0; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    if (size + 1.0 > capacity[i]) continue;  // hard balance constraint
-    const double sc =
-        GreedyScore(obj, neighbor_counts[i], size, capacity[i], weights[i]);
-    if (sc > best_score) {
-      best_score = sc;
-      best = i;
-      best_load = loads[i];
-    } else if (sc == best_score && loads[i] < best_load) {
-      ++*tie_breaks;
-      best = i;
-      best_load = loads[i];
-    }
-  }
-  return best;
-}
-
 /// Batched LDG/FENNEL pick: phase 1 materializes every candidate score
 /// into `scores` with capacity violations masked to −inf (branch-free,
-/// auto-vectorizable over the SoA arrays); phase 2 is the same argmax /
-/// tie-break scan as the scalar path. A masked −inf can never win (> is
-/// strict and the tie-break needs loads[i] < best_load, which starts at 0
-/// with unsigned loads), so selection matches the scalar skip exactly.
+/// auto-vectorizable over the SoA arrays); phase 2 is the argmax with the
+/// canonical tie-break. A masked −inf can never win (> is strict and the
+/// tie-break needs loads[i] < best_load, which starts at 0 with unsigned
+/// loads), so selection matches a hard capacity skip exactly;
+/// kInvalidPartition when every partition is at capacity.
 inline PartitionId GreedyPickBatched(PartitionId k,
                                      const uint32_t* neighbor_counts,
                                      const uint64_t* loads,
                                      const double* weights,
                                      const double* capacity,
                                      const GreedyObjective& obj,
-                                     double* scores, uint64_t* tie_breaks) {
+                                     double* scores) {
   for (PartitionId i = 0; i < k; ++i) {
     const double size = static_cast<double>(loads[i]);
     const double sc =
@@ -228,7 +173,6 @@ inline PartitionId GreedyPickBatched(PartitionId k,
       best_load = loads[i];
     } else if (scores[i] == best_score && best != kInvalidPartition &&
                loads[i] < best_load) {
-      ++*tie_breaks;
       best = i;
       best_load = loads[i];
     }
@@ -238,41 +182,16 @@ inline PartitionId GreedyPickBatched(PartitionId k,
 
 /// Ginger pick over caller-materialized combined loads ½(|P_v| +
 /// (n/m)|P_e|)/w (Equation 8 through FENNEL's γ = 1.5 marginal-cost
-/// form); candidates at or above the combined capacity are skipped, ties
-/// toward the smaller combined load.
-inline PartitionId GingerPickScalar(PartitionId k,
-                                    const uint32_t* neighbor_counts,
-                                    const double* combined_loads,
-                                    double combined_capacity, double alpha,
-                                    double gamma, uint64_t* tie_breaks) {
-  PartitionId best = kInvalidPartition;
-  double best_score = kNegInf;
-  double best_load = 0;
-  for (PartitionId i = 0; i < k; ++i) {
-    const double load = combined_loads[i];
-    if (load >= combined_capacity) continue;
-    const double sc = static_cast<double>(neighbor_counts[i]) -
-                      alpha * gamma * std::sqrt(load);
-    if (sc > best_score || (sc == best_score && load < best_load)) {
-      if (sc == best_score) ++*tie_breaks;
-      best_score = sc;
-      best = i;
-      best_load = load;
-    }
-  }
-  return best;
-}
-
-/// Batched Ginger pick: masked score materialization + the scalar argmax.
-/// A masked −inf never wins: > is strict against the −inf start, and the
-/// tie-break needs load < best_load, which starts at 0 with non-negative
-/// combined loads.
+/// form): masked score materialization, then the argmax with ties toward
+/// the smaller combined load. Candidates at or above the combined
+/// capacity are masked to −inf, which never wins: > is strict against the
+/// −inf start, and the tie-break needs load < best_load, which starts at
+/// 0 with non-negative combined loads.
 inline PartitionId GingerPickBatched(PartitionId k,
                                      const uint32_t* neighbor_counts,
                                      const double* combined_loads,
                                      double combined_capacity, double alpha,
-                                     double gamma, double* scores,
-                                     uint64_t* tie_breaks) {
+                                     double gamma, double* scores) {
   for (PartitionId i = 0; i < k; ++i) {
     const double load = combined_loads[i];
     const double sc = static_cast<double>(neighbor_counts[i]) -
@@ -287,7 +206,6 @@ inline PartitionId GingerPickBatched(PartitionId k,
     if (scores[i] > best_score ||
         (scores[i] == best_score && best != kInvalidPartition &&
          load < best_load)) {
-      if (scores[i] == best_score) ++*tie_breaks;
       best_score = scores[i];
       best = i;
       best_load = load;
@@ -303,12 +221,14 @@ inline PartitionId LeastLoadedWithRoom(PartitionId k, const uint64_t* loads,
                                        const double* weights,
                                        const double* capacity) {
   PartitionId best = kInvalidPartition;
+  double best_load = 0;
   for (PartitionId i = 0; i < k; ++i) {
-    if (static_cast<double>(loads[i]) + 1.0 > capacity[i]) continue;
-    if (best == kInvalidPartition ||
-        static_cast<double>(loads[i]) / weights[i] <
-            static_cast<double>(loads[best]) / weights[best]) {
+    const double size = static_cast<double>(loads[i]);
+    if (size + 1.0 > capacity[i]) continue;
+    const double load = size / weights[i];
+    if (best == kInvalidPartition || load < best_load) {
       best = i;
+      best_load = load;
     }
   }
   return best == kInvalidPartition ? 0 : best;
@@ -319,10 +239,12 @@ inline PartitionId LeastLoadedWithRoom(PartitionId k, const uint64_t* loads,
 inline PartitionId LeastLoadedAll(PartitionId k, const uint64_t* loads,
                                   const double* weights) {
   PartitionId best = 0;
+  double best_load = static_cast<double>(loads[0]) / weights[0];
   for (PartitionId i = 1; i < k; ++i) {
-    if (static_cast<double>(loads[i]) / weights[i] <
-        static_cast<double>(loads[best]) / weights[best]) {
+    const double load = static_cast<double>(loads[i]) / weights[i];
+    if (load < best_load) {
       best = i;
+      best_load = load;
     }
   }
   return best;
@@ -369,83 +291,35 @@ inline void IntersectRows(PartitionId k, MembershipRow a, MembershipRow b,
   *any = nonzero != 0;
 }
 
-// -----------------------------------------------------------------------
-// Explicit SIMD kernel tier (ScoreMode::kSimd, partition/score_simd.cc).
-//
-// Two ISA tiers behind one dispatch point: hand-written AVX2 intrinsics
-// (score_simd_avx2.cc, selected at runtime via __builtin_cpu_supports) and
-// a `#pragma omp simd` portable twin. Both tiers — and both relative to
-// kScalar/kBatched — produce bit-identical selections: every FP expression
-// keeps the exact operation order of the scalar reference (no FMA
-// contraction: the AVX2 unit is built with -mavx2 only plus
-// -ffp-contract=off), and the argmax reductions resolve ties with the full
-// canonical rule (equal score → lighter load → lower id), applied
-// lane-wise and again at the cross-lane/tail merge.
-//
-// Counter policy: tie-break audit counters are inherently sequential
-// (they count prefix-argmax replacements) and cannot be reproduced by a
-// fused SIMD reduction, so kSimd increments *no* tie counters in either
-// tier; batches / candidates / bitset_hits are computed exactly as in
-// kBatched, keeping every deterministic counter ISA-independent.
-//
-// Preconditions (hold for every caller in this repo, asserted in debug):
-// partition loads < 2^52 (exact u64→double magic conversion) and neighbor
-// counts < 2^31 (signed i32→double lanes).
-// -----------------------------------------------------------------------
+// AVX2 kernels (score_avx2.cc) for the picks where they measured a win:
+// HDRF/cluster, LDG/FENNEL (sqrt form) and Ginger. Each returns the same
+// selection as its batched kernel above — and HdrfPick the same bitset
+// hits — because every floating-point operation keeps the batched
+// kernel's order (the unit is built with -mavx2 only plus
+// -ffp-contract=off) and the lane-wise argmax merges through the full
+// canonical rule. Preconditions (hold for every caller): partition loads
+// < 2^52 and neighbor counts < 2^31. On hosts or toolchains without AVX2,
+// Available() is false and ScoreCore never calls the kernels.
+namespace avx2 {
 
-enum class SimdTier {
-  kPortable,  // #pragma omp simd loops, any ISA
-  kAvx2,      // AVX2 intrinsics (x86-64 with runtime avx2 support)
-};
+bool Available();
 
-/// Human-readable tier name ("portable" / "avx2").
-std::string_view SimdTierName(SimdTier tier);
+PartitionId HdrfPick(PartitionId k, const double* effective,
+                     const uint64_t* loads, MembershipRow u_row,
+                     MembershipRow v_row, double theta_u, double theta_v,
+                     double lambda, double max_load, double spread,
+                     uint64_t* bitset_hits);
 
-/// True when `tier` can execute on this machine (kPortable always can).
-bool SimdTierAvailable(SimdTier tier);
+/// LDG or sqrt-form FENNEL only (pow-form FENNEL stays batched).
+PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
+                       const uint64_t* loads, const double* weights,
+                       const double* capacity, const GreedyObjective& obj);
 
-/// Best available tier, honoring the SGP_FORCE_SCALAR_DISPATCH env
-/// override (any non-empty value other than "0" pins kPortable, so
-/// sanitizer runs can exercise the portable twin on AVX2 hardware).
-/// Re-read per call — it is consulted once per partitioner run.
-SimdTier ActiveSimdTier();
+PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
+                       const double* combined_loads, double combined_capacity,
+                       double alpha, double gamma);
 
-/// SIMD HDRF candidate sweep: same scores, selection and bitset-hit audit
-/// as HdrfPickBatched, no tie audit. `scores` is k doubles of scratch
-/// (used by the portable tier's materialize-then-argmax shape).
-PartitionId HdrfPickSimd(SimdTier tier, PartitionId k, const double* effective,
-                         const uint64_t* loads, MembershipRow u_row,
-                         MembershipRow v_row, double theta_u, double theta_v,
-                         double lambda, double max_load, double spread,
-                         double* scores, uint64_t* bitset_hits);
-
-/// SIMD LDG/FENNEL pick (sqrt-form FENNEL only — the dispatcher falls
-/// back to GreedyPickBatched for the pow-form objective). Selection
-/// matches GreedyPickScalar, incl. kInvalidPartition when all full.
-PartitionId GreedyPickSimd(SimdTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const uint64_t* loads, const double* weights,
-                           const double* capacity, const GreedyObjective& obj,
-                           double* scores);
-
-/// SIMD Ginger pick; selection matches GingerPickScalar.
-PartitionId GingerPickSimd(SimdTier tier, PartitionId k,
-                           const uint32_t* neighbor_counts,
-                           const double* combined_loads,
-                           double combined_capacity, double alpha,
-                           double gamma, double* scores);
-
-/// SIMD least-effectively-loaded-with-room scan; matches
-/// LeastLoadedWithRoom (0 when every partition is at capacity).
-PartitionId LeastLoadedWithRoomSimd(SimdTier tier, PartitionId k,
-                                    const uint64_t* loads,
-                                    const double* weights,
-                                    const double* capacity, double* scores);
-
-/// SIMD least-effectively-loaded scan over all k; matches LeastLoadedAll.
-PartitionId LeastLoadedAllSimd(SimdTier tier, PartitionId k,
-                               const uint64_t* loads, const double* weights,
-                               double* scores);
+}  // namespace avx2
 
 }  // namespace score
 
@@ -454,20 +328,19 @@ PartitionId LeastLoadedAllSimd(SimdTier tier, PartitionId k,
 /// toward the cache. 8 edges ≈ the latency of one k-way sweep.
 inline constexpr size_t kScorePrefetchAhead = 8;
 
-/// Per-run scoring context: binds a PartitionState, the mode, the scratch
-/// buffers (candidate scores, intersection words) and the decision
-/// counters; enables the replica bit index when batched or simd (kSimd
-/// resolves its ISA tier once, at construction). Flushes
-/// partition.score.* on destruction.
+/// Per-run scoring context: binds a PartitionState, the kernel choice
+/// (AVX2 when the CPU has it, else batched), the scratch buffers
+/// (candidate scores, intersection words) and the decision counters;
+/// enables the replica bit index. Flushes partition.score.* on
+/// destruction.
 class ScoreCore {
  public:
-  ScoreCore(PartitionState& state, ScoreMode mode);
+  explicit ScoreCore(PartitionState& state);
   ~ScoreCore() { FlushScoreCoreStats(stats_); }
 
   ScoreCore(const ScoreCore&) = delete;
   ScoreCore& operator=(const ScoreCore&) = delete;
 
-  ScoreMode mode() const { return mode_; }
   ScoreCoreStats& stats() { return stats_; }
 
   /// Marks one batch of stream elements entering the scorer (callers that
@@ -475,28 +348,43 @@ class ScoreCore {
   /// once per source chunk).
   void NoteBatch() { ++stats_.batches; }
 
+  /// HDRF-shaped k-way pick (Equation 7 g-term + normalized λ balance
+  /// term) over caller-provided effective and raw loads — the state's own
+  /// or a sharded driver's combined view — and membership rows.
+  PartitionId PickHdrf(const double* effective, const uint64_t* loads,
+                       score::MembershipRow u_row, score::MembershipRow v_row,
+                       double theta_u, double theta_v, double lambda) {
+    const PartitionId k = state_.k();
+    stats_.candidates += k;
+    // Balance term in the normalized form of the HDRF paper:
+    // λ · (maxsize − |Pi|)/(ε + maxsize − minsize). Equation (7) of the
+    // survey abbreviates this as λ(1 − |e(Pi)|/C); the normalized form is
+    // what keeps the algorithm balanced under adversarial (BFS) orders.
+    double max_load, spread;
+    score::EffectiveSpread(effective, k, &max_load, &spread);
+    if (avx2_) {
+      return score::avx2::HdrfPick(k, effective, loads, u_row, v_row,
+                                   theta_u, theta_v, lambda, max_load, spread,
+                                   &stats_.bitset_hits);
+    }
+    return score::HdrfPickBatched(k, effective, loads, u_row, v_row, theta_u,
+                                  theta_v, lambda, max_load, spread,
+                                  &stats_.bitset_hits);
+  }
+
   // ---------------------------------------------------------------------
   // HDRF (Section 4.2.2): full state transition per edge — partial-degree
   // updates, scoring, load + effective-load update, replica adds. The
   // state must have degree table, effective loads and replica sets
   // initialized and covering every endpoint of `chunk`. Shared by
-  // HdrfPartitioner (in-memory graphs) and the disk ingest path, so both
-  // place edges identically.
+  // HdrfPartitioner's in-memory and streaming entry points, so both place
+  // edges identically. `degree_hits` counts endpoints the synopsis
+  // already held.
   // ---------------------------------------------------------------------
   template <typename PlaceFn>
   void PlaceHdrfChunk(std::span<const StreamEdge> chunk, double lambda,
-                      HdrfStats& stats, PlaceFn&& place) {
+                      uint64_t& degree_hits, PlaceFn&& place) {
     ++stats_.batches;
-    const PartitionId k = state_.k();
-    stats_.candidates += static_cast<uint64_t>(chunk.size()) * k;
-    if (mode_ == ScoreMode::kScalar) {
-      for (const StreamEdge& e : chunk) {
-        place(e, PlaceHdrfEdgeScalar(e.src, e.dst, lambda, stats));
-      }
-      return;
-    }
-    const bool simd = mode_ == ScoreMode::kSimd;
-    if (simd) stats_.simd_picks += static_cast<uint64_t>(chunk.size());
     ReplicaState& replicas = state_.replicas();
     const double* effective = state_.effective().data();
     const uint64_t* loads = state_.loads().data();
@@ -515,27 +403,19 @@ class ScoreCore {
       const StreamEdge& e = chunk[idx];
       const VertexId u = e.src;
       const VertexId v = e.dst;
-      stats.degree_hits += (state_.degree(u) > 0) + (state_.degree(v) > 0);
+      degree_hits += (state_.degree(u) > 0) + (state_.degree(v) > 0);
       state_.IncrementDegree(u);
       state_.IncrementDegree(v);
+      // Partial degrees observed so far, normalized: replicating the
+      // higher-degree endpoint scores lower, so its locality is
+      // sacrificed first.
       const double du = state_.degree(u);
       const double dv = state_.degree(v);
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
-      double max_load, spread;
-      score::EffectiveSpread(effective, k, &max_load, &spread);
       const PartitionId best =
-          simd ? score::HdrfPickSimd(
-                     tier_, k, effective, loads,
-                     {replicas.RowWords(u), nullptr},
-                     {replicas.RowWords(v), nullptr}, theta_u, theta_v,
-                     lambda, max_load, spread, scores_.data(),
-                     &stats_.bitset_hits)
-               : score::HdrfPickBatched(
-                     k, effective, loads, {replicas.RowWords(u), nullptr},
-                     {replicas.RowWords(v), nullptr}, theta_u, theta_v,
-                     lambda, max_load, spread, &stats.tie_breaks,
-                     &stats_.bitset_hits);
+          PickHdrf(effective, loads, {replicas.RowWords(u), nullptr},
+                   {replicas.RowWords(v), nullptr}, theta_u, theta_v, lambda);
       state_.AddLoadUpdatingEffective(best);
       replicas.Add(u, best);
       replicas.Add(v, best);
@@ -543,15 +423,12 @@ class ScoreCore {
     }
   }
 
-  /// Reference single-edge HDRF transition (the pre-ScoreCore
-  /// PlaceHdrfEdge, per-candidate Contains probes).
-  PartitionId PlaceHdrfEdgeScalar(VertexId u, VertexId v, double lambda,
-                                  HdrfStats& stats);
-
   // ---------------------------------------------------------------------
   // PowerGraph greedy: intersection-first replica-set placement.
   // `ext_degree(v)` is the full degree of v in the input (the busier-
-  // endpoint rule compares remaining = full − placed degrees).
+  // endpoint rule compares remaining = full − placed degrees). Sparse
+  // replica sets (≤ a handful of set bits) make the word-at-a-time bit
+  // scan the fastest shape here; there is no dense-sweep kernel.
   // ---------------------------------------------------------------------
   template <typename ExtDegreeFn, typename PlaceFn>
   void PlacePggChunk(std::span<const StreamEdge> chunk,
@@ -570,12 +447,8 @@ class ScoreCore {
       stats_.candidates += stats_.bitset_hits - before;
       return t;
     };
-    // kSimd intentionally shares the batched path here: PGG scans sparse
-    // replica sets (≤ a handful of set bits), where the word-at-a-time
-    // bit scan beats any dense k-lane sweep.
     for (size_t idx = 0; idx < chunk.size(); ++idx) {
-      if (mode_ != ScoreMode::kScalar &&
-          idx + kScorePrefetchAhead < chunk.size()) {
+      if (idx + kScorePrefetchAhead < chunk.size()) {
         const StreamEdge& f = chunk[idx + kScorePrefetchAhead];
         __builtin_prefetch(replicas.RowWords(f.src), 1, 1);
         __builtin_prefetch(replicas.RowWords(f.dst), 1, 1);
@@ -583,35 +456,31 @@ class ScoreCore {
       const StreamEdge& e = chunk[idx];
       const VertexId u = e.src;
       const VertexId v = e.dst;
+      const bool u_empty = replicas.Of(u).empty();
+      const bool v_empty = replicas.Of(v).empty();
+      const score::MembershipRow row_u{replicas.RowWords(u), nullptr};
+      const score::MembershipRow row_v{replicas.RowWords(v), nullptr};
       PartitionId target;
-      if (mode_ == ScoreMode::kScalar) {
-        target = PickPggScalar(u, v, ext_degree(u), ext_degree(v));
-      } else {
-        const bool u_empty = replicas.Of(u).empty();
-        const bool v_empty = replicas.Of(v).empty();
-        const score::MembershipRow row_u{replicas.RowWords(u), nullptr};
-        const score::MembershipRow row_v{replicas.RowWords(v), nullptr};
-        if (!u_empty && !v_empty) {
-          bool any = false;
-          score::IntersectRows(k, row_u, row_v, inter_words_.data(), &any);
-          if (any) {
-            target = pick_over({inter_words_.data(), nullptr});
-          } else {
-            // Disjoint replica sets: place with the replicas of the
-            // endpoint that has more unplaced edges left.
-            const bool u_busier =
-                static_cast<int64_t>(ext_degree(u)) - state_.degree(u) >=
-                static_cast<int64_t>(ext_degree(v)) - state_.degree(v);
-            target = pick_over(u_busier ? row_u : row_v);
-          }
-        } else if (!u_empty) {
-          target = pick_over(row_u);
-        } else if (!v_empty) {
-          target = pick_over(row_v);
+      if (!u_empty && !v_empty) {
+        bool any = false;
+        score::IntersectRows(k, row_u, row_v, inter_words_.data(), &any);
+        if (any) {
+          target = pick_over({inter_words_.data(), nullptr});
         } else {
-          stats_.candidates += k;
-          target = state_.LeastLoaded();
+          // Disjoint replica sets: place with the replicas of the
+          // endpoint that has more unplaced edges left.
+          const bool u_busier =
+              static_cast<int64_t>(ext_degree(u)) - state_.degree(u) >=
+              static_cast<int64_t>(ext_degree(v)) - state_.degree(v);
+          target = pick_over(u_busier ? row_u : row_v);
         }
+      } else if (!u_empty) {
+        target = pick_over(row_u);
+      } else if (!v_empty) {
+        target = pick_over(row_v);
+      } else {
+        stats_.candidates += k;
+        target = state_.LeastLoaded();
       }
       place(e, target);
       state_.AddLoad(target);
@@ -625,73 +494,45 @@ class ScoreCore {
   // ---------------------------------------------------------------------
   // Vertex-greedy family (LDG / FENNEL / re-streaming): the caller
   // gathers |P ∩ N(u)| into a dense scratch and the core performs the
-  // k-way pick. kInvalidPartition when every partition is at capacity.
+  // k-way pick against `loads` (the state's own, or a sharded driver's
+  // combined view) and the state's weights and capacities.
+  // kInvalidPartition when every partition is at capacity.
   // ---------------------------------------------------------------------
   PartitionId PickGreedyVertex(const uint32_t* neighbor_counts,
-                               const score::GreedyObjective& objective,
-                               uint64_t* tie_breaks) {
+                               const uint64_t* loads,
+                               const score::GreedyObjective& objective) {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kScalar) {
-      return score::GreedyPickScalar(
-          state_.k(), neighbor_counts, state_.loads().data(),
-          state_.weights().data(), state_.capacities().data(), objective,
-          tie_breaks);
+    if (avx2_ && (objective.ldg || objective.sqrt_form)) {
+      return score::avx2::GreedyPick(state_.k(), neighbor_counts, loads,
+                                     state_.weights().data(),
+                                     state_.capacities().data(), objective);
     }
-    if (mode_ == ScoreMode::kSimd) {
-      if (objective.ldg || objective.sqrt_form) {
-        ++stats_.simd_picks;
-        return score::GreedyPickSimd(
-            tier_, state_.k(), neighbor_counts, state_.loads().data(),
-            state_.weights().data(), state_.capacities().data(), objective,
-            scores_.data());
-      }
-      // Pow-form FENNEL has no SIMD twin; route to the batched kernel.
-      // kSimd audits no ties, so the tie counter stays untouched.
-      ++stats_.simd_fallbacks;
-      uint64_t unaudited_ties = 0;
-      return score::GreedyPickBatched(
-          state_.k(), neighbor_counts, state_.loads().data(),
-          state_.weights().data(), state_.capacities().data(), objective,
-          scores_.data(), &unaudited_ties);
-    }
-    return score::GreedyPickBatched(
-        state_.k(), neighbor_counts, state_.loads().data(),
-        state_.weights().data(), state_.capacities().data(), objective,
-        scores_.data(), tie_breaks);
+    return score::GreedyPickBatched(state_.k(), neighbor_counts, loads,
+                                    state_.weights().data(),
+                                    state_.capacities().data(), objective,
+                                    scores_.data());
   }
 
   /// Ginger (Equation 8) pick over caller-materialized combined loads.
   PartitionId PickGingerVertex(const uint32_t* neighbor_counts,
                                const double* combined_loads,
                                double combined_capacity, double alpha,
-                               double gamma, uint64_t* tie_breaks) {
+                               double gamma) {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kScalar) {
-      return score::GingerPickScalar(state_.k(), neighbor_counts,
-                                     combined_loads, combined_capacity,
-                                     alpha, gamma, tie_breaks);
-    }
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::GingerPickSimd(tier_, state_.k(), neighbor_counts,
-                                   combined_loads, combined_capacity, alpha,
-                                   gamma, scores_.data());
+    if (avx2_) {
+      return score::avx2::GingerPick(state_.k(), neighbor_counts,
+                                     combined_loads, combined_capacity, alpha,
+                                     gamma);
     }
     return score::GingerPickBatched(state_.k(), neighbor_counts,
                                     combined_loads, combined_capacity, alpha,
-                                    gamma, scores_.data(), tie_breaks);
+                                    gamma, scores_.data());
   }
 
   /// Edge-stream greedy placement rule: least effectively-loaded
   /// partition with room, 0 when all are full.
   PartitionId PickLeastLoadedWithRoom() {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::LeastLoadedWithRoomSimd(
-          tier_, state_.k(), state_.loads().data(), state_.weights().data(),
-          state_.capacities().data(), scores_.data());
-    }
     return score::LeastLoadedWithRoom(state_.k(), state_.loads().data(),
                                       state_.weights().data(),
                                       state_.capacities().data());
@@ -700,29 +541,16 @@ class ScoreCore {
   /// All-at-capacity fallback: least effective load, no caps.
   PartitionId PickLeastLoadedAll() {
     stats_.candidates += state_.k();
-    if (mode_ == ScoreMode::kSimd) {
-      ++stats_.simd_picks;
-      return score::LeastLoadedAllSimd(tier_, state_.k(),
-                                       state_.loads().data(),
-                                       state_.weights().data(),
-                                       scores_.data());
-    }
     return score::LeastLoadedAll(state_.k(), state_.loads().data(),
                                  state_.weights().data());
   }
 
  private:
-  PartitionId PickPggScalar(VertexId u, VertexId v, uint32_t ext_degree_u,
-                            uint32_t ext_degree_v);
-
   PartitionState& state_;
-  ScoreMode mode_;
-  score::SimdTier tier_ = score::SimdTier::kPortable;  // kSimd only
+  const bool avx2_;
   ScoreCoreStats stats_;
-  std::vector<double> scores_;        // batched candidate scores, size k
-  std::vector<uint64_t> inter_words_; // intersection scratch, ceil(k/64)
-  std::vector<PartitionId> all_;      // [0, k), the scalar PGG cold set
-  std::vector<PartitionId> inter_;    // scalar PGG intersection scratch
+  std::vector<double> scores_;         // batched candidate scores, size k
+  std::vector<uint64_t> inter_words_;  // intersection scratch, ceil(k/64)
 };
 
 }  // namespace sgp

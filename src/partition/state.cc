@@ -76,20 +76,6 @@ PartitionId PartitionState::LeastLoaded() const {
   return best;
 }
 
-PartitionId PartitionState::LeastLoaded(
-    std::span<const PartitionId> candidates) const {
-  PartitionId best = candidates.front();
-  double best_load = EffectiveLoad(best);
-  for (PartitionId p : candidates.subspan(1)) {
-    const double load = EffectiveLoad(p);
-    if (load < best_load || (load == best_load && p < best)) {
-      best_load = load;
-      best = p;
-    }
-  }
-  return best;
-}
-
 void PartitionState::InitCapacities(uint64_t total_items,
                                     double balance_slack) {
   capacity_.resize(k_);

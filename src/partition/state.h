@@ -2,7 +2,6 @@
 #define SGP_PARTITION_STATE_H_
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -54,10 +53,6 @@ class PartitionState {
 
   /// Least effectively-loaded partition, ties toward the lower id.
   PartitionId LeastLoaded() const;
-
-  /// Least effectively-loaded among `candidates` (non-empty), ties toward
-  /// the lower id.
-  PartitionId LeastLoaded(std::span<const PartitionId> candidates) const;
 
   // ---------------------------------------------------------------------
   // Hard balance caps C_i = max(1, β·(total/k)·w_i) of Equation (1).
@@ -187,9 +182,6 @@ class ShardedPartitionState {
   uint64_t CombinedLoad(uint32_t w, PartitionId p) const {
     return global_.load(p) + delta_loads_[w][p];
   }
-  double CombinedEffectiveLoad(uint32_t w, PartitionId p) const {
-    return static_cast<double>(CombinedLoad(w, p)) / global_.weights()[p];
-  }
   void AddWorkerLoad(uint32_t w, PartitionId p) { ++delta_loads_[w][p]; }
 
   // ---- streaming degree table (edge drivers)
@@ -201,10 +193,6 @@ class ShardedPartitionState {
 
   // ---- replica sets (edge drivers)
   void InitReplicas(VertexId num_vertices);
-  bool ReplicaContains(uint32_t w, VertexId u, PartitionId p) const {
-    return global_.replicas().Contains(u, p) ||
-           delta_replicas_[w].Contains(u, p);
-  }
   bool HasAnyReplica(uint32_t w, VertexId u) const {
     return !global_.replicas().Of(u).empty() ||
            !delta_replicas_[w].Of(u).empty();
@@ -212,7 +200,7 @@ class ShardedPartitionState {
   void AddWorkerReplica(uint32_t w, VertexId u, PartitionId p);
 
   /// Mirrors the published set and every worker delta into bit indices;
-  /// the batched sharded scorers then read each vertex's combined
+  /// the sharded scorers then read each vertex's combined
   /// membership as GlobalReplicaRow(u) OR DeltaReplicaRow(w, u).
   void EnableReplicaBitIndex() {
     global_.replicas().EnableBitIndex(global_.k());
@@ -223,15 +211,6 @@ class ShardedPartitionState {
   }
   const uint64_t* DeltaReplicaRow(uint32_t w, VertexId u) const {
     return delta_replicas_[w].RowWords(u);
-  }
-
-  /// Visits the combined replica set of `u` as worker `w` sees it:
-  /// published entries first, then the worker's unpublished additions
-  /// (disjoint by construction of AddWorkerReplica).
-  template <typename Fn>
-  void ForEachReplica(uint32_t w, VertexId u, Fn&& fn) const {
-    for (PartitionId p : global_.replicas().Of(u)) fn(p);
-    for (PartitionId p : delta_replicas_[w].Of(u)) fn(p);
   }
 
   /// Barrier: merges every worker's deltas into the published state in

@@ -15,19 +15,16 @@ namespace twophase {
 /// partition — the endpoint's cluster home (2PS) — and θ comes from
 /// final pass-1 degrees instead of partial streaming degrees. On top of
 /// the pick it enforces the Equation (1) hard caps: a full winner falls
-/// back to the least effectively-loaded partition with room (the same
-/// scalar scan in every mode, so all modes stay bit-identical).
+/// back to the least effectively-loaded partition with room.
 ///
-/// Batched mode ORs the cluster home into the membership word via
-/// MembershipRow's delta slot (a precomputed one-hot row per partition);
-/// scalar mode computes the same bits with Contains-or-home probes. The
-/// floating-point expressions are textually identical to
-/// score::HdrfPickBatched, so the two modes agree to the last tie-break.
+/// The cluster home is ORed into the membership word via MembershipRow's
+/// delta slot (a precomputed one-hot row per partition), so the pick is
+/// ScoreCore::PickHdrf unchanged.
 class ClusterScorer {
  public:
   /// `state` must have capacities, effective loads and replica sets
   /// initialized; `core` must be constructed over the same state (it owns
-  /// the mode and the partition.score.* accounting).
+  /// the kernel choice and the partition.score.* accounting).
   ClusterScorer(PartitionState& state, ScoreCore& core, double lambda)
       : state_(state), core_(core), lambda_(lambda) {
     const PartitionId k = state.k();
@@ -37,10 +34,6 @@ class ClusterScorer {
     for (PartitionId p = 0; p < k; ++p) {
       onehot_[static_cast<uint64_t>(p) * words_ + (p >> 6)] =
           uint64_t{1} << (p & 63);
-    }
-    if (core.mode() == ScoreMode::kSimd) {
-      tier_ = score::ActiveSimdTier();
-      scores_.assign(k, 0.0);
     }
   }
 
@@ -57,31 +50,14 @@ class ClusterScorer {
   /// effective loads and both endpoints' replica sets, and returns the
   /// chosen partition.
   PartitionId Place(VertexId u, VertexId v, PartitionId home_u,
-                    PartitionId home_v, double theta_u, double theta_v,
-                    HdrfStats& stats) {
+                    PartitionId home_v, double theta_u, double theta_v) {
     const PartitionId k = state_.k();
     ReplicaState& replicas = state_.replicas();
-    const double* effective = state_.effective().data();
     const uint64_t* loads = state_.loads().data();
-    core_.stats().candidates += k;
-    double max_load, spread;
-    score::EffectiveSpread(effective, k, &max_load, &spread);
-    PartitionId best;
-    if (core_.mode() == ScoreMode::kScalar) {
-      best = PickScalar(u, v, home_u, home_v, theta_u, theta_v, max_load,
-                        spread, &stats.tie_breaks);
-    } else if (core_.mode() == ScoreMode::kSimd) {
-      ++core_.stats().simd_picks;
-      best = score::HdrfPickSimd(
-          tier_, k, effective, loads, {replicas.RowWords(u), RowFor(home_u)},
-          {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_,
-          max_load, spread, scores_.data(), &core_.stats().bitset_hits);
-    } else {
-      best = score::HdrfPickBatched(
-          k, effective, loads, {replicas.RowWords(u), RowFor(home_u)},
-          {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_,
-          max_load, spread, &stats.tie_breaks, &core_.stats().bitset_hits);
-    }
+    PartitionId best = core_.PickHdrf(
+        state_.effective().data(), loads,
+        {replicas.RowWords(u), RowFor(home_u)},
+        {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_);
     if (!state_.HasRoom(best)) {
       best = score::LeastLoadedWithRoom(k, loads, state_.weights().data(),
                                         state_.capacities().data());
@@ -97,45 +73,11 @@ class ClusterScorer {
   }
 
  private:
-  // Reference twin of the batched pick: per-candidate Contains-or-home
-  // probes, every floating-point expression textually identical.
-  PartitionId PickScalar(VertexId u, VertexId v, PartitionId home_u,
-                         PartitionId home_v, double theta_u, double theta_v,
-                         double max_load, double spread,
-                         uint64_t* tie_breaks) const {
-    const PartitionId k = state_.k();
-    const ReplicaState& replicas = state_.replicas();
-    const double* effective = state_.effective().data();
-    const uint64_t* loads = state_.loads().data();
-    const double gain_u = 1.0 + theta_v;
-    const double gain_v = 1.0 + theta_u;
-    PartitionId best = 0;
-    double best_score = score::kNegInf;
-    for (PartitionId i = 0; i < k; ++i) {
-      const double bu = static_cast<double>(
-          static_cast<unsigned>(replicas.Contains(u, i) || home_u == i));
-      const double bv = static_cast<double>(
-          static_cast<unsigned>(replicas.Contains(v, i) || home_v == i));
-      const double g = bu * gain_u + bv * gain_v;
-      const double sc = g + lambda_ * (max_load - effective[i]) / spread;
-      if (sc > best_score) {
-        best_score = sc;
-        best = i;
-      } else if (sc == best_score && loads[i] < loads[best]) {
-        ++*tie_breaks;
-        best = i;
-      }
-    }
-    return best;
-  }
-
   PartitionState& state_;
   ScoreCore& core_;
   double lambda_;
-  score::SimdTier tier_ = score::SimdTier::kPortable;  // kSimd only
   uint64_t words_ = 0;
   std::vector<uint64_t> onehot_;
-  std::vector<double> scores_;  // kSimd portable-tier scratch
 };
 
 }  // namespace twophase

@@ -20,7 +20,6 @@ struct HepMetrics {
   Counter* hub_vertices = nullptr;
   Counter* hub_edges = nullptr;
   Counter* streamed_edges = nullptr;
-  Counter* tie_breaks = nullptr;
   Histogram* pass1_wall = nullptr;
   Histogram* pass2_wall = nullptr;
 
@@ -29,7 +28,6 @@ struct HepMetrics {
     hub_vertices = reg.GetCounter("partition.hep.hub.vertices");
     hub_edges = reg.GetCounter("partition.hep.hub.edges");
     streamed_edges = reg.GetCounter("partition.hep.streamed.edges");
-    tie_breaks = reg.GetCounter("partition.hep.tie_breaks");
     pass1_wall = reg.GetHistogram("partition.hep.pass1.wall_seconds",
                                   MetricOptions::WallClock());
     pass2_wall = reg.GetHistogram("partition.hep.pass2.wall_seconds",
@@ -106,12 +104,11 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   state.InitCapacities(total_edges, config.balance_slack);
   state.InitEffectiveLoads();
   state.InitReplicas(n);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
   twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   MasterTracker masters(n);
-  HdrfStats stats;
   auto record = [&](const StreamEdge& e, PartitionId target) {
     if (e.id >= assign.size()) {
       assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
@@ -136,7 +133,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
       record(e, scorer.Place(e.src, e.dst, kInvalidPartition,
-                             kInvalidPartition, theta_u, theta_v, stats));
+                             kInvalidPartition, theta_u, theta_v));
     }
   }
   if (!source.ok()) {
@@ -202,7 +199,6 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   metrics.hub_vertices->Increment(hubs.size());
   metrics.hub_edges->Increment(hub_edges.size());
   metrics.streamed_edges->Increment(streamed);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
   return out;
 }
 

@@ -24,7 +24,6 @@ struct TwoPhaseMetrics {
   Counter* pass1_edges = nullptr;
   Counter* volume_cap = nullptr;
   Counter* edges_assigned = nullptr;
-  Counter* tie_breaks = nullptr;
   Histogram* pass1_wall = nullptr;
   Histogram* pass2_wall = nullptr;
 
@@ -35,7 +34,6 @@ struct TwoPhaseMetrics {
     pass1_edges = reg.GetCounter("partition.cluster.pass1.edges");
     volume_cap = reg.GetCounter("partition.cluster.volume_cap");
     edges_assigned = reg.GetCounter("partition.cluster.edges.assigned");
-    tie_breaks = reg.GetCounter("partition.cluster.tie_breaks");
     pass1_wall = reg.GetHistogram("partition.cluster.pass1.wall_seconds",
                                   MetricOptions::WallClock());
     pass2_wall = reg.GetHistogram("partition.cluster.pass2.wall_seconds",
@@ -91,7 +89,7 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
   state.InitCapacities(clusters.num_edges, config.balance_slack);
   state.InitEffectiveLoads();
   state.InitReplicas(n);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
   twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
   const std::vector<PartitionId> cluster_part =
       PackClusters(clusters, config.k, state.weights());
@@ -103,7 +101,6 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   MasterTracker masters(n);
-  HdrfStats stats;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
@@ -114,7 +111,7 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
       const double theta_v = 1.0 - theta_u;
       const PartitionId target =
           scorer.Place(e.src, e.dst, home_of(e.src), home_of(e.dst), theta_u,
-                       theta_v, stats);
+                       theta_v);
       if (e.id >= assign.size()) {
         assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
       }
@@ -145,7 +142,6 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
   metrics.pass1_edges->Increment(clusters.num_edges);
   metrics.volume_cap->Increment(clusters.volume_cap);
   metrics.edges_assigned->Increment(out.num_edges);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
   return out;
 }
 

@@ -45,7 +45,7 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
   out.partitioning.k = config.k;
   PartitionState state(config);
   const CapacityAwareHasher hasher(state);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
 
   // Degree pre-pass: stream occurrence counts stand in for degrees (equal
   // to graph degrees on duplicate-free undirected inputs).

@@ -23,7 +23,7 @@ Partitioning PowerGraphGreedyPartitioner::Run(
   PartitionState state(config);
   state.InitReplicas(graph.num_vertices());
   state.InitDegreeTable(graph.num_vertices());
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
 
   InMemoryEdgeSource source(graph, config.order, config.seed,
                             config.ingest_chunk_size);

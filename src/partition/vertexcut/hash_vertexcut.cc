@@ -43,7 +43,7 @@ StreamRunResult HashVertexCutPartitioner::RunOnSource(
   out.partitioning.k = config.k;
   PartitionState state(config);
   const CapacityAwareHasher hasher(state);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
   MasterTracker masters;
   VertexId max_bound = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();

@@ -19,14 +19,12 @@ namespace {
 struct HdrfMetrics {
   Counter* edges_assigned = nullptr;
   Counter* degree_table_hits = nullptr;
-  Counter* tie_breaks = nullptr;
   Histogram* assign_wall = nullptr;
 
   HdrfMetrics() = default;
   explicit HdrfMetrics(MetricsRegistry& reg) {
     edges_assigned = reg.GetCounter("partition.hdrf.edges.assigned");
     degree_table_hits = reg.GetCounter("partition.hdrf.degree_table.hits");
-    tie_breaks = reg.GetCounter("partition.hdrf.tie_breaks");
     assign_wall = reg.GetHistogram("partition.hdrf.assign.wall_seconds",
                                    MetricOptions::WallClock());
   }
@@ -54,21 +52,20 @@ Partitioning HdrfPartitioner::Run(const Graph& graph,
   state.InitDegreeTable(graph.num_vertices());
   state.InitEffectiveLoads();
   state.InitReplicas(graph.num_vertices());
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
 
   InMemoryEdgeSource source(graph, config.order, config.seed,
                             config.ingest_chunk_size);
-  HdrfStats stats;
+  uint64_t degree_hits = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
-    core.PlaceHdrfChunk(chunk, lambda, stats,
+    core.PlaceHdrfChunk(chunk, lambda, degree_hits,
                         [&](const StreamEdge& edge, PartitionId target) {
                           result.edge_to_partition[edge.id] = target;
                         });
   }
   metrics.edges_assigned->Increment(graph.num_edges());
-  metrics.degree_table_hits->Increment(stats.degree_hits);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
+  metrics.degree_table_hits->Increment(degree_hits);
 
   result.state_bytes = state.SynopsisBytes();
   DeriveMasterPlacement(graph, &result);
@@ -91,10 +88,10 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   state.InitDegreeTable(0);
   state.InitEffectiveLoads();
   state.InitReplicas(0);
-  ScoreCore core(state, config.score_mode);
+  ScoreCore core(state);
   MasterTracker masters;
   VertexId max_bound = 0;
-  HdrfStats stats;
+  uint64_t degree_hits = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     // Grow the id space once, to the chunk's largest endpoint, so the
@@ -102,7 +99,7 @@ StreamRunResult HdrfPartitioner::RunOnSource(
     const VertexId hi = MaxEndpoint(chunk);
     state.EnsureVertex(hi);
     max_bound = std::max(max_bound, hi + 1);
-    core.PlaceHdrfChunk(chunk, config.hdrf_lambda, stats,
+    core.PlaceHdrfChunk(chunk, config.hdrf_lambda, degree_hits,
                         [&](const StreamEdge& e, PartitionId target) {
                           out.partitioning.edge_to_partition.push_back(target);
                           masters.Note(e.src, target);
@@ -116,8 +113,7 @@ StreamRunResult HdrfPartitioner::RunOnSource(
     return out;
   }
   metrics.edges_assigned->Increment(out.num_edges);
-  metrics.degree_table_hits->Increment(stats.degree_hits);
-  metrics.tie_breaks->Increment(stats.tie_breaks);
+  metrics.degree_table_hits->Increment(degree_hits);
 
   out.num_vertices = max_bound;
   out.partitioning.vertex_to_partition = masters.Derive(max_bound, config.k);

@@ -17,7 +17,8 @@ TEST(ParallelStreamingTest, ValidPartitioningAnyConfiguration) {
       ParallelStreamOptions opts;
       opts.num_streams = streams;
       opts.sync_interval = interval;
-      ParallelStreamResult r = ParallelStreamingLdg(g, cfg, opts);
+      ParallelStreamResult r =
+          RunParallelStreaming(g, cfg, opts, ParallelAlgo::kLdg);
       ValidatePartitioning(g, r.partitioning);
       EXPECT_GT(r.sync_rounds, 0u);
     }
@@ -31,7 +32,8 @@ TEST(ParallelStreamingTest, SingleStreamMatchesSequentialQuality) {
   ParallelStreamOptions opts;
   opts.num_streams = 1;
   opts.sync_interval = 1u << 30;
-  ParallelStreamResult r = ParallelStreamingLdg(g, cfg, opts);
+  ParallelStreamResult r =
+      RunParallelStreaming(g, cfg, opts, ParallelAlgo::kLdg);
   PartitionMetrics parallel = ComputeMetrics(g, r.partitioning);
   PartitionMetrics sequential =
       ComputeMetrics(g, CreatePartitioner("LDG")->Run(g, cfg));
@@ -49,12 +51,12 @@ TEST(ParallelStreamingTest, StalenessDegradesQuality) {
   ParallelStreamOptions stale;
   stale.num_streams = 8;
   stale.sync_interval = 1u << 20;  // one sync at the very end
-  double cut_fresh =
-      ComputeMetrics(g, ParallelStreamingLdg(g, cfg, fresh).partitioning)
-          .edge_cut_ratio;
-  double cut_stale =
-      ComputeMetrics(g, ParallelStreamingLdg(g, cfg, stale).partitioning)
-          .edge_cut_ratio;
+  const ParallelStreamResult r_fresh =
+      RunParallelStreaming(g, cfg, fresh, ParallelAlgo::kLdg);
+  const ParallelStreamResult r_stale =
+      RunParallelStreaming(g, cfg, stale, ParallelAlgo::kLdg);
+  double cut_fresh = ComputeMetrics(g, r_fresh.partitioning).edge_cut_ratio;
+  double cut_stale = ComputeMetrics(g, r_stale.partitioning).edge_cut_ratio;
   EXPECT_LT(cut_fresh, cut_stale);
 }
 
@@ -67,8 +69,10 @@ TEST(ParallelStreamingTest, SyncCostFallsWithInterval) {
   frequent.sync_interval = 1;
   ParallelStreamOptions rare = frequent;
   rare.sync_interval = 256;
-  ParallelStreamResult rf = ParallelStreamingLdg(g, cfg, frequent);
-  ParallelStreamResult rr = ParallelStreamingLdg(g, cfg, rare);
+  ParallelStreamResult rf =
+      RunParallelStreaming(g, cfg, frequent, ParallelAlgo::kLdg);
+  ParallelStreamResult rr =
+      RunParallelStreaming(g, cfg, rare, ParallelAlgo::kLdg);
   EXPECT_GT(rf.sync_rounds, rr.sync_rounds);
   // Every assignment is broadcast exactly once regardless of interval.
   EXPECT_EQ(rf.sync_messages, rr.sync_messages);
@@ -181,9 +185,9 @@ TEST(ParallelStreamingTest, StillBeatsHashEvenWhenStale) {
   ParallelStreamOptions opts;
   opts.num_streams = 8;
   opts.sync_interval = 128;
-  double cut_parallel =
-      ComputeMetrics(g, ParallelStreamingLdg(g, cfg, opts).partitioning)
-          .edge_cut_ratio;
+  const ParallelStreamResult r =
+      RunParallelStreaming(g, cfg, opts, ParallelAlgo::kLdg);
+  double cut_parallel = ComputeMetrics(g, r.partitioning).edge_cut_ratio;
   double cut_hash =
       ComputeMetrics(g, CreatePartitioner("ECR")->Run(g, cfg))
           .edge_cut_ratio;

@@ -8,6 +8,7 @@
 #include "graph/datasets.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
+#include "tests/test_util.h"
 
 namespace sgp {
 namespace {
@@ -93,12 +94,13 @@ TEST_P(PartitionerPropertyTest, ReportsSynopsisAndChunkInvariance) {
   EXPECT_GT(chunked.state_bytes, 0u);
 }
 
-// Scalar, batched and simd scoring must agree byte-for-byte at awkward
-// k — non-power-of-two, one membership word ± one (the simd tail and
-// partial-word regime), and the multi-word regime where the bit-packed
-// loops handle partial tail words — for every algorithm, with and
-// without heterogeneous capacities.
-TEST_P(PartitionerPropertyTest, ScoreModesAgreeAtAwkwardK) {
+// Awkward k — non-power-of-two, one membership word ± one (the AVX2 tail
+// and partial-word regime), and the multi-word regime where the bit-packed
+// loops handle partial tail words — for every algorithm, with and without
+// heterogeneous capacities. Each cell is pinned to the fingerprint the
+// scalar, batched and SIMD score paths all produced when they still ran
+// side by side (tests/golden/score_fingerprints.txt).
+TEST_P(PartitionerPropertyTest, AwkwardKMatchesPinnedFingerprints) {
   const auto& [algo, dataset, base_k] = GetParam();
   // The sweep replaces the suite's k values; run it once per algo/dataset.
   if (base_k != 4u) GTEST_SKIP() << "awkward-k sweep runs on one base param";
@@ -115,18 +117,12 @@ TEST_P(PartitionerPropertyTest, ScoreModesAgreeAtAwkwardK) {
           cfg.capacity_weights[i] = 1.0 + 0.5 * (i % 4);
         }
       }
-      cfg.score_mode = ScoreMode::kScalar;
-      Partitioning scalar = partitioner->Run(g, cfg);
-      for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-        cfg.score_mode = mode;
-        Partitioning fast = partitioner->Run(g, cfg);
-        EXPECT_EQ(scalar.vertex_to_partition, fast.vertex_to_partition)
-            << algo << " k=" << k << (hetero ? " hetero" : " plain")
-            << " mode=" << ScoreModeName(mode);
-        EXPECT_EQ(scalar.edge_to_partition, fast.edge_to_partition)
-            << algo << " k=" << k << (hetero ? " hetero" : " plain")
-            << " mode=" << ScoreModeName(mode);
-      }
+      const std::string cell = "awkward " + algo + " " + dataset +
+                               " k=" + std::to_string(k) +
+                               (hetero ? " hetero" : " plain");
+      EXPECT_EQ(testing::FingerprintHex(partitioner->Run(g, cfg)),
+                testing::PinnedFingerprint(cell))
+          << cell;
     }
   }
 }

@@ -1,16 +1,16 @@
-// ScoreCore suite: the bit-packed membership structures, the batched and
-// SIMD scoring kernels against their scalar references, and end-to-end
-// scalar-vs-batched-vs-simd equivalence for every partitioner family —
-// sequential, sharded parallel, and the vertex-discovering ingest path.
-// The faster modes are only allowed to be faster, never different
-// (DESIGN.md §Score core). The SIMD sweeps run on every ISA tier the
-// host supports (the portable omp-simd twin always, AVX2 when present),
-// so one test binary pins tier-vs-tier agreement too.
+// ScoreCore suite: the bit-packed membership structures, a differential
+// suite of every production scoring kernel — the portable batched kernels
+// on every host, the AVX2 kernels where the CPU has them — against the
+// scalar oracles of tests/score_oracle.h, whole-stream HDRF and PGG runs
+// against the oracle transitions, and fingerprint pins of every
+// partitioner family (sequential, sharded parallel, vertex-discovering
+// ingest) recorded when the scalar, batched and SIMD paths still ran side
+// by side (DESIGN.md §6).
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,23 +20,16 @@
 #include "partition/partitioner.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
-#include "partition/stream_ingest.h"
 #include "partition/vertexcut/replica_state.h"
 #include "stream/source.h"
+#include "tests/score_oracle.h"
+#include "tests/test_util.h"
 
 namespace sgp {
 namespace {
 
-// Every ISA tier the host can execute: kPortable always, kAvx2 when the
-// CPU has it. Forcing an unavailable tier is also legal (the kernels
-// degrade to portable), so the sweeps exercise both enumerated tiers.
-std::vector<score::SimdTier> AvailableTiers() {
-  std::vector<score::SimdTier> tiers = {score::SimdTier::kPortable};
-  if (score::SimdTierAvailable(score::SimdTier::kAvx2)) {
-    tiers.push_back(score::SimdTier::kAvx2);
-  }
-  return tiers;
-}
+using testing::FingerprintHex;
+using testing::PinnedFingerprint;
 
 TEST(DenseBitsetTest, SetTestResetPopcount) {
   DenseBitset b(130);
@@ -254,320 +247,238 @@ TEST(ReplicaStateTest, BitIndexMirrorsMembership) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel properties: batched == scalar on randomized states, including
-// capacity masking and tie-breaks.
+// Kernel differential suite: every production kernel against its oracle
+// on seeded random inputs at k below one AVX2 lane group, around one and
+// two membership words, and in the multi-word regime. Small value ranges
+// force exact (score, load) ties; capacities mix "full", "load + 1
+// exactly at capacity" (still has room) and slack, with whole trials
+// where every partition is full.
 // ---------------------------------------------------------------------
 
-TEST(ScoreKernelTest, GreedyBatchedMatchesScalar) {
-  std::mt19937_64 rng(7);
-  for (PartitionId k : {1u, 3u, 64u, 65u, 128u, 130u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<uint64_t> loads(k);
-    std::vector<double> weights(k), capacity(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;  // small range forces score ties
-        loads[i] = rng() % 6;
-        weights[i] = 1.0 + 0.5 * (rng() % 3);
-        // Tight capacities force masked candidates (and sometimes all-full).
-        capacity[i] = static_cast<double>(rng() % 8);
-      }
-      for (bool ldg : {true, false}) {
-        score::GreedyObjective obj;
-        obj.ldg = ldg;
-        obj.alpha = 1.25;
-        obj.gamma = 1.5;
-        obj.sqrt_form = true;
-        uint64_t ties_a = 0, ties_b = 0;
-        const PartitionId a =
-            score::GreedyPickScalar(k, counts.data(), loads.data(),
-                                    weights.data(), capacity.data(), obj,
-                                    &ties_a);
-        const PartitionId b =
-            score::GreedyPickBatched(k, counts.data(), loads.data(),
-                                     weights.data(), capacity.data(), obj,
-                                     scores.data(), &ties_b);
-        ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial << " ldg=" << ldg;
-      }
-    }
+constexpr PartitionId kKernelKs[] = {1,  2,  3,   4,   5,   7,  63,
+                                     64, 65, 127, 128, 129, 257};
+constexpr int kTrials = 300;
+
+enum class CapacityCase { kMixed, kAllFull, kExactlyAtCapacity };
+
+CapacityCase CaseOf(int trial) {
+  switch (trial % 5) {
+    case 3:
+      return CapacityCase::kAllFull;
+    case 4:
+      return CapacityCase::kExactlyAtCapacity;
+    default:
+      return CapacityCase::kMixed;
   }
 }
 
-TEST(ScoreKernelTest, GingerBatchedMatchesScalar) {
-  std::mt19937_64 rng(11);
-  for (PartitionId k : {1u, 3u, 64u, 130u}) {
-    std::vector<uint32_t> counts(k);
-    std::vector<double> combined(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;
-        combined[i] = static_cast<double>(rng() % 10);
-      }
-      const double cap = static_cast<double>(rng() % 12);
-      uint64_t ties_a = 0, ties_b = 0;
-      const PartitionId a = score::GingerPickScalar(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties_a);
-      const PartitionId b = score::GingerPickBatched(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, scores.data(),
-          &ties_b);
-      ASSERT_EQ(a, b) << "k=" << k << " trial=" << trial;
-    }
+// Per-partition capacity for load `load`: full (load + 1 exceeds it), room
+// for exactly one more (load + 1 == capacity), or slack.
+double CapacityFor(CapacityCase c, uint64_t load, std::mt19937_64& rng) {
+  const double size = static_cast<double>(load);
+  switch (c) {
+    case CapacityCase::kAllFull:
+      return size + 0.5;
+    case CapacityCase::kExactlyAtCapacity:
+      return size + 1.0;
+    case CapacityCase::kMixed:
+      break;
+  }
+  switch (rng() % 3) {
+    case 0:
+      return size + 0.5;
+    case 1:
+      return size + 1.0;
+    default:
+      return size + 1.0 + static_cast<double>(rng() % 4);
   }
 }
 
-TEST(ScoreKernelTest, HdrfBatchedMatchesContainsProbes) {
+// One endpoint's membership: a base bit row, an optional delta row, and
+// the per-candidate truth the oracle probes. Bits at or above k stay
+// clear, as the BitMatrix guarantees.
+struct RandomRow {
+  std::vector<uint64_t> base, delta;
+  std::vector<bool> member;
+  bool has_delta = false;
+
+  RandomRow(PartitionId k, bool with_delta, std::mt19937_64& rng)
+      : base((k + 63) / 64, 0), delta((k + 63) / 64, 0), member(k, false),
+        has_delta(with_delta) {
+    const uint64_t density = rng() % 4;  // 0: empty row … 3: dense
+    for (PartitionId i = 0; i < k; ++i) {
+      if (rng() % 4 < density) {
+        base[i >> 6] |= uint64_t{1} << (i & 63);
+        member[i] = true;
+      }
+      if (with_delta && rng() % 8 == 0) {
+        delta[i >> 6] |= uint64_t{1} << (i & 63);
+        member[i] = true;
+      }
+    }
+  }
+
+  score::MembershipRow Row() const {
+    return {base.data(), has_delta ? delta.data() : nullptr};
+  }
+};
+
+TEST(ScoreKernelTest, HdrfKernelsMatchOracle) {
   std::mt19937_64 rng(13);
-  for (PartitionId k : {1u, 3u, 64u, 65u, 130u}) {
-    const uint64_t words = (static_cast<uint64_t>(k) + 63) / 64;
-    std::vector<double> effective(k);
+  for (PartitionId k : kKernelKs) {
+    std::vector<double> weights(k), effective(k);
     std::vector<uint64_t> loads(k);
-    std::vector<uint64_t> row_u(words), row_v(words);
-    for (int trial = 0; trial < 200; ++trial) {
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const bool hetero = trial % 2 == 1;
       for (PartitionId i = 0; i < k; ++i) {
-        loads[i] = rng() % 5;
-        effective[i] = static_cast<double>(loads[i]);
+        loads[i] = rng() % 4;
+        weights[i] = hetero ? 0.5 + 0.25 * static_cast<double>(rng() % 4) : 1;
+        effective[i] = static_cast<double>(loads[i]) / weights[i];
       }
-      for (uint64_t w = 0; w < words; ++w) {
-        row_u[w] = rng();
-        row_v[w] = rng();
-      }
-      // Mask bits at or above k, as the BitMatrix guarantees.
-      if (k % 64 != 0) {
-        const uint64_t mask = (uint64_t{1} << (k % 64)) - 1;
-        row_u[words - 1] &= mask;
-        row_v[words - 1] &= mask;
-      }
-      const double theta_u = 0.25, theta_v = 0.75, lambda = 1.1;
+      const bool with_delta = trial % 3 == 0;
+      const RandomRow ru(k, with_delta, rng), rv(k, with_delta, rng);
+      const double du = 1.0 + static_cast<double>(rng() % 5);
+      const double dv = 1.0 + static_cast<double>(rng() % 5);
+      const double theta_u = du / (du + dv);
+      const double theta_v = 1.0 - theta_u;
+      const double lambda = trial % 4 == 0 ? 1.0 : 1.1;
       double max_load, spread;
       score::EffectiveSpread(effective.data(), k, &max_load, &spread);
-      uint64_t ties = 0, hits = 0;
-      const PartitionId got = score::HdrfPickBatched(
-          k, effective.data(), loads.data(), {row_u.data(), nullptr},
-          {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-          spread, &ties, &hits);
-      // Reference: the pre-refactor per-candidate probe loop.
-      PartitionId best = 0;
-      double best_score = score::kNegInf;
-      auto test = [](const std::vector<uint64_t>& row, PartitionId p) {
-        return (row[p >> 6] >> (p & 63)) & 1u;
-      };
-      for (PartitionId i = 0; i < k; ++i) {
-        double g = 0;
-        if (test(row_u, i)) g += 1.0 + theta_v;
-        if (test(row_v, i)) g += 1.0 + theta_u;
-        const double sc = g + lambda * (max_load - effective[i]) / spread;
-        if (sc > best_score) {
-          best_score = sc;
-          best = i;
-        } else if (sc == best_score && loads[i] < loads[best]) {
-          best = i;
-        }
+
+      uint64_t want_hits = 0;
+      const PartitionId want = oracle::HdrfPickScalar(
+          k, effective.data(), loads.data(),
+          [&](PartitionId i) { return ru.member[i]; },
+          [&](PartitionId i) { return rv.member[i]; }, theta_u, theta_v,
+          lambda, max_load, spread, &want_hits);
+
+      uint64_t hits = 0;
+      EXPECT_EQ(score::HdrfPickBatched(k, effective.data(), loads.data(),
+                                       ru.Row(), rv.Row(), theta_u, theta_v,
+                                       lambda, max_load, spread, &hits),
+                want)
+          << "batched k=" << k << " trial=" << trial;
+      EXPECT_EQ(hits, want_hits) << "batched k=" << k << " trial=" << trial;
+      if (score::avx2::Available()) {
+        hits = 0;
+        EXPECT_EQ(score::avx2::HdrfPick(k, effective.data(), loads.data(),
+                                        ru.Row(), rv.Row(), theta_u, theta_v,
+                                        lambda, max_load, spread, &hits),
+                  want)
+            << "avx2 k=" << k << " trial=" << trial;
+        EXPECT_EQ(hits, want_hits) << "avx2 k=" << k << " trial=" << trial;
       }
-      ASSERT_EQ(got, best) << "k=" << k << " trial=" << trial;
     }
   }
 }
 
-// ---------------------------------------------------------------------
-// SIMD tier: randomized scalar-vs-batched-vs-simd sweeps at awkward k —
-// below one lane group, one word ± one, and the multi-word regime —
-// with and without heterogeneous capacities, on every available tier.
-// ---------------------------------------------------------------------
-
-TEST(ScoreKernelTest, GreedySimdMatchesScalarAtAwkwardK) {
-  std::mt19937_64 rng(17);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
+TEST(ScoreKernelTest, GreedyKernelsMatchOracle) {
+  std::mt19937_64 rng(7);
+  for (PartitionId k : kKernelKs) {
     std::vector<uint32_t> counts(k);
     std::vector<uint64_t> loads(k);
     std::vector<double> weights(k), capacity(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
+    for (int trial = 0; trial < kTrials; ++trial) {
       const bool hetero = trial % 2 == 1;
+      const CapacityCase cap_case = CaseOf(trial);
       for (PartitionId i = 0; i < k; ++i) {
         counts[i] = rng() % 4;  // small range forces score ties
         loads[i] = rng() % 6;
-        weights[i] = hetero ? 1.0 + 0.5 * (rng() % 3) : 1.0;
-        // Tight capacities force masked candidates (and sometimes
-        // all-full, where every mode must return kInvalidPartition).
-        capacity[i] = 1.0 + static_cast<double>(rng() % 7);
+        weights[i] = hetero ? 1.0 + 0.5 * static_cast<double>(rng() % 3) : 1;
+        capacity[i] = CapacityFor(cap_case, loads[i], rng);
       }
-      for (bool ldg : {true, false}) {
+      // LDG, sqrt-form FENNEL (γ = 1.5) and pow-form FENNEL (γ = 2).
+      for (int form = 0; form < 3; ++form) {
         score::GreedyObjective obj;
-        obj.ldg = ldg;
+        obj.ldg = form == 0;
         obj.alpha = 1.25;
-        obj.gamma = 1.5;
-        obj.sqrt_form = true;
-        uint64_t ties = 0;
-        const PartitionId want =
-            score::GreedyPickScalar(k, counts.data(), loads.data(),
-                                    weights.data(), capacity.data(), obj,
-                                    &ties);
-        for (score::SimdTier tier : AvailableTiers()) {
-          const PartitionId got = score::GreedyPickSimd(
-              tier, k, counts.data(), loads.data(), weights.data(),
-              capacity.data(), obj, scores.data());
-          ASSERT_EQ(got, want)
-              << "k=" << k << " trial=" << trial << " ldg=" << ldg
-              << " tier=" << score::SimdTierName(tier);
+        obj.gamma = form == 2 ? 2.0 : 1.5;
+        obj.sqrt_form = form != 2;
+        const PartitionId want = oracle::GreedyPickScalar(
+            k, counts.data(), loads.data(), weights.data(), capacity.data(),
+            obj);
+        if (cap_case == CapacityCase::kAllFull) {
+          ASSERT_EQ(want, kInvalidPartition);
+        }
+        EXPECT_EQ(score::GreedyPickBatched(k, counts.data(), loads.data(),
+                                           weights.data(), capacity.data(),
+                                           obj, scores.data()),
+                  want)
+            << "batched k=" << k << " trial=" << trial << " form=" << form;
+        // Pow-form FENNEL has no AVX2 kernel; ScoreCore keeps it batched.
+        if (score::avx2::Available() && obj.sqrt_form) {
+          EXPECT_EQ(score::avx2::GreedyPick(k, counts.data(), loads.data(),
+                                            weights.data(), capacity.data(),
+                                            obj),
+                    want)
+              << "avx2 k=" << k << " trial=" << trial << " form=" << form;
         }
       }
     }
   }
 }
 
-TEST(ScoreKernelTest, GingerSimdMatchesScalarAtAwkwardK) {
-  std::mt19937_64 rng(19);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
+TEST(ScoreKernelTest, GingerKernelsMatchOracle) {
+  std::mt19937_64 rng(11);
+  for (PartitionId k : kKernelKs) {
     std::vector<uint32_t> counts(k);
     std::vector<double> combined(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const CapacityCase cap_case = CaseOf(trial);
       for (PartitionId i = 0; i < k; ++i) {
         counts[i] = rng() % 4;
-        combined[i] = static_cast<double>(rng() % 10);
+        combined[i] = 0.5 * static_cast<double>(rng() % 10);
       }
-      const double cap = 1.0 + static_cast<double>(rng() % 11);
-      uint64_t ties = 0;
-      const PartitionId want = score::GingerPickScalar(
-          k, counts.data(), combined.data(), cap, 1.5, 1.5, &ties);
-      for (score::SimdTier tier : AvailableTiers()) {
-        const PartitionId got = score::GingerPickSimd(
-            tier, k, counts.data(), combined.data(), cap, 1.5, 1.5,
-            scores.data());
-        ASSERT_EQ(got, want) << "k=" << k << " trial=" << trial
-                             << " tier=" << score::SimdTierName(tier);
+      // The cap is compared with >=: a load exactly at it is full.
+      double cap = 0.5 * static_cast<double>(rng() % 12);
+      if (cap_case == CapacityCase::kAllFull) {
+        cap = *std::min_element(combined.begin(), combined.end());
+      } else if (cap_case == CapacityCase::kExactlyAtCapacity) {
+        cap = combined[rng() % k];
       }
-    }
-  }
-}
-
-TEST(ScoreKernelTest, HdrfSimdMatchesBatchedAtAwkwardK) {
-  std::mt19937_64 rng(23);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
-    const uint64_t words = (static_cast<uint64_t>(k) + 63) / 64;
-    std::vector<double> effective(k), scores(k);
-    std::vector<uint64_t> loads(k);
-    std::vector<uint64_t> row_u(words), row_v(words);
-    for (int trial = 0; trial < 200; ++trial) {
-      for (PartitionId i = 0; i < k; ++i) {
-        loads[i] = rng() % 5;
-        effective[i] = static_cast<double>(loads[i]);
+      const double alpha = 1.5, gamma = 1.5;
+      const PartitionId want = oracle::GingerPickScalar(
+          k, counts.data(), combined.data(), cap, alpha, gamma);
+      if (cap_case == CapacityCase::kAllFull) {
+        ASSERT_EQ(want, kInvalidPartition);
       }
-      for (uint64_t w = 0; w < words; ++w) {
-        row_u[w] = rng();
-        row_v[w] = rng();
-      }
-      if (k % 64 != 0) {
-        const uint64_t mask = (uint64_t{1} << (k % 64)) - 1;
-        row_u[words - 1] &= mask;
-        row_v[words - 1] &= mask;
-      }
-      const double theta_u = 0.25, theta_v = 0.75, lambda = 1.1;
-      double max_load, spread;
-      score::EffectiveSpread(effective.data(), k, &max_load, &spread);
-      uint64_t ties = 0, want_hits = 0;
-      const PartitionId want = score::HdrfPickBatched(
-          k, effective.data(), loads.data(), {row_u.data(), nullptr},
-          {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-          spread, &ties, &want_hits);
-      for (score::SimdTier tier : AvailableTiers()) {
-        uint64_t got_hits = 0;
-        const PartitionId got = score::HdrfPickSimd(
-            tier, k, effective.data(), loads.data(), {row_u.data(), nullptr},
-            {row_v.data(), nullptr}, theta_u, theta_v, lambda, max_load,
-            spread, scores.data(), &got_hits);
-        ASSERT_EQ(got, want) << "k=" << k << " trial=" << trial
-                             << " tier=" << score::SimdTierName(tier);
-        // The popcount accounting must be ISA-independent too.
-        ASSERT_EQ(got_hits, want_hits)
-            << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
+      EXPECT_EQ(score::GingerPickBatched(k, counts.data(), combined.data(),
+                                         cap, alpha, gamma, scores.data()),
+                want)
+          << "batched k=" << k << " trial=" << trial;
+      if (score::avx2::Available()) {
+        EXPECT_EQ(score::avx2::GingerPick(k, counts.data(), combined.data(),
+                                          cap, alpha, gamma),
+                  want)
+            << "avx2 k=" << k << " trial=" << trial;
       }
     }
   }
 }
 
-TEST(ScoreKernelTest, LeastLoadedSimdMatchesScalarAtAwkwardK) {
+TEST(ScoreKernelTest, LeastLoadedScansMatchOracle) {
   std::mt19937_64 rng(29);
-  for (PartitionId k : {3u, 63u, 64u, 65u, 128u}) {
+  for (PartitionId k : kKernelKs) {
     std::vector<uint64_t> loads(k);
-    std::vector<double> weights(k), capacity(k), scores(k);
-    for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> weights(k), capacity(k);
+    for (int trial = 0; trial < kTrials; ++trial) {
       const bool hetero = trial % 2 == 1;
+      const CapacityCase cap_case = CaseOf(trial);
       for (PartitionId i = 0; i < k; ++i) {
         loads[i] = rng() % 6;  // collisions force effective-load ties
-        weights[i] = hetero ? 1.0 + 0.5 * (rng() % 3) : 1.0;
-        capacity[i] = 1.0 + static_cast<double>(rng() % 7);
+        weights[i] = hetero ? 1.0 + 0.5 * static_cast<double>(rng() % 3) : 1;
+        capacity[i] = CapacityFor(cap_case, loads[i], rng);
       }
-      const PartitionId want_room = score::LeastLoadedWithRoom(
-          k, loads.data(), weights.data(), capacity.data());
-      const PartitionId want_all =
-          score::LeastLoadedAll(k, loads.data(), weights.data());
-      for (score::SimdTier tier : AvailableTiers()) {
-        ASSERT_EQ(score::LeastLoadedWithRoomSimd(tier, k, loads.data(),
-                                                 weights.data(),
-                                                 capacity.data(),
-                                                 scores.data()),
-                  want_room)
-            << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
-        ASSERT_EQ(score::LeastLoadedAllSimd(tier, k, loads.data(),
-                                            weights.data(), scores.data()),
-                  want_all)
-            << "k=" << k << " trial=" << trial
-            << " tier=" << score::SimdTierName(tier);
-      }
+      EXPECT_EQ(score::LeastLoadedWithRoom(k, loads.data(), weights.data(),
+                                           capacity.data()),
+                oracle::LeastLoadedWithRoomScalar(k, loads.data(),
+                                                  weights.data(),
+                                                  capacity.data()))
+          << "k=" << k << " trial=" << trial;
+      EXPECT_EQ(score::LeastLoadedAll(k, loads.data(), weights.data()),
+                oracle::LeastLoadedAllScalar(k, loads.data(), weights.data()))
+          << "k=" << k << " trial=" << trial;
     }
-  }
-}
-
-// ---------------------------------------------------------------------
-// Runtime dispatch: the env override forces the portable tier, forcing
-// an unavailable tier degrades gracefully, and the end-to-end result is
-// tier-independent.
-// ---------------------------------------------------------------------
-
-TEST(SimdDispatchTest, EnvOverrideForcesPortableTier) {
-  ASSERT_TRUE(score::SimdTierAvailable(score::SimdTier::kPortable));
-  setenv("SGP_FORCE_SCALAR_DISPATCH", "1", 1);
-  EXPECT_EQ(score::ActiveSimdTier(), score::SimdTier::kPortable);
-  // "0" and empty mean "not forced".
-  setenv("SGP_FORCE_SCALAR_DISPATCH", "0", 1);
-  const score::SimdTier unforced = score::ActiveSimdTier();
-  unsetenv("SGP_FORCE_SCALAR_DISPATCH");
-  EXPECT_EQ(score::ActiveSimdTier(), unforced);
-  // Unforced dispatch picks the widest available tier.
-  if (score::SimdTierAvailable(score::SimdTier::kAvx2)) {
-    EXPECT_EQ(unforced, score::SimdTier::kAvx2);
-  } else {
-    EXPECT_EQ(unforced, score::SimdTier::kPortable);
-  }
-}
-
-TEST(SimdDispatchTest, ForcedTiersAgreeEndToEnd) {
-  // Force each enumerated tier through a full partitioner run — including
-  // kAvx2 on hosts without AVX2, where the kernels must fall back to the
-  // portable twin rather than fault — and require identical assignments.
-  const Graph g = MakeDataset("twitter", 9);
-  for (const char* algo : {"HDRF", "FNL", "HG"}) {
-    PartitionConfig cfg;
-    cfg.k = 65;
-    cfg.seed = 7;
-    cfg.score_mode = ScoreMode::kBatched;
-    const Partitioning want = CreatePartitioner(algo)->Run(g, cfg);
-    cfg.score_mode = ScoreMode::kSimd;
-    const char* forced_values[] = {"1", nullptr};
-    for (const char* forced : forced_values) {
-      if (forced != nullptr) {
-        setenv("SGP_FORCE_SCALAR_DISPATCH", forced, 1);
-      } else {
-        unsetenv("SGP_FORCE_SCALAR_DISPATCH");
-      }
-      Partitioning got = CreatePartitioner(algo)->Run(g, cfg);
-      EXPECT_EQ(got.vertex_to_partition, want.vertex_to_partition)
-          << algo << " forced=" << (forced ? forced : "<unset>");
-      EXPECT_EQ(got.edge_to_partition, want.edge_to_partition)
-          << algo << " forced=" << (forced ? forced : "<unset>");
-    }
-    unsetenv("SGP_FORCE_SCALAR_DISPATCH");
   }
 }
 
@@ -590,32 +501,80 @@ TEST(ScoreKernelTest, LeastLoadedOverBitsTiesTowardLowerId) {
 }
 
 // ---------------------------------------------------------------------
-// End-to-end: kScalar, kBatched and kSimd must produce byte-identical
-// partitionings for every registered partitioner.
+// Whole streams: the production HDRF and PGG partitioners against the
+// oracle transitions of tests/score_oracle.h, edge for edge.
 // ---------------------------------------------------------------------
 
-TEST(ScoreModeEquivalenceTest, SequentialPartitioners) {
+TEST(ScoreOracleStreamTest, HdrfMatchesOracleTransition) {
+  const Graph g = MakeDataset("twitter", 10);
+  for (PartitionId k : {3u, 65u}) {
+    PartitionConfig cfg;
+    cfg.k = k;
+    cfg.seed = 42;
+    PartitionState state(cfg);
+    state.InitDegreeTable(g.num_vertices());
+    state.InitEffectiveLoads();
+    state.InitReplicas(g.num_vertices());
+    std::vector<PartitionId> want(g.num_edges(), kInvalidPartition);
+    InMemoryEdgeSource source(g, cfg.order, cfg.seed);
+    ForEachStreamItem(source, [&](const StreamEdge& e) {
+      want[e.id] =
+          oracle::PlaceHdrfEdgeScalar(state, e.src, e.dst, cfg.hdrf_lambda);
+    });
+    EXPECT_EQ(CreatePartitioner("HDRF")->Run(g, cfg).edge_to_partition, want)
+        << "k=" << k;
+  }
+}
+
+TEST(ScoreOracleStreamTest, PggMatchesOracleTransition) {
+  const Graph g = MakeDataset("twitter", 10);
+  for (PartitionId k : {3u, 65u}) {
+    PartitionConfig cfg;
+    cfg.k = k;
+    cfg.seed = 42;
+    PartitionState state(cfg);
+    state.InitReplicas(g.num_vertices());
+    state.InitDegreeTable(g.num_vertices());
+    std::vector<PartitionId> want(g.num_edges(), kInvalidPartition);
+    InMemoryEdgeSource source(g, cfg.order, cfg.seed);
+    ForEachStreamItem(source, [&](const StreamEdge& e) {
+      const PartitionId t = oracle::PickPggScalar(
+          state, e.src, e.dst, g.Degree(e.src), g.Degree(e.dst));
+      state.AddLoad(t);
+      state.IncrementDegree(e.src);
+      state.IncrementDegree(e.dst);
+      state.replicas().Add(e.src, t);
+      state.replicas().Add(e.dst, t);
+      want[e.id] = t;
+    });
+    EXPECT_EQ(CreatePartitioner("PGG")->Run(g, cfg).edge_to_partition, want)
+        << "k=" << k;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Fingerprint pins (tests/golden/score_fingerprints.txt): the cells of
+// the former scalar-vs-batched-vs-simd equivalence suite, each pinned to
+// the assignment all three paths produced.
+// ---------------------------------------------------------------------
+
+TEST(ScoreFingerprintTest, SequentialPartitioners) {
   const Graph g = MakeDataset("twitter", 10);
   for (const std::string& algo : PartitionerNames()) {
     for (PartitionId k : {3u, 65u}) {
       PartitionConfig cfg;
       cfg.k = k;
       cfg.seed = 42;
-      cfg.score_mode = ScoreMode::kScalar;
-      Partitioning scalar = CreatePartitioner(algo)->Run(g, cfg);
-      for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-        cfg.score_mode = mode;
-        Partitioning fast = CreatePartitioner(algo)->Run(g, cfg);
-        EXPECT_EQ(scalar.vertex_to_partition, fast.vertex_to_partition)
-            << algo << " k=" << k << " mode=" << ScoreModeName(mode);
-        EXPECT_EQ(scalar.edge_to_partition, fast.edge_to_partition)
-            << algo << " k=" << k << " mode=" << ScoreModeName(mode);
-      }
+      const std::string cell =
+          "sequential " + algo + " k=" + std::to_string(k);
+      EXPECT_EQ(FingerprintHex(CreatePartitioner(algo)->Run(g, cfg)),
+                PinnedFingerprint(cell))
+          << cell;
     }
   }
 }
 
-TEST(ScoreModeEquivalenceTest, ShardedParallelDrivers) {
+TEST(ScoreFingerprintTest, ShardedParallelDrivers) {
   const Graph g = MakeDataset("twitter", 10);
   for (ParallelAlgo algo : {ParallelAlgo::kLdg, ParallelAlgo::kFennel,
                             ParallelAlgo::kHdrf, ParallelAlgo::kPgg}) {
@@ -627,56 +586,35 @@ TEST(ScoreModeEquivalenceTest, ShardedParallelDrivers) {
         ParallelStreamOptions options;
         options.num_streams = workers;
         options.sync_interval = 32;
-        cfg.score_mode = ScoreMode::kScalar;
-        ParallelStreamResult scalar =
-            RunParallelStreaming(g, cfg, options, algo);
-        for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-          cfg.score_mode = mode;
-          ParallelStreamResult fast =
-              RunParallelStreaming(g, cfg, options, algo);
-          EXPECT_EQ(scalar.partitioning.vertex_to_partition,
-                    fast.partitioning.vertex_to_partition)
-              << ParallelAlgoName(algo) << " w=" << workers << " k=" << k
-              << " mode=" << ScoreModeName(mode);
-          EXPECT_EQ(scalar.partitioning.edge_to_partition,
-                    fast.partitioning.edge_to_partition)
-              << ParallelAlgoName(algo) << " w=" << workers << " k=" << k
-              << " mode=" << ScoreModeName(mode);
-        }
+        const std::string cell = "parallel " +
+                                 std::string(ParallelAlgoName(algo)) +
+                                 " w=" + std::to_string(workers) +
+                                 " k=" + std::to_string(k);
+        EXPECT_EQ(FingerprintHex(
+                      RunParallelStreaming(g, cfg, options, algo).partitioning),
+                  PinnedFingerprint(cell))
+            << cell;
       }
     }
   }
 }
 
-TEST(ScoreModeEquivalenceTest, VertexDiscoveringIngest) {
+TEST(ScoreFingerprintTest, VertexDiscoveringIngest) {
   // The ingest path grows the id space (and the bit-index rows) as edges
-  // arrive; both modes must still agree.
+  // arrive.
   const Graph g = MakeDataset("twitter", 10);
   for (PartitionId k : {3u, 65u}) {
     PartitionConfig cfg;
     cfg.k = k;
     cfg.seed = 42;
     cfg.ingest_chunk_size = 64;
-    cfg.score_mode = ScoreMode::kScalar;
-    InMemoryEdgeSource source_a(g, StreamOrder::kRandom, cfg.seed,
-                                cfg.ingest_chunk_size);
-    StreamIngestResult scalar =
-        PartitionEdgeStream(source_a, StreamIngestAlgo::kHdrf, cfg);
-    ASSERT_TRUE(scalar.ok);
-    for (ScoreMode mode : {ScoreMode::kBatched, ScoreMode::kSimd}) {
-      cfg.score_mode = mode;
-      InMemoryEdgeSource source_b(g, StreamOrder::kRandom, cfg.seed,
-                                  cfg.ingest_chunk_size);
-      StreamIngestResult fast =
-          PartitionEdgeStream(source_b, StreamIngestAlgo::kHdrf, cfg);
-      ASSERT_TRUE(fast.ok);
-      EXPECT_EQ(scalar.partitioning.edge_to_partition,
-                fast.partitioning.edge_to_partition)
-          << "k=" << k << " mode=" << ScoreModeName(mode);
-      EXPECT_EQ(scalar.partitioning.vertex_to_partition,
-                fast.partitioning.vertex_to_partition)
-          << "k=" << k << " mode=" << ScoreModeName(mode);
-    }
+    InMemoryEdgeSource source(g, StreamOrder::kRandom, cfg.seed,
+                              cfg.ingest_chunk_size);
+    const StreamRunResult r =
+        CreatePartitioner("HDRF")->RunOnSource(source, cfg);
+    ASSERT_TRUE(r.ok);
+    const std::string cell = "ingest HDRF k=" + std::to_string(k);
+    EXPECT_EQ(FingerprintHex(r.partitioning), PinnedFingerprint(cell)) << cell;
   }
 }
 

@@ -11,7 +11,6 @@
 #include "graph/datasets.h"
 #include "graph/io.h"
 #include "partition/partitioner.h"
-#include "partition/stream_ingest.h"
 #include "stream/source.h"
 
 namespace sgp {
@@ -56,13 +55,8 @@ INSTANTIATE_TEST_SUITE_P(AllPartitioners, SourceEquivalenceTest,
                          ::testing::ValuesIn(PartitionerNames()),
                          [](const auto& info) { return info.param; });
 
-struct IngestCase {
-  const char* name;           // ParseStreamIngestAlgo spelling
-  const char* partitioner;    // registry code of the in-memory twin
-};
-
-const IngestCase kIngestCases[] = {
-    {"vcr", "VCR"}, {"dbh", "DBH"}, {"hdrf", "HDRF"}};
+// Graph-free streaming codes checked against their materialized twins.
+const char* const kIngestCodes[] = {"VCR", "DBH", "HDRF"};
 
 // Stream ingest over an in-memory natural-order source reproduces the
 // materialized partitioner exactly (assignments and masters). Undirected
@@ -71,24 +65,22 @@ const IngestCase kIngestCases[] = {
 // documented DBH equivalence only covers duplicate-free undirected input.
 TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
   Graph g = MakeDataset("usaroad", 10);
-  for (const IngestCase& c : kIngestCases) {
-    StreamIngestAlgo algo;
-    ASSERT_TRUE(ParseStreamIngestAlgo(c.name, &algo));
+  for (const char* code : kIngestCodes) {
     PartitionConfig cfg;
     cfg.k = 4;
     cfg.seed = 42;
     cfg.order = StreamOrder::kNatural;  // the only order a disk stream has
     InMemoryEdgeSource source(g, StreamOrder::kNatural, cfg.seed);
-    StreamIngestResult r = PartitionEdgeStream(source, algo, cfg);
-    ASSERT_TRUE(r.ok) << c.name << ": " << r.error;
+    StreamRunResult r = CreatePartitioner(code)->RunOnSource(source, cfg);
+    ASSERT_TRUE(r.ok) << code << ": " << r.error;
     EXPECT_EQ(r.num_edges, g.num_edges());
     EXPECT_EQ(r.num_vertices, g.num_vertices());
-    Partitioning twin = CreatePartitioner(c.partitioner)->Run(g, cfg);
+    Partitioning twin = CreatePartitioner(code)->Run(g, cfg);
     EXPECT_EQ(r.partitioning.edge_to_partition, twin.edge_to_partition)
-        << c.name;
+        << code;
     EXPECT_EQ(r.partitioning.vertex_to_partition, twin.vertex_to_partition)
-        << c.name;
-    EXPECT_GT(r.partitioning.state_bytes, 0u) << c.name;
+        << code;
+    EXPECT_GT(r.partitioning.state_bytes, 0u) << code;
   }
 }
 
@@ -99,30 +91,28 @@ TEST(StreamIngestTest, DiskSourceMatchesInMemory) {
   Graph g = MakeDataset("twitter", 10);
   TempFile file("source_equivalence_edges.txt");
   WriteEdgeListFile(g, file.path());
-  for (const IngestCase& c : kIngestCases) {
-    StreamIngestAlgo algo;
-    ASSERT_TRUE(ParseStreamIngestAlgo(c.name, &algo));
+  for (const char* code : kIngestCodes) {
     PartitionConfig cfg;
     cfg.k = 4;
     cfg.seed = 42;
     InMemoryEdgeSource mem(g, StreamOrder::kNatural, cfg.seed);
-    StreamIngestResult expected = PartitionEdgeStream(mem, algo, cfg);
+    StreamRunResult expected = CreatePartitioner(code)->RunOnSource(mem, cfg);
     ASSERT_TRUE(expected.ok);
     for (uint64_t chunk : {1ull, 7ull, 4096ull}) {
       EdgeListFileSource::Options opts;
       opts.chunk_size = chunk;
       EdgeListFileSource disk(file.path(), opts);
       ASSERT_TRUE(disk.ok()) << disk.error();
-      StreamIngestResult r = PartitionEdgeStream(disk, algo, cfg);
-      ASSERT_TRUE(r.ok) << c.name << ": " << r.error;
-      EXPECT_EQ(r.num_edges, expected.num_edges) << c.name;
-      EXPECT_EQ(r.num_vertices, expected.num_vertices) << c.name;
+      StreamRunResult r = CreatePartitioner(code)->RunOnSource(disk, cfg);
+      ASSERT_TRUE(r.ok) << code << ": " << r.error;
+      EXPECT_EQ(r.num_edges, expected.num_edges) << code;
+      EXPECT_EQ(r.num_vertices, expected.num_vertices) << code;
       EXPECT_EQ(r.partitioning.edge_to_partition,
                 expected.partitioning.edge_to_partition)
-          << c.name << " chunk=" << chunk;
+          << code << " chunk=" << chunk;
       EXPECT_EQ(r.partitioning.vertex_to_partition,
                 expected.partitioning.vertex_to_partition)
-          << c.name << " chunk=" << chunk;
+          << code << " chunk=" << chunk;
     }
   }
 }
@@ -197,8 +187,7 @@ TEST(StreamIngestTest, MissingFileReportsError) {
   EXPECT_FALSE(source.error().empty());
   PartitionConfig cfg;
   cfg.k = 4;
-  StreamIngestResult r =
-      PartitionEdgeStream(source, StreamIngestAlgo::kHashVertexCut, cfg);
+  StreamRunResult r = CreatePartitioner("VCR")->RunOnSource(source, cfg);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }
@@ -322,8 +311,7 @@ TEST(StreamIngestTest, OutOfRangeIdFailsStream) {
   EdgeListFileSource source(file.path(), opts);
   PartitionConfig cfg;
   cfg.k = 2;
-  StreamIngestResult r =
-      PartitionEdgeStream(source, StreamIngestAlgo::kHashVertexCut, cfg);
+  StreamRunResult r = CreatePartitioner("VCR")->RunOnSource(source, cfg);
   EXPECT_FALSE(r.ok);
   EXPECT_FALSE(r.error.empty());
 }

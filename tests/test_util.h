@@ -1,7 +1,12 @@
 #ifndef SGP_TESTS_TEST_UTIL_H_
 #define SGP_TESTS_TEST_UTIL_H_
 
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
 #include <initializer_list>
+#include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -72,6 +77,41 @@ inline Partitioning MakeVertexCutPartitioning(
   p.edge_to_partition = std::move(edge_map);
   DeriveMasterPlacement(graph, &p);
   return p;
+}
+
+/// FNV-1a over the vertex then the edge placement — the fingerprint
+/// examples/partition_checksum prints — as 16 hex digits.
+inline std::string FingerprintHex(const Partitioning& p) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const auto* v : {&p.vertex_to_partition, &p.edge_to_partition}) {
+    for (PartitionId x : *v) {
+      h ^= static_cast<uint64_t>(x) + 1;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016" PRIx64, h);
+  return buf;
+}
+
+/// Pinned fingerprint of a scoring-equivalence cell, or "<unpinned>".
+/// The pins (tests/golden/score_fingerprints.txt, one "<cell key> <hex>"
+/// line per cell) were recorded while the scalar, batched and SIMD score
+/// paths still ran side by side and agreed on every cell.
+inline std::string PinnedFingerprint(const std::string& cell) {
+  static const auto* pins = [] {
+    auto* m = new std::map<std::string, std::string>();
+    std::ifstream in(SGP_GOLDEN_DIR "/score_fingerprints.txt");
+    for (std::string line; std::getline(in, line);) {
+      const size_t cut = line.rfind(' ');
+      if (cut != std::string::npos) {
+        (*m)[line.substr(0, cut)] = line.substr(cut + 1);
+      }
+    }
+    return m;
+  }();
+  const auto it = pins->find(cell);
+  return it == pins->end() ? "<unpinned>" : it->second;
 }
 
 }  // namespace sgp::testing
