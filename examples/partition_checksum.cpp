@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<std::string> datasets = {"twitter", "usaroad"};
-  const std::vector<PartitionId> ks = {3, 8, 32, 128};
+  const std::vector<PartitionId> ks = {3, 8, 32, 128, 257};
   const std::vector<uint64_t> seeds = {1, 42};
   const std::vector<StreamOrder> orders = {StreamOrder::kRandom,
                                            StreamOrder::kBfs};

@@ -48,7 +48,7 @@ class DenseBitset {
 };
 
 /// Row-major bit matrix: `rows` rows of `cols` bits each. This is the
-/// layout of the replica-membership index: one row per vertex, one bit
+/// storage of the replica sets (ReplicaState): one row per vertex, one bit
 /// per partition, so a k-way scoring loop reads ceil(k/64) words per
 /// endpoint instead of performing k set probes.
 ///
@@ -66,16 +66,14 @@ class DenseBitset {
 class BitMatrix {
  public:
   BitMatrix() = default;
-  BitMatrix(uint64_t rows, uint32_t cols) { Reset(rows, cols); }
 
-  /// Reshapes to rows × cols with every bit cleared; the row capacity is
-  /// exactly `rows`.
-  void Reset(uint64_t rows, uint32_t cols) {
-    rows_ = rows;
-    row_capacity_ = rows;
-    cols_ = cols;
-    words_per_row_ = (static_cast<uint64_t>(cols) + 63) / 64;
-    row_stride_ = RowStride(words_per_row_);
+  /// rows × cols with every bit cleared; the row capacity is exactly
+  /// `rows`.
+  BitMatrix(uint64_t rows, uint32_t cols)
+      : rows_(rows),
+        row_capacity_(rows),
+        words_per_row_((static_cast<uint64_t>(cols) + 63) / 64),
+        row_stride_(RowStride(words_per_row_)) {
     AllocateZeroed(rows * row_stride_);
   }
 
@@ -97,7 +95,6 @@ class BitMatrix {
   }
 
   uint64_t rows() const { return rows_; }
-  uint32_t cols() const { return cols_; }
   uint64_t words_per_row() const { return words_per_row_; }
   uint64_t row_stride() const { return row_stride_; }
 
@@ -108,9 +105,6 @@ class BitMatrix {
   }
   void Set(uint64_t r, uint32_t c) {
     base_[r * row_stride_ + (c >> 6)] |= uint64_t{1} << (c & 63);
-  }
-  void ResetBit(uint64_t r, uint32_t c) {
-    base_[r * row_stride_ + (c >> 6)] &= ~(uint64_t{1} << (c & 63));
   }
   void ClearRow(uint64_t r) {
     std::memset(base_ + r * row_stride_, 0,
@@ -143,7 +137,6 @@ class BitMatrix {
 
   uint64_t rows_ = 0;
   uint64_t row_capacity_ = 0;
-  uint32_t cols_ = 0;
   uint64_t words_per_row_ = 0;
   uint64_t row_stride_ = 0;
   uint64_t* base_ = nullptr;

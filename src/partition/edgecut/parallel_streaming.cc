@@ -278,7 +278,6 @@ ParallelStreamResult RunParallelEdgeStream(
   result.partitioning.k = k;
   result.partitioning.edge_to_partition.resize(graph.num_edges());
 
-  shard.EnableReplicaBitIndex();
   const bool is_hdrf = algo == ParallelAlgo::kHdrf;
   ScoreCore core(shard.global());
   CombinedLoadScratch comb;

@@ -39,7 +39,6 @@ ScoreCore::ScoreCore(PartitionState& state)
   SGP_CHECK(k > 0);
   scores_.resize(k, 0.0);
   inter_words_.resize((static_cast<uint64_t>(k) + 63) / 64, 0);
-  if (state_.replicas_enabled()) state_.replicas().EnableBitIndex(k);
 }
 
 }  // namespace sgp

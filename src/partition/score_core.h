@@ -330,9 +330,8 @@ inline constexpr size_t kScorePrefetchAhead = 8;
 
 /// Per-run scoring context: binds a PartitionState, the kernel choice
 /// (AVX2 when the CPU has it, else batched), the scratch buffers
-/// (candidate scores, intersection words) and the decision counters;
-/// enables the replica bit index. Flushes partition.score.* on
-/// destruction.
+/// (candidate scores, intersection words) and the decision counters.
+/// Flushes partition.score.* on destruction.
 class ScoreCore {
  public:
   explicit ScoreCore(PartitionState& state);
@@ -456,8 +455,8 @@ class ScoreCore {
       const StreamEdge& e = chunk[idx];
       const VertexId u = e.src;
       const VertexId v = e.dst;
-      const bool u_empty = replicas.Of(u).empty();
-      const bool v_empty = replicas.Of(v).empty();
+      const bool u_empty = replicas.Empty(u);
+      const bool v_empty = replicas.Empty(v);
       const score::MembershipRow row_u{replicas.RowWords(u), nullptr};
       const score::MembershipRow row_v{replicas.RowWords(v), nullptr};
       PartitionId target;

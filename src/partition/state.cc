@@ -101,13 +101,14 @@ void PartitionState::InitDegreeTable(VertexId num_vertices) {
 }
 
 void PartitionState::InitReplicas(VertexId num_vertices) {
-  replicas_ = ReplicaState(num_vertices);
+  replicas_ = ReplicaState(num_vertices, k_);
   replicas_enabled_ = true;
 }
 
 PartitionId PartitionState::AddPartition() {
   SGP_CHECK(!heterogeneous_);
   SGP_CHECK(capacity_.empty() && effective_.empty() && secondary_.empty());
+  SGP_CHECK(!replicas_enabled_);
   const PartitionId fresh = k_;
   ++k_;
   weights_.push_back(1.0);
@@ -177,7 +178,7 @@ void ShardedPartitionState::IncrementWorkerDegree(uint32_t w, VertexId v) {
 
 void ShardedPartitionState::InitReplicas(VertexId num_vertices) {
   global_.InitReplicas(num_vertices);
-  for (auto& r : delta_replicas_) r = ReplicaState(num_vertices);
+  for (auto& r : delta_replicas_) r = ReplicaState(num_vertices, global_.k());
 }
 
 void ShardedPartitionState::AddWorkerReplica(uint32_t w, VertexId u,

@@ -97,7 +97,6 @@ class PartitionState {
   // Replica sets A(u).
   // ---------------------------------------------------------------------
   void InitReplicas(VertexId num_vertices);
-  bool replicas_enabled() const { return replicas_enabled_; }
   ReplicaState& replicas() { return replicas_; }
   const ReplicaState& replicas() const { return replicas_; }
 
@@ -119,7 +118,9 @@ class PartitionState {
   /// split path of the elastic resharder. Only supported on homogeneous
   /// states whose derived per-partition tables (capacities, effective
   /// loads, secondary loads) are uninitialized; growing those would
-  /// silently change every other partition's normalized weight.
+  /// silently change every other partition's normalized weight. Replica
+  /// sets must be disabled too: their bit rows are k bits wide, and a bit
+  /// past the width would land in the next vertex's row.
   PartitionId AddPartition();
 
   // ---------------------------------------------------------------------
@@ -194,18 +195,12 @@ class ShardedPartitionState {
   // ---- replica sets (edge drivers)
   void InitReplicas(VertexId num_vertices);
   bool HasAnyReplica(uint32_t w, VertexId u) const {
-    return !global_.replicas().Of(u).empty() ||
-           !delta_replicas_[w].Of(u).empty();
+    return !global_.replicas().Empty(u) || !delta_replicas_[w].Empty(u);
   }
   void AddWorkerReplica(uint32_t w, VertexId u, PartitionId p);
 
-  /// Mirrors the published set and every worker delta into bit indices;
-  /// the sharded scorers then read each vertex's combined
-  /// membership as GlobalReplicaRow(u) OR DeltaReplicaRow(w, u).
-  void EnableReplicaBitIndex() {
-    global_.replicas().EnableBitIndex(global_.k());
-    for (ReplicaState& r : delta_replicas_) r.EnableBitIndex(global_.k());
-  }
+  /// The sharded scorers read each vertex's combined membership as
+  /// GlobalReplicaRow(u) OR DeltaReplicaRow(w, u).
   const uint64_t* GlobalReplicaRow(VertexId u) const {
     return global_.replicas().RowWords(u);
   }

@@ -38,19 +38,18 @@ struct HepMetrics {
 };
 
 // Least effectively-loaded partition with room among the replicas of `h`,
-// ties toward the lower id (explicit compare, so the Of() iteration order
-// never matters); kInvalidPartition when none qualifies.
+// ties toward the lower id; kInvalidPartition when none qualifies.
 PartitionId LeastLoadedReplicaWithRoom(const PartitionState& state,
                                        VertexId h) {
   PartitionId best = kInvalidPartition;
-  for (PartitionId p : state.replicas().Of(h)) {
-    if (!state.HasRoom(p)) continue;
+  state.replicas().ForEach(h, [&](PartitionId p) {
+    if (!state.HasRoom(p)) return;
     if (best == kInvalidPartition ||
         state.EffectiveLoad(p) < state.EffectiveLoad(best) ||
         (state.EffectiveLoad(p) == state.EffectiveLoad(best) && p < best)) {
       best = p;
     }
-  }
+  });
   return best;
 }
 

@@ -95,7 +95,7 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     // Grow the id space once, to the chunk's largest endpoint, so the
-    // scorer's bit-index rows are stable while it batches the chunk.
+    // scorer's replica rows are stable while it batches the chunk.
     const VertexId hi = MaxEndpoint(chunk);
     state.EnsureVertex(hi);
     max_bound = std::max(max_bound, hi + 1);

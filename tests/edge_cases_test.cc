@@ -10,6 +10,7 @@
 #include "graphdb/event_sim.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
+#include "partition/state.h"
 #include "tests/test_util.h"
 
 namespace sgp {
@@ -149,6 +150,20 @@ TEST(EdgeCaseDeathTest, BuilderRejectsOutOfRangeVertex) {
 
 TEST(EdgeCaseDeathTest, DatasetRejectsUnknownName) {
   EXPECT_DEATH(MakeDataset("nope", 10), "SGP_CHECK");
+}
+
+// Replica rows are k bits wide: at k = 64 (one word, stride 1) a replica
+// on a 65th partition would set a bit of the next vertex's row, so growing
+// k is refused once replica sets exist. Without them it still works.
+TEST(EdgeCaseDeathTest, AddPartitionRejectsEnabledReplicaSets) {
+  PartitionConfig cfg;
+  cfg.k = 64;
+  PartitionState plain(cfg);
+  EXPECT_EQ(plain.AddPartition(), 64u);
+  EXPECT_EQ(plain.k(), 65u);
+  PartitionState state(cfg);
+  state.InitReplicas(2);
+  EXPECT_DEATH(state.AddPartition(), "SGP_CHECK");
 }
 
 TEST(EdgeCaseTest, MetricsOnSelfContainedPartition) {

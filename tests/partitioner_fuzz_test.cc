@@ -1,12 +1,16 @@
 // Randomized robustness sweep: every algorithm must produce a valid,
 // sane partitioning on arbitrary graphs — random sizes, random densities,
 // random structure (ER / BA / small-world / road), random k — not just on
-// the curated datasets.
+// the curated datasets; and on degenerate graphs at k up to past n.
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 #include "common/random.h"
 #include "graph/generators.h"
+#include "graph/graph.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
 
@@ -39,6 +43,51 @@ Graph RandomGraph(Rng& rng) {
   }
 }
 
+constexpr PartitionId kWideKs[] = {63, 64, 65, 127, 128, 129, 257};
+
+// Degenerate inputs: one edge; a 199-leaf star; an edge list of nothing
+// but duplicates (both directions, repeated), which the builder collapses
+// to a triangle; a 10-vertex path followed by 490 isolated vertices.
+std::vector<std::pair<std::string, Graph>> DegenerateGraphs() {
+  std::vector<std::pair<std::string, Graph>> out;
+  {
+    GraphBuilder b(2, /*directed=*/false);
+    b.AddEdge(0, 1);
+    out.emplace_back("single-edge", std::move(b).Finalize());
+  }
+  {
+    GraphBuilder b(200, /*directed=*/false);
+    for (VertexId leaf = 1; leaf < 200; ++leaf) b.AddEdge(0, leaf);
+    out.emplace_back("star-199", std::move(b).Finalize());
+  }
+  {
+    GraphBuilder b(3, /*directed=*/false);
+    for (int rep = 0; rep < 20; ++rep) {
+      b.AddEdge(0, 1);
+      b.AddEdge(1, 0);
+      b.AddEdge(1, 2);
+      b.AddEdge(2, 1);
+      b.AddEdge(2, 0);
+      b.AddEdge(0, 2);
+    }
+    out.emplace_back("duplicates-only", std::move(b).Finalize());
+  }
+  {
+    GraphBuilder b(500, /*directed=*/false);
+    for (VertexId v = 0; v + 1 < 10; ++v) b.AddEdge(v, v + 1);
+    out.emplace_back("path-10-isolated-490", std::move(b).Finalize());
+  }
+  return out;
+}
+
+std::vector<std::string> RegisteredCodes() {
+  std::vector<std::string> codes;
+  for (const PartitionerInfo& info : PartitionerTable()) {
+    codes.push_back(info.name);
+  }
+  return codes;
+}
+
 class PartitionerFuzzTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(PartitionerFuzzTest, SurvivesRandomGraphsAndConfigs) {
@@ -47,7 +96,11 @@ TEST_P(PartitionerFuzzTest, SurvivesRandomGraphsAndConfigs) {
   for (int trial = 0; trial < 12; ++trial) {
     Graph g = RandomGraph(rng);
     PartitionConfig cfg;
-    cfg.k = 1 + static_cast<PartitionId>(rng.UniformInt(40));
+    // Every other trial takes a k around the one-, two- and multi-word
+    // replica-row widths (the 64-byte row stride starts past 256).
+    cfg.k = trial % 2 == 1
+                ? kWideKs[rng.UniformInt(std::size(kWideKs))]
+                : 1 + static_cast<PartitionId>(rng.UniformInt(40));
     cfg.seed = rng.Next();
     cfg.order = static_cast<StreamOrder>(rng.UniformInt(4));
     Partitioning p = partitioner->Run(g, cfg);
@@ -61,11 +114,22 @@ TEST_P(PartitionerFuzzTest, SurvivesRandomGraphsAndConfigs) {
   }
 }
 
+TEST_P(PartitionerFuzzTest, DegenerateGraphs) {
+  auto partitioner = CreatePartitioner(GetParam());
+  for (const auto& [name, g] : DegenerateGraphs()) {
+    for (PartitionId k : {1u, 2u, 3u, 64u, 65u, 257u}) {
+      PartitionConfig cfg;
+      cfg.k = k;
+      Partitioning p = partitioner->Run(g, cfg);
+      SCOPED_TRACE(GetParam() + " " + name + " k=" + std::to_string(k));
+      ValidatePartitioning(g, p);
+      ASSERT_EQ(p.k, k);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, PartitionerFuzzTest,
-                         ::testing::Values("ECR", "LDG", "FNL", "RLDG",
-                                           "RFNL", "ESG", "VCR", "DBH",
-                                           "GRID", "HDRF", "PGG", "HCR",
-                                           "HG", "MTS", "2PS", "HEP", "NE"),
+                         ::testing::ValuesIn(RegisteredCodes()),
                          [](const auto& info) { return info.param; });
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -153,7 +154,7 @@ TEST(BitMatrixTest, RowAtATimeGrowthIsAmortized) {
 }
 
 // A replica table grown vertex by vertex (the disk-ingest path) holds the
-// same sets and the same bit-index rows as one presized to n.
+// same rows as one presized to n.
 TEST(ReplicaStateTest, GrownBitIndexMatchesPresized) {
   const VertexId n = 3000;
   for (PartitionId k : {10u, 65u, 257u}) {
@@ -161,10 +162,8 @@ TEST(ReplicaStateTest, GrownBitIndexMatchesPresized) {
     cfg.k = k;
     PartitionState grown(cfg);
     grown.InitReplicas(0);
-    grown.replicas().EnableBitIndex(k);
     PartitionState presized(cfg);
     presized.InitReplicas(n);
-    presized.replicas().EnableBitIndex(k);
     std::mt19937_64 rng(k);
     for (VertexId u = 0; u < n; ++u) {
       grown.EnsureVertex(u);
@@ -180,70 +179,90 @@ TEST(ReplicaStateTest, GrownBitIndexMatchesPresized) {
     }
     const ReplicaState& a = grown.replicas();
     const ReplicaState& b = presized.replicas();
-    ASSERT_EQ(a.num_vertices(), b.num_vertices());
-    ASSERT_EQ(a.words_per_row(), b.words_per_row());
-    EXPECT_EQ(a.total_entries(), b.total_entries());
+    const uint64_t wpr = (k + 63) / 64;
     for (VertexId u = 0; u < n; ++u) {
-      const auto sa = a.Of(u);
-      const auto sb = b.Of(u);
-      ASSERT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()))
-          << "k=" << k << " u=" << u;
-      ASSERT_TRUE(std::equal(a.RowWords(u), a.RowWords(u) + a.words_per_row(),
+      ASSERT_TRUE(std::equal(a.RowWords(u), a.RowWords(u) + wpr,
                              b.RowWords(u)))
           << "k=" << k << " u=" << u;
     }
   }
 }
 
-TEST(ReplicaStateTest, SpilledSetsAreSortedAndBinarySearchable) {
-  ReplicaState rs(2);
-  // Insert out of order, past the inline capacity.
-  const std::vector<PartitionId> parts = {90, 3, 57, 120, 8, 41, 0};
-  for (PartitionId p : parts) rs.Add(0, p);
-  ASSERT_GT(parts.size(), ReplicaState::kInline);
-  auto items = rs.Of(0);
-  ASSERT_EQ(items.size(), parts.size());
-  for (size_t i = 1; i < items.size(); ++i) {
-    EXPECT_LT(items[i - 1], items[i]) << "spilled set must stay sorted";
-  }
-  for (PartitionId p : parts) EXPECT_TRUE(rs.Contains(0, p));
-  for (PartitionId p : {1u, 58u, 127u}) EXPECT_FALSE(rs.Contains(0, p));
-  // Idempotent re-adds don't grow the set.
-  rs.Add(0, 57);
-  EXPECT_EQ(rs.Of(0).size(), parts.size());
-  EXPECT_TRUE(rs.Of(1).empty());
-}
+// Differential test of the bit-row replica table against one
+// std::set<PartitionId> per vertex, under seeded random Add / Clear /
+// EnsureVertex sequences at k around the one-, two- and multi-word row
+// widths (stride 1, 2, 4 and 8 words).
+TEST(ReplicaStateTest, MatchesSetOracle) {
+  for (PartitionId k : {1u, 63u, 64u, 65u, 128u, 129u, 257u}) {
+    std::mt19937_64 rng(0x5eed0000u + k);
+    ReplicaState rs(4, k);
+    std::vector<std::set<PartitionId>> oracle(4);
+    const uint64_t wpr = (k + 63) / 64;
 
-TEST(ReplicaStateTest, BitIndexMirrorsMembership) {
-  const PartitionId k = 130;
-  ReplicaState rs(3);
-  rs.Add(0, 5);
-  rs.Add(0, 129);
-  rs.Add(1, 64);
-  // Enabling on a populated table replays existing entries.
-  rs.EnableBitIndex(k);
-  auto row_matches = [&](VertexId u) {
-    const uint64_t* row = rs.RowWords(u);
-    for (PartitionId p = 0; p < k; ++p) {
-      const bool bit = (row[p >> 6] >> (p & 63)) & 1u;
-      if (bit != rs.Contains(u, p)) return false;
+    auto check_all = [&](int step) {
+      for (VertexId u = 0; u < oracle.size(); ++u) {
+        const std::set<PartitionId>& want = oracle[u];
+        ASSERT_EQ(rs.Empty(u), want.empty())
+            << "k=" << k << " step=" << step << " u=" << u;
+        std::vector<PartitionId> got;
+        rs.ForEach(u, [&](PartitionId p) { got.push_back(p); });
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(),
+                               want.end()))
+            << "k=" << k << " step=" << step << " u=" << u;
+        for (PartitionId p = 0; p < k; ++p) {
+          ASSERT_EQ(rs.Contains(u, p), want.count(p) == 1)
+              << "k=" << k << " step=" << step << " u=" << u << " p=" << p;
+        }
+        // Bits past k in the last logical word stay zero.
+        const uint64_t* row = rs.RowWords(u);
+        if (k % 64 != 0) {
+          ASSERT_EQ(row[wpr - 1] >> (k % 64), 0u)
+              << "k=" << k << " step=" << step << " u=" << u;
+        }
+        // Stride padding words between this row and the next stay zero.
+        if (u + 1 < oracle.size()) {
+          for (const uint64_t* w = row + wpr; w < rs.RowWords(u + 1); ++w) {
+            ASSERT_EQ(*w, 0u) << "k=" << k << " step=" << step << " u=" << u;
+          }
+        }
+      }
+    };
+
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t op = rng() % 100;
+      const VertexId n = static_cast<VertexId>(oracle.size());
+      if (op < 80) {
+        const VertexId u = static_cast<VertexId>(rng() % n);
+        // Half the adds hit the row's edge bits (0, 63, 64, k - 1).
+        const PartitionId edges[] = {0, 63, 64, k - 1};
+        PartitionId p = (rng() & 1) ? edges[rng() % 4]
+                                    : static_cast<PartitionId>(rng() % k);
+        if (p >= k) p = k - 1;
+        rs.Add(u, p);
+        oracle[u].insert(p);
+      } else if (op < 92) {
+        const VertexId u = static_cast<VertexId>(rng() % n);
+        rs.Clear(u);
+        oracle[u].clear();
+      } else {
+        // Grow by one row most of the time, sometimes by a jump; a
+        // request at or below the current size is a no-op.
+        const uint64_t jump = rng() % 4 == 0 ? rng() % 64 : rng() % 2;
+        const VertexId u = static_cast<VertexId>(n - 1 + jump);
+        rs.EnsureVertex(u);
+        if (u >= oracle.size()) oracle.resize(static_cast<size_t>(u) + 1);
+        // Fresh rows start empty, whatever their storage held before.
+        for (VertexId w = n; w < oracle.size(); ++w) {
+          ASSERT_TRUE(rs.Empty(w)) << "k=" << k << " step=" << step;
+          for (uint64_t i = 0; i < wpr; ++i) {
+            ASSERT_EQ(rs.RowWords(w)[i], 0u) << "k=" << k << " step=" << step;
+          }
+        }
+      }
+      if (step % 100 == 0) check_all(step);
     }
-    return true;
-  };
-  EXPECT_TRUE(row_matches(0));
-  EXPECT_TRUE(row_matches(1));
-  EXPECT_TRUE(row_matches(2));
-  // Later adds and vertex growth keep both views in sync.
-  rs.Add(2, 7);
-  rs.EnsureVertex(10);
-  rs.Add(10, 99);
-  for (VertexId u : {0u, 1u, 2u, 10u}) EXPECT_TRUE(row_matches(u));
-  // Spill vertex 0 past the inline capacity.
-  for (PartitionId p : {20u, 40u, 60u, 80u, 100u}) rs.Add(0, p);
-  EXPECT_TRUE(row_matches(0));
-  rs.Clear(0);
-  EXPECT_TRUE(row_matches(0));
-  EXPECT_TRUE(rs.Of(0).empty());
+    check_all(-1);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -600,7 +619,7 @@ TEST(ScoreFingerprintTest, ShardedParallelDrivers) {
 }
 
 TEST(ScoreFingerprintTest, VertexDiscoveringIngest) {
-  // The ingest path grows the id space (and the bit-index rows) as edges
+  // The ingest path grows the id space (and the replica rows) as edges
   // arrive.
   const Graph g = MakeDataset("twitter", 10);
   for (PartitionId k : {3u, 65u}) {

@@ -113,10 +113,9 @@ inline PartitionId PickPggScalar(const PartitionState& state, VertexId u,
                                  VertexId v, uint32_t ext_degree_u,
                                  uint32_t ext_degree_v) {
   const ReplicaState& replicas = state.replicas();
-  const auto setu_span = replicas.Of(u);
-  const auto setv_span = replicas.Of(v);
-  const std::vector<PartitionId> setu(setu_span.begin(), setu_span.end());
-  const std::vector<PartitionId> setv(setv_span.begin(), setv_span.end());
+  std::vector<PartitionId> setu, setv;
+  replicas.ForEach(u, [&](PartitionId p) { setu.push_back(p); });
+  replicas.ForEach(v, [&](PartitionId p) { setv.push_back(p); });
   if (!setu.empty() && !setv.empty()) {
     std::vector<PartitionId> inter;
     for (PartitionId p : setu) {

@@ -119,9 +119,9 @@ TEST(StreamIngestTest, DiskSourceMatchesInMemory) {
 
 // The depth-first road file raises its largest id over and over while it
 // streams, so the file path grows every per-vertex table (degree table,
-// replica sets, bit index, master tallies) from empty, while the in-memory
-// twin presizes them to n. HDRF at k = 4, 65 and 257 covers the 1-, 2- and
-// 8-word bit-index strides; the other streaming codes run at k = 4.
+// replica rows, master tallies) from empty, while the in-memory twin
+// presizes them to n. HDRF at k = 4, 65 and 257 covers the 1-, 2- and
+// 8-word replica-row strides; the other streaming codes run at k = 4.
 TEST(StreamIngestTest, GrowingRoadFileMatchesInMemoryTwin) {
   Graph g = MakeDataset("usaroad", 12);
   TempFile file("source_equivalence_road.txt");
