@@ -26,11 +26,7 @@ echo "check.sh: all tests passed under address,undefined sanitizers"
 # mutation; give its test an extra dedicated sanitizer pass so a racing
 # counter/histogram bug cannot hide behind a sharded ctest run.
 "$BUILD_DIR/tests/telemetry_test"
-# The monitor layer samples that same lock-free registry from the
-# simulator loop while workers mutate it; its suite gets the same
-# dedicated pass.
-"$BUILD_DIR/tests/monitor_test"
-echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers"
+echo "check.sh: telemetry_test passed standalone under sanitizers"
 
 # The ingest-equivalence suite is the contract of the chunked source
 # layer (chunk boundaries and the disk reader never change results); run
@@ -47,14 +43,6 @@ echo "check.sh: telemetry_test + monitor_test passed standalone under sanitizers
 # vector-of-vectors tally gets the same standalone sanitized pass.
 "$BUILD_DIR/tests/master_tracker_test"
 echo "check.sh: source_equivalence_test + edge_list_scanner_test + master_tracker_test passed standalone under sanitizers"
-
-# The live-resharding suite moves ownership state while queries are in
-# flight; run it and the drain-guard regressions standalone under the
-# sanitizers so a dangling plan pointer or a use-after-move in the batch
-# protocol cannot hide behind a sharded ctest run.
-"$BUILD_DIR/tests/reshard_test"
-"$BUILD_DIR/tests/fault_tolerance_test" --gtest_filter='RecoveryTest.*'
-echo "check.sh: resharding + drain-guard tests passed standalone under sanitizers"
 
 # The scoring core is the one place every partitioner's decision loop now
 # runs through, and its batched path does word-level bit manipulation over
@@ -81,10 +69,9 @@ echo "check.sh: registry_test + twophase_test passed standalone under sanitizers
 JSON_DIR="$(mktemp -d)"
 trap 'rm -rf "$JSON_DIR"' EXIT
 for bench in bench_fig1_comm_volume bench_fig2_replication \
-             bench_fig6_online_throughput \
+             bench_fig6_online_throughput bench_table5_latency \
              bench_partitioner_speed bench_ablation_parallel_ingest \
-             bench_engine_speed bench_ablation_resharding \
-             bench_ablation_monitoring; do
+             bench_engine_speed; do
   SGP_SCALE=8 SGP_BENCH_JSON_DIR="$JSON_DIR" \
     "$BUILD_DIR/bench/$bench" > /dev/null
 done
@@ -110,21 +97,14 @@ python3 scripts/bench_diff.py \
   tests/golden/BENCH_engine_speed.json \
   "$JSON_DIR/BENCH_engine_speed.json"
 
-# And for the elastic-resharding ablation: its deterministic section is
-# the whole reshard.* namespace (batches, retries, re-plans, forwarded
-# reads) plus the sim counters, so a divergence means live resharding no
-# longer replays bit-identically under the pinned seeds.
+# And for the Table 5 latency bench: its deterministic section pins the
+# healthy closed-loop simulator — the graphdb.sim.* counters and the
+# per-query-kind latency histograms on the simulated clock — so a
+# divergence means SimulateClosedLoop no longer replays every event and
+# random draw of the committed run.
 python3 scripts/bench_diff.py \
-  tests/golden/BENCH_ablation_resharding.json \
-  "$JSON_DIR/BENCH_ablation_resharding.json"
-
-# And for the monitoring ablation: its deterministic section pins the
-# monitor.* namespace plus the per-fault-plan alert totals, so a
-# divergence means burn-rate alerting either went quiet under an outage
-# or started paging on healthy traffic.
-python3 scripts/bench_diff.py \
-  tests/golden/BENCH_ablation_monitoring.json \
-  "$JSON_DIR/BENCH_ablation_monitoring.json"
+  tests/golden/BENCH_table5_latency.json \
+  "$JSON_DIR/BENCH_table5_latency.json"
 
 # And for the partitioner scoring bench: its deterministic section pins a
 # per-(algo, k) fingerprint of the full assignment vectors plus the
@@ -149,28 +129,19 @@ echo "check.sh: bench goldens match"
 # the sharded ingest path, and the parallel grid runner (its determinism
 # tests drive 4 worker threads through the memoized caches and the
 # per-cell registry merge). TSan is incompatible with ASan, so it gets
-# its own build tree; only the three concurrency suites need rebuilding.
+# its own build tree; only the concurrency suites need rebuilding.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSGP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target thread_pool_test parallel_streaming_test grid_test reshard_test \
-  monitor_test score_core_test twophase_test
+  --target thread_pool_test parallel_streaming_test grid_test \
+  score_core_test twophase_test
 
 export TSAN_OPTIONS="halt_on_error=1"
 "$TSAN_DIR/tests/thread_pool_test"
 "$TSAN_DIR/tests/parallel_streaming_test"
 "$TSAN_DIR/tests/grid_test" --gtest_filter='GridRunnerTest.*'
-# The reshard controller's telemetry goes through the same thread-local
-# registry cache the concurrent subsystems use; running the suite under
-# TSan keeps the reshard.* counters honest if resharding ever moves onto
-# the worker pool.
-"$TSAN_DIR/tests/reshard_test"
-# Concurrent time-series sampling against live lock-free counter and
-# histogram updates is a real race surface; the monitor suite drives
-# writer threads through the registry while a sampler reads it.
-"$TSAN_DIR/tests/monitor_test"
 # The sharded-scoring equivalence tests drive multi-worker ingest through
 # the batched bit-index path (global rows read while delta rows mutate
 # between barriers); TSan keeps that interval discipline honest.

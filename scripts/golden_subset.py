@@ -6,7 +6,10 @@ For each golden, compares the deterministic section ("schema", "bench",
 file in the working tree. It prints every metric the new file no longer
 has and fails if a metric it kept changed value, or if it gained one.
 
-Exceptions, both from the one-production-path scoring core:
+Exceptions, both from the one-production-path scoring core, and both
+applied only when the BASE_REV golden still has the per-mode fingerprint
+gauges (a base before that change); against a later base every kept
+metric must match exactly:
   - BENCH_partitioner_speed used to make one canonical run per
     (algo, k, score mode) cell and now makes one per (algo, k) cell. Its
     per-run counters must therefore be exactly a third of the old ones,
@@ -32,6 +35,8 @@ SCALARS = ("schema", "bench", "scale")
 RUNS_FOLDED = {"BENCH_partitioner_speed.json": 3}
 UNCHECKED_PREFIX = "partition.score."
 RENAMED_FINGERPRINT = re.compile(r"^(partitioner_speed\.[^.]+\.k\d+)\.fingerprint$")
+PER_MODE_FINGERPRINT = re.compile(
+    r"^partitioner_speed\.[^.]+\.k\d+\.[^.]+\.fingerprint$")
 
 
 def fail_read(what, err):
@@ -65,7 +70,8 @@ def check(rev, path):
     rel = path.resolve().relative_to(ROOT).as_posix()
     old_doc, new_doc = load_old(rev, rel), load_new(path)
     old, new = metrics(old_doc), metrics(new_doc)
-    runs = RUNS_FOLDED.get(path.name, 1)
+    folded = any(PER_MODE_FINGERPRINT.match(name) for name in old)
+    runs = RUNS_FOLDED.get(path.name, 1) if folded else 1
     problems = [f"{key}: {old_doc.get(key)!r} -> {new_doc.get(key)!r}"
                 for key in SCALARS if old_doc.get(key) != new_doc.get(key)]
 

@@ -71,88 +71,6 @@ Recommendation Recommend(const AdvisorQuery& query) {
   return r;
 }
 
-const char* LiveActionName(LiveAction action) {
-  switch (action) {
-    case LiveAction::kNone:
-      return "none";
-    case LiveAction::kScaleOut:
-      return "scale-out";
-    case LiveAction::kSplitHot:
-      return "split-hot";
-    case LiveAction::kRepartition:
-      return "repartition";
-  }
-  return "unknown";
-}
-
-namespace {
-
-// Did any sampled median (a `<histogram>.p50` series paired with a
-// `.p999` sibling) rise to 1.5× its first nonzero — i.e. healthy — level?
-// Quantile samples are cumulative, so a sustained systemic slowdown drags
-// the median up while a single hot worker barely moves it.
-bool AnyMedianRose(const TimeSeriesStore& store) {
-  constexpr std::string_view kSuffix = ".p50";
-  for (const auto& [name, series] : store.series()) {
-    if (name.size() <= kSuffix.size() ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string base = name.substr(0, name.size() - kSuffix.size());
-    if (store.Find(base + ".p999") == nullptr) continue;
-    double healthy = 0;
-    for (size_t i = 0; i < series.size(); ++i) {
-      if (series.At(i).value > 0) {
-        healthy = series.At(i).value;
-        break;
-      }
-    }
-    if (healthy <= 0) continue;
-    if (series.Back().value > 1.5 * healthy) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-LiveRecommendation RecommendFromTimeSeries(const TimeSeriesStore& store,
-                                           const std::vector<Alert>& alerts) {
-  LiveRecommendation r;
-  if (alerts.empty()) {
-    r.rationale = "No burn-rate alert fired; every objective held.";
-    return r;
-  }
-  bool availability = false;
-  bool reshard_in_flight = false;
-  for (const Alert& a : alerts) {
-    if (a.kind == SloKind::kAvailability) availability = true;
-    if (a.detail.rfind("reshard=", 0) == 0) reshard_in_flight = true;
-  }
-  if (availability) {
-    r.action = LiveAction::kScaleOut;
-    r.rationale =
-        "Availability burn: queries are failing outright, which no "
-        "re-placement fixes — restore or add worker capacity";
-  } else if (AnyMedianRose(store)) {
-    r.action = LiveAction::kRepartition;
-    r.rationale =
-        "Latency burn with a rising median: the slowdown is systemic, so "
-        "the current placement no longer fits the workload — repartition";
-  } else {
-    r.action = LiveAction::kSplitHot;
-    r.rationale =
-        "Latency burn confined to the tail (median flat, p999 inflated): "
-        "the hotspot signature of one overloaded worker — split the hot "
-        "partition";
-  }
-  if (reshard_in_flight) {
-    r.rationale += " (a live reshard was in flight when an alert fired)";
-  }
-  r.rationale += ".";
-  return r;
-}
-
 DegreeDistribution ClassifyGraph(const Graph& graph) {
   GraphStats stats = ComputeStats(graph);
   if (stats.num_vertices == 0 || stats.avg_degree == 0) {

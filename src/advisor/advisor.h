@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/monitor.h"
 #include "graph/graph.h"
 #include "partition/partitioning.h"
 
@@ -57,39 +56,6 @@ Recommendation Recommend(const AdvisorQuery& query);
 /// estimator on the top tail separates power-law (tail index < 2) from
 /// merely heavy-tailed graphs.
 DegreeDistribution ClassifyGraph(const Graph& graph);
-
-// ---------------------------------------------------------------------------
-// Live advisor (ROADMAP items 4–5: closing the telemetry loop)
-// ---------------------------------------------------------------------------
-
-/// What a live alert stream asks the operator — or, eventually, the
-/// ReshardController — to do.
-enum class LiveAction : uint8_t {
-  kNone,         // no sustained objective violation
-  kScaleOut,     // availability burning: add capacity / repair workers
-  kSplitHot,     // tail-only latency burn: split the hot partition
-  kRepartition,  // broad latency burn: the placement no longer fits
-};
-
-const char* LiveActionName(LiveAction action);
-
-struct LiveRecommendation {
-  LiveAction action = LiveAction::kNone;
-  std::string rationale;
-};
-
-/// Decision rule over the live-monitoring output (the alert stream and
-/// the sampled time series of SimResult / TimeSeriesStore):
-///  - any availability alert → kScaleOut (queries are failing outright;
-///    no re-placement fixes missing capacity);
-///  - latency alerts with a flat median but an inflated tail (the p50
-///    series held steady while p999 burned) → kSplitHot, the hotspot
-///    signature queueing theory predicts for a single overloaded worker;
-///  - latency alerts with the median rising too → kRepartition, systemic
-///    overload of the current placement.
-/// Deterministic: same store + alerts → same recommendation.
-LiveRecommendation RecommendFromTimeSeries(const TimeSeriesStore& store,
-                                           const std::vector<Alert>& alerts);
 
 }  // namespace sgp
 

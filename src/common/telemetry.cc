@@ -460,8 +460,11 @@ std::vector<MetricSample> MetricsRegistry::Snapshot(
 // Serialization
 // ---------------------------------------------------------------------------
 
+namespace {
+
 // Shortest decimal form that round-trips the double exactly, so exports
-// are byte-stable across runs of the same binary.
+// are byte-stable across runs of the same binary. NaN prints as null,
+// infinities as ±1e999.
 std::string FormatJsonDouble(double v) {
   if (std::isnan(v)) return "null";
   if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
@@ -504,8 +507,6 @@ void AppendJsonEscaped(std::string_view s, std::string* out) {
   }
   out->push_back('"');
 }
-
-namespace {
 
 const char* KindName(MetricKind kind) {
   switch (kind) {
@@ -580,6 +581,8 @@ std::string SerializeMetricsArrayJson(
   return out;
 }
 
+namespace {
+
 std::string SerializeTracesJson(const std::vector<TraceEvent>& events) {
   std::string out = "[";
   char buf[96];
@@ -605,6 +608,8 @@ std::string SerializeTracesJson(const std::vector<TraceEvent>& events) {
   out += "]";
   return out;
 }
+
+}  // namespace
 
 std::string MetricsRegistry::ExportJson(const ExportOptions& options) const {
   std::string out = "{\"schema\":\"sgp.metrics.v1\",\"metrics\":";

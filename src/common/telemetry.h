@@ -440,21 +440,9 @@ Metrics& CurrentRegistryMetrics() {
   return metrics;
 }
 
-/// Shortest decimal form that round-trips the double exactly — the one
-/// double formatter every deterministic JSON export in the codebase uses
-/// (byte-stable across runs of the same binary). NaN prints as null,
-/// infinities as ±1e999.
-std::string FormatJsonDouble(double v);
-
-/// Appends `s` as a quoted, escaped JSON string literal.
-void AppendJsonEscaped(std::string_view s, std::string* out);
-
 /// Serializes a snapshot to the "metrics" JSON array (no enclosing
 /// document) — what bench_util.h embeds into BENCH_*.json files.
 std::string SerializeMetricsArrayJson(const std::vector<MetricSample>& metrics);
-
-/// Serializes trace events to a JSON array.
-std::string SerializeTracesJson(const std::vector<TraceEvent>& events);
 
 /// Parses the "metrics" array out of any JSON document produced by
 /// ExportJson / SerializeMetricsArrayJson / the BENCH_*.json writer

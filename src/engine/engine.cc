@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/check.h"
 #include "common/telemetry.h"
 #include "engine/kernel.h"
 #include "engine/programs.h"
@@ -17,8 +16,7 @@ AnalyticsEngine::AnalyticsEngine(const Graph& graph,
                                  EngineCostModel cost_model)
     : graph_(&graph), dgraph_(graph, partitioning), cost_(cost_model) {}
 
-EngineStats AnalyticsEngine::Run(const VertexProgram& program,
-                                 const EngineFaultConfig& faults) const {
+EngineStats AnalyticsEngine::Run(const VertexProgram& program) const {
   // Tag dispatch onto the devirtualized kernels. The dynamic_cast guards
   // against a mislabeled kind(): only an exact program type takes the
   // specialized path, everything else falls back to the virtual one. The
@@ -31,7 +29,7 @@ EngineStats AnalyticsEngine::Run(const VertexProgram& program,
         return engine_detail::RunKernel<PageRankProgram, EdgeDirection::kIn,
                                         EdgeDirection::kOut,
                                         /*kAllActive=*/true>(
-            *graph_, dgraph_, cost_, *p, faults);
+            *graph_, dgraph_, cost_, *p);
       }
       break;
     case ProgramKind::kWcc:
@@ -40,7 +38,7 @@ EngineStats AnalyticsEngine::Run(const VertexProgram& program,
         return engine_detail::RunKernel<WccProgram, EdgeDirection::kBoth,
                                         EdgeDirection::kBoth,
                                         /*kAllActive=*/false>(
-            *graph_, dgraph_, cost_, *p, faults);
+            *graph_, dgraph_, cost_, *p);
       }
       break;
     case ProgramKind::kSssp:
@@ -49,18 +47,17 @@ EngineStats AnalyticsEngine::Run(const VertexProgram& program,
         return engine_detail::RunKernel<SsspProgram, EdgeDirection::kIn,
                                         EdgeDirection::kOut,
                                         /*kAllActive=*/false>(
-            *graph_, dgraph_, cost_, *p, faults);
+            *graph_, dgraph_, cost_, *p);
       }
       break;
     case ProgramKind::kGeneric:
       break;
   }
   EngineMetrics::Get().kernel_generic->Increment();
-  return RunGeneric(program, faults);
+  return RunGeneric(program);
 }
 
-EngineStats AnalyticsEngine::RunGeneric(const VertexProgram& program,
-                                        const EngineFaultConfig& faults) const {
+EngineStats AnalyticsEngine::RunGeneric(const VertexProgram& program) const {
   const Graph& g = *graph_;
   const VertexId n = g.num_vertices();
   const PartitionId k = dgraph_.k();
@@ -99,19 +96,7 @@ EngineStats AnalyticsEngine::RunGeneric(const VertexProgram& program,
   std::vector<double> new_values;
   std::vector<VertexId> changed;
 
-  // Checkpoint / rollback cost model. A coordinated checkpoint writes
-  // every master vertex value to stable storage; the superstep barrier
-  // makes the slowest worker the critical path. A crash rolls back to the
-  // last durable superstep and replays the tail deterministically, so
-  // recovery charges time without perturbing values.
-  const bool with_faults = !faults.empty();
-  double checkpoint_cost = 0;
-  if (with_faults) {
-    checkpoint_cost = engine_detail::CheckpointCostOf(dgraph_, faults, speeds);
-  }
-  std::vector<double> step_costs;
-  uint32_t last_checkpoint = 0;  // first superstep a recovery must replay
-  double barrier_wait = 0;       // idle worker-seconds at barriers
+  double barrier_wait = 0;  // idle worker-seconds at barriers
 
   auto gather_neighbors = [&](VertexId v, auto&& body) {
     switch (gather_dir) {
@@ -233,32 +218,6 @@ EngineStats AnalyticsEngine::RunGeneric(const VertexProgram& program,
         stats.gather_messages + stats.sync_messages - messages_before);
     ++stats.iterations;
 
-    if (with_faults) {
-      step_costs.push_back(step_cost);
-      for (const EngineCrash& crash : faults.crashes) {
-        if (crash.superstep != iter) continue;
-        SGP_CHECK(crash.worker < k);
-        // Roll back to the last checkpoint (reload cost = one checkpoint
-        // write) and replay supersteps [last_checkpoint, iter].
-        double cost = faults.restart_seconds;
-        if (last_checkpoint > 0) cost += checkpoint_cost;
-        for (uint32_t s = last_checkpoint; s <= iter; ++s) {
-          cost += step_costs[s];
-        }
-        stats.recovery_seconds += cost;
-        stats.simulated_seconds += cost;
-        stats.replayed_supersteps += iter - last_checkpoint + 1;
-        ++stats.crashes_recovered;
-      }
-      if (faults.checkpoint_interval != 0 &&
-          (iter + 1) % faults.checkpoint_interval == 0) {
-        stats.checkpoint_seconds += checkpoint_cost;
-        stats.simulated_seconds += checkpoint_cost;
-        ++stats.checkpoints;
-        last_checkpoint = iter + 1;
-      }
-    }
-
     // --- Next frontier ---
     if (!all_active) {
       std::fill(in_gather_set.begin(), in_gather_set.end(), 0);
@@ -300,11 +259,8 @@ EngineStats AnalyticsEngine::RunGeneric(const VertexProgram& program,
   metrics.gather_messages->Increment(stats.gather_messages);
   metrics.sync_messages->Increment(stats.sync_messages);
   metrics.network_bytes->Increment(stats.total_network_bytes);
-  metrics.checkpoints->Increment(stats.checkpoints);
-  metrics.crashes_recovered->Increment(stats.crashes_recovered);
   metrics.barrier_wait_seconds->Add(barrier_wait);
   metrics.simulated_seconds->Add(stats.simulated_seconds);
-  metrics.recovery_seconds->Add(stats.recovery_seconds);
   return stats;
 }
 

@@ -40,39 +40,6 @@ struct EngineCostModel {
   bool sender_side_aggregation = true;
 };
 
-/// One injected fail-restart crash: `worker` dies while executing
-/// superstep `superstep` (0-based). Crashes scheduled past convergence
-/// never fire.
-struct EngineCrash {
-  PartitionId worker = 0;
-  uint32_t superstep = 0;
-};
-
-/// Fault model of the analytics engine: coordinated superstep checkpoints
-/// plus fail-restart crashes. The synchronous GAS protocol makes replay
-/// deterministic, so recovery is a pure cost — vertex values are identical
-/// to the failure-free run, and EngineStats reports the overhead.
-struct EngineFaultConfig {
-  /// Write a coordinated checkpoint after every `checkpoint_interval`
-  /// completed supersteps (0 disables checkpointing; recovery then
-  /// replays from superstep 0).
-  uint32_t checkpoint_interval = 0;
-
-  /// Cost of writing (or reading back) one master vertex value to / from
-  /// stable storage, paid by the slowest worker per checkpoint.
-  double checkpoint_seconds_per_vertex = 5e-8;
-
-  /// Failure-detection plus process-restart overhead per crash.
-  double restart_seconds = 1e-3;
-
-  /// Crash schedule (deterministic: same schedule, same overhead).
-  std::vector<EngineCrash> crashes;
-
-  bool empty() const {
-    return checkpoint_interval == 0 && crashes.empty();
-  }
-};
-
 /// Everything the paper measures about one analytics run (Section 5.1.4).
 struct EngineStats {
   uint32_t iterations = 0;
@@ -109,15 +76,6 @@ struct EngineStats {
   /// Final vertex values; identical to a single-machine run regardless of
   /// partitioning (validated by tests).
   std::vector<double> values;
-
-  /// Fault-tolerance accounting (all zero without an EngineFaultConfig).
-  /// Checkpoint and recovery time are included in simulated_seconds, so
-  /// the per-partitioner recovery overhead is directly comparable.
-  uint32_t checkpoints = 0;
-  uint32_t crashes_recovered = 0;
-  uint32_t replayed_supersteps = 0;
-  double checkpoint_seconds = 0;
-  double recovery_seconds = 0;
 };
 
 /// Simulated synchronous GAS analytics engine over k workers. The vertex
@@ -141,13 +99,8 @@ class AnalyticsEngine {
   AnalyticsEngine(const Graph& graph, const Partitioning& partitioning,
                   EngineCostModel cost_model = {});
 
-  /// Runs `program` to convergence (or its iteration cap). With a
-  /// non-empty `faults`, the run takes coordinated checkpoints and, on
-  /// each scheduled crash, rolls back to the last checkpoint and replays —
-  /// the vertex values stay identical to the failure-free run while the
-  /// stats report the recovery overhead.
-  EngineStats Run(const VertexProgram& program,
-                  const EngineFaultConfig& faults = {}) const;
+  /// Runs `program` to convergence (or its iteration cap).
+  EngineStats Run(const VertexProgram& program) const;
 
   const DistributedGraph& distributed_graph() const { return dgraph_; }
 
@@ -155,8 +108,7 @@ class AnalyticsEngine {
   /// Generic fallback: virtual dispatch per gather edge, direction
   /// resolution and speed division per replica per superstep. The oracle
   /// the specialized kernels are tested against.
-  EngineStats RunGeneric(const VertexProgram& program,
-                         const EngineFaultConfig& faults) const;
+  EngineStats RunGeneric(const VertexProgram& program) const;
 
   const Graph* graph_;
   DistributedGraph dgraph_;

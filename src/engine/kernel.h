@@ -56,13 +56,10 @@ struct EngineMetrics {
   Counter* gather_messages = nullptr;
   Counter* sync_messages = nullptr;
   Counter* network_bytes = nullptr;
-  Counter* checkpoints = nullptr;
-  Counter* crashes_recovered = nullptr;
   Counter* kernel_specialized = nullptr;
   Counter* kernel_generic = nullptr;
   Gauge* barrier_wait_seconds = nullptr;
   Gauge* simulated_seconds = nullptr;
-  Gauge* recovery_seconds = nullptr;
   Histogram* superstep_cost = nullptr;
 
   EngineMetrics() = default;
@@ -72,13 +69,10 @@ struct EngineMetrics {
     gather_messages = reg.GetCounter("engine.gather.messages");
     sync_messages = reg.GetCounter("engine.sync.messages");
     network_bytes = reg.GetCounter("engine.network.bytes");
-    checkpoints = reg.GetCounter("engine.checkpoints");
-    crashes_recovered = reg.GetCounter("engine.crashes.recovered");
     kernel_specialized = reg.GetCounter("engine.kernel.specialized");
     kernel_generic = reg.GetCounter("engine.kernel.generic");
     barrier_wait_seconds = reg.GetGauge("engine.barrier_wait.sim_seconds");
     simulated_seconds = reg.GetGauge("engine.simulated.sim_seconds");
-    recovery_seconds = reg.GetGauge("engine.recovery.sim_seconds");
     superstep_cost = reg.GetHistogram("engine.superstep_cost.sim_seconds");
   }
 
@@ -114,27 +108,6 @@ inline std::vector<double> ResolveWorkerSpeeds(const EngineCostModel& cost,
   SGP_CHECK(speeds.size() == k);
   for (double s : speeds) SGP_CHECK(s > 0);
   return speeds;
-}
-
-// Cost of one coordinated checkpoint: the slowest worker writing its master
-// vertex values is the critical path.
-inline double CheckpointCostOf(const DistributedGraph& dgraph,
-                               const EngineFaultConfig& faults,
-                               const std::vector<double>& speeds) {
-  SGP_CHECK(faults.checkpoint_seconds_per_vertex >= 0);
-  SGP_CHECK(faults.restart_seconds >= 0);
-  const VertexId n = dgraph.graph().num_vertices();
-  const PartitionId k = dgraph.k();
-  std::vector<uint64_t> masters_per_worker(k, 0);
-  for (VertexId v = 0; v < n; ++v) ++masters_per_worker[dgraph.Master(v)];
-  double checkpoint_cost = 0;
-  for (PartitionId p = 0; p < k; ++p) {
-    checkpoint_cost = std::max(
-        checkpoint_cost, static_cast<double>(masters_per_worker[p]) *
-                             faults.checkpoint_seconds_per_vertex /
-                             speeds[p]);
-  }
-  return checkpoint_cost;
 }
 
 /// Once-per-Run flat cost tables over the distributed graph's replicas,
@@ -250,8 +223,7 @@ concept SourceOnlyGather = requires {
 template <typename Program, EdgeDirection kGatherDir,
           EdgeDirection kScatterDir, bool kAllActive>
 EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
-                      const EngineCostModel& cost, const Program& program,
-                      const EngineFaultConfig& faults) {
+                      const EngineCostModel& cost, const Program& program) {
   const VertexId n = g.num_vertices();
   const PartitionId k = dgraph.k();
   const std::vector<double> speeds = ResolveWorkerSpeeds(cost, k);
@@ -289,15 +261,7 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   std::vector<double> new_values;
   std::vector<VertexId> changed;
 
-  // Checkpoint / rollback cost model (identical to the generic path).
-  const bool with_faults = !faults.empty();
-  double checkpoint_cost = 0;
-  if (with_faults) {
-    checkpoint_cost = CheckpointCostOf(dgraph, faults, speeds);
-  }
-  std::vector<double> step_costs;
-  uint32_t last_checkpoint = 0;  // first superstep a recovery must replay
-  double barrier_wait = 0;       // idle worker-seconds at barriers
+  double barrier_wait = 0;  // idle worker-seconds at barriers
 
   // All-active fast path: the cost accounting of every superstep is the
   // same, so run the accounting loops once — in the generic path's exact
@@ -378,7 +342,6 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
     }
     const uint64_t messages_before =
         stats.gather_messages + stats.sync_messages;
-    double step_cost = 0;
 
     if constexpr (kAllActive) {
       stats.active_per_iteration.push_back(n);
@@ -428,9 +391,8 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
       }
       stats.total_network_bytes += agg_step_bytes;
       barrier_wait += agg_step_barrier;
-      step_cost = agg_step_cost;
-      EngineMetrics::Get().superstep_cost->Record(step_cost);
-      stats.simulated_seconds += step_cost;
+      EngineMetrics::Get().superstep_cost->Record(agg_step_cost);
+      stats.simulated_seconds += agg_step_cost;
       stats.messages_per_iteration.push_back(
           stats.gather_messages + stats.sync_messages - messages_before);
       ++stats.iterations;
@@ -507,7 +469,7 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
       // Idle worker-seconds at this superstep's barrier: everyone waits for
       // the slowest worker (the load-imbalance cost Figure 4 visualizes).
       barrier_wait += max_compute * static_cast<double>(k) - sum_compute;
-      step_cost =
+      const double step_cost =
           max_compute +
           static_cast<double>(max_bytes) / cost.network_bytes_per_second +
           cost.superstep_latency_seconds;
@@ -516,32 +478,6 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
       stats.messages_per_iteration.push_back(
           stats.gather_messages + stats.sync_messages - messages_before);
       ++stats.iterations;
-    }
-
-    if (with_faults) {
-      step_costs.push_back(step_cost);
-      for (const EngineCrash& crash : faults.crashes) {
-        if (crash.superstep != iter) continue;
-        SGP_CHECK(crash.worker < k);
-        // Roll back to the last checkpoint (reload cost = one checkpoint
-        // write) and replay supersteps [last_checkpoint, iter].
-        double recovery = faults.restart_seconds;
-        if (last_checkpoint > 0) recovery += checkpoint_cost;
-        for (uint32_t s = last_checkpoint; s <= iter; ++s) {
-          recovery += step_costs[s];
-        }
-        stats.recovery_seconds += recovery;
-        stats.simulated_seconds += recovery;
-        stats.replayed_supersteps += iter - last_checkpoint + 1;
-        ++stats.crashes_recovered;
-      }
-      if (faults.checkpoint_interval != 0 &&
-          (iter + 1) % faults.checkpoint_interval == 0) {
-        stats.checkpoint_seconds += checkpoint_cost;
-        stats.simulated_seconds += checkpoint_cost;
-        ++stats.checkpoints;
-        last_checkpoint = iter + 1;
-      }
     }
 
     // --- Next frontier ---
@@ -569,11 +505,8 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   metrics.gather_messages->Increment(stats.gather_messages);
   metrics.sync_messages->Increment(stats.sync_messages);
   metrics.network_bytes->Increment(stats.total_network_bytes);
-  metrics.checkpoints->Increment(stats.checkpoints);
-  metrics.crashes_recovered->Increment(stats.crashes_recovered);
   metrics.barrier_wait_seconds->Add(barrier_wait);
   metrics.simulated_seconds->Add(stats.simulated_seconds);
-  metrics.recovery_seconds->Add(stats.recovery_seconds);
   return stats;
 }
 

@@ -1,7 +1,6 @@
 #include "graphdb/graphdb.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_set>
 
 #include "common/check.h"
@@ -54,47 +53,11 @@ GraphDatabase::GraphDatabase(const Graph& graph,
               store.adjacency.begin() +
                   static_cast<int64_t>(store.offsets[local_slot_[u]]));
   }
-
-  // Vertex-cut / hybrid placements physically replicate vertex data on
-  // every partition holding incident edges; those copies are what queries
-  // fail over to when a worker dies. Edge-cut keeps a single copy.
-  if (partitioning.model != CutModel::kEdgeCut &&
-      partitioning.edge_to_partition.size() == graph.num_edges()) {
-    data_replicas_ = ComputeReplicaSets(graph, partitioning);
-  }
-}
-
-std::span<const PartitionId> GraphDatabase::DataReplicas(VertexId u) const {
-  if (!replicated()) return {&owner_[u], 1};
-  return data_replicas_.Of(u);
-}
-
-PartitionId GraphDatabase::EffectiveOwner(
-    VertexId u, const std::vector<char>& down) const {
-  const PartitionId owner = owner_[u];
-  if (down.empty() || !down[owner]) return owner;
-  for (PartitionId p : DataReplicas(u)) {
-    if (!down[p]) return p;
-  }
-  return kInvalidPartition;
 }
 
 PartitionId GraphDatabase::Coordinator(VertexId u) const {
   if (router_ == RouterMode::kPartitionAware) return owner_[u];
   return static_cast<PartitionId>(HashU64(u ^ 0x9e3779b9u) % k_);
-}
-
-PartitionId GraphDatabase::Coordinator(VertexId u,
-                                       const std::vector<char>& down) const {
-  if (router_ == RouterMode::kPartitionAware) return EffectiveOwner(u, down);
-  const PartitionId w =
-      static_cast<PartitionId>(HashU64(u ^ 0x9e3779b9u) % k_);
-  if (down.empty()) return w;
-  for (PartitionId i = 0; i < k_; ++i) {
-    const PartitionId c = (w + i) % k_;
-    if (!down[c]) return c;
-  }
-  return kInvalidPartition;
 }
 
 std::span<const VertexId> GraphDatabase::ReadAdjacency(VertexId u) const {
@@ -120,79 +83,43 @@ void GraphDatabase::AddFetchRound(std::vector<QueryPlan::Task> round,
   plan->rounds.push_back(std::move(round));
 }
 
-bool GraphDatabase::GroupByEffectiveOwner(
-    std::span<const VertexId> vertices, const std::vector<char>& down,
-    bool record_vertices, std::vector<QueryPlan::Task>* out) const {
+void GraphDatabase::GroupByOwner(std::span<const VertexId> vertices,
+                                 std::vector<QueryPlan::Task>* out) const {
   std::vector<uint64_t> reads(k_, 0);
-  std::vector<uint64_t> degraded(k_, 0);
-  std::vector<std::vector<VertexId>> members;
-  if (record_vertices) members.resize(k_);
-  for (VertexId v : vertices) {
-    const PartitionId w = EffectiveOwner(v, down);
-    if (w == kInvalidPartition) return false;
-    ++reads[w];
-    if (w != owner_[v]) ++degraded[w];
-    if (record_vertices) members[w].push_back(v);
-  }
+  for (VertexId v : vertices) ++reads[owner_[v]];
   out->clear();
   for (PartitionId w = 0; w < k_; ++w) {
-    if (reads[w] == 0) continue;
-    QueryPlan::Task task;
-    task.worker = w;
-    task.reads = reads[w];
-    task.degraded_reads = degraded[w];
-    if (record_vertices) task.vertices = std::move(members[w]);
-    out->push_back(std::move(task));
+    if (reads[w] != 0) out->push_back({w, reads[w]});
   }
-  return true;
 }
 
-QueryPlan GraphDatabase::PlanOneHop(VertexId start,
-                                    const std::vector<char>& down,
-                                    bool record_vertices) const {
+QueryPlan GraphDatabase::PlanOneHop(VertexId start) const {
   QueryPlan plan;
-  plan.coordinator = Coordinator(start, down);
+  plan.coordinator = Coordinator(start);
   const VertexId start_list[] = {start};
   std::vector<QueryPlan::Task> round;
-  // Round 0: read the start vertex's adjacency list at its effective
-  // owner — local under the partition-aware router, one remote round
-  // otherwise.
-  if (plan.coordinator == kInvalidPartition ||
-      !GroupByEffectiveOwner(start_list, down, record_vertices, &round)) {
-    plan.reachable = false;
-    return plan;
-  }
+  // Round 0: read the start vertex's adjacency list at its owner — local
+  // under the partition-aware router, one remote round otherwise.
+  GroupByOwner(start_list, &round);
   AddFetchRound(std::move(round), &plan);
   // Round 1: fetch the neighbor vertex records from their owners.
   auto neighbors = ReadAdjacency(start);
-  if (!GroupByEffectiveOwner(neighbors, down, record_vertices, &round)) {
-    plan.reachable = false;
-    return plan;
-  }
+  GroupByOwner(neighbors, &round);
   AddFetchRound(std::move(round), &plan);
   plan.result_size = neighbors.size();
   return plan;
 }
 
-QueryPlan GraphDatabase::PlanTwoHop(VertexId start,
-                                    const std::vector<char>& down,
-                                    bool record_vertices) const {
+QueryPlan GraphDatabase::PlanTwoHop(VertexId start) const {
   QueryPlan plan;
-  plan.coordinator = Coordinator(start, down);
+  plan.coordinator = Coordinator(start);
   const VertexId start_list[] = {start};
   std::vector<QueryPlan::Task> round;
-  if (plan.coordinator == kInvalidPartition ||
-      !GroupByEffectiveOwner(start_list, down, record_vertices, &round)) {
-    plan.reachable = false;
-    return plan;
-  }
+  GroupByOwner(start_list, &round);
   AddFetchRound(std::move(round), &plan);
   auto neighbors = ReadAdjacency(start);
   // Round 1: read each neighbor's record and adjacency at its owner.
-  if (!GroupByEffectiveOwner(neighbors, down, record_vertices, &round)) {
-    plan.reachable = false;
-    return plan;
-  }
+  GroupByOwner(neighbors, &round);
   AddFetchRound(std::move(round), &plan);
   // Round 2: fetch the distinct 2-hop vertex records.
   std::unordered_set<VertexId> frontier;
@@ -202,24 +129,16 @@ QueryPlan GraphDatabase::PlanTwoHop(VertexId start,
     }
   }
   std::vector<VertexId> two_hop(frontier.begin(), frontier.end());
-  if (!GroupByEffectiveOwner(two_hop, down, record_vertices, &round)) {
-    plan.reachable = false;
-    return plan;
-  }
+  GroupByOwner(two_hop, &round);
   AddFetchRound(std::move(round), &plan);
   plan.result_size = two_hop.size();
   return plan;
 }
 
-QueryPlan GraphDatabase::PlanShortestPath(
-    VertexId start, VertexId target, const std::vector<char>& down,
-    bool record_vertices) const {
+QueryPlan GraphDatabase::PlanShortestPath(VertexId start,
+                                          VertexId target) const {
   QueryPlan plan;
-  plan.coordinator = Coordinator(start, down);
-  if (plan.coordinator == kInvalidPartition) {
-    plan.reachable = false;
-    return plan;
-  }
+  plan.coordinator = Coordinator(start);
   std::vector<char> visited(graph_->num_vertices(), 0);
   std::vector<VertexId> frontier{start};
   std::vector<QueryPlan::Task> round;
@@ -229,10 +148,7 @@ QueryPlan GraphDatabase::PlanShortestPath(
   while (!frontier.empty() && !found) {
     // One round per BFS level: read the adjacency of every frontier
     // vertex at its owner.
-    if (!GroupByEffectiveOwner(frontier, down, record_vertices, &round)) {
-      plan.reachable = false;
-      return plan;
-    }
+    GroupByOwner(frontier, &round);
     AddFetchRound(std::move(round), &plan);
     ++depth;
     std::vector<VertexId> next;
@@ -251,27 +167,14 @@ QueryPlan GraphDatabase::PlanShortestPath(
 }
 
 QueryPlan GraphDatabase::Plan(const Query& query) const {
-  return Plan(query, {});
-}
-
-QueryPlan GraphDatabase::Plan(const Query& query,
-                              const std::vector<char>& down) const {
-  return Plan(query, down, /*record_vertices=*/false);
-}
-
-QueryPlan GraphDatabase::Plan(const Query& query,
-                              const std::vector<char>& down,
-                              bool record_vertices) const {
   SGP_CHECK(query.start < graph_->num_vertices());
-  SGP_CHECK(down.empty() || down.size() == k_);
   switch (query.kind) {
     case QueryKind::kOneHop:
-      return PlanOneHop(query.start, down, record_vertices);
+      return PlanOneHop(query.start);
     case QueryKind::kTwoHop:
-      return PlanTwoHop(query.start, down, record_vertices);
+      return PlanTwoHop(query.start);
     case QueryKind::kShortestPath:
-      return PlanShortestPath(query.start, query.target, down,
-                              record_vertices);
+      return PlanShortestPath(query.start, query.target);
   }
   return {};
 }

@@ -75,23 +75,9 @@ struct Query {
 struct QueryPlan {
   PartitionId coordinator = 0;
 
-  /// False when some required vertex has no live replica under the down
-  /// mask the plan was built with — the query cannot be served until a
-  /// worker recovers. Always true on a healthy cluster.
-  bool reachable = true;
-
   struct Task {
     PartitionId worker = 0;
     uint64_t reads = 0;
-
-    /// Reads served by a worker other than the vertex's master owner
-    /// (replica failover under a down mask); 0 on a healthy cluster.
-    uint64_t degraded_reads = 0;
-
-    /// The vertices this task reads, in grouping order — populated only
-    /// when the plan was built with record_vertices (the live resharder
-    /// redirects reads of moved vertices, so it needs per-vertex targets).
-    std::vector<VertexId> vertices;
   };
   /// Rounds execute sequentially; tasks within a round run in parallel on
   /// their workers. Tasks on a worker other than the coordinator cost a
@@ -124,29 +110,9 @@ class GraphDatabase {
   /// Worker storing (the adjacency of) vertex `u`.
   PartitionId Owner(VertexId u) const { return owner_[u]; }
 
-  /// Workers holding a physical copy of `u`'s data: only the owner for
-  /// edge-cut placements (the adjacency store is not replicated), every
-  /// replica of A(u) for vertex-cut / hybrid placements — replication is
-  /// exactly what those cut models buy as a fault-tolerance asset.
-  std::span<const PartitionId> DataReplicas(VertexId u) const;
-
-  /// The partitioning physically replicates vertex data (vertex-cut or
-  /// hybrid cut model).
-  bool replicated() const { return !data_replicas_.offsets.empty(); }
-
-  /// Worker serving `u` under the per-worker `down` mask (size k, or
-  /// empty = all up): the owner when alive, else the lowest-id live data
-  /// replica, else kInvalidPartition (data unavailable).
-  PartitionId EffectiveOwner(VertexId u, const std::vector<char>& down) const;
-
   /// Worker that coordinates a query starting at `u` under the configured
   /// router mode.
   PartitionId Coordinator(VertexId u) const;
-
-  /// Coordinator under a down mask: the effective owner for the
-  /// partition-aware router; the first live worker in hash-probe order for
-  /// the random router. kInvalidPartition if nothing can coordinate.
-  PartitionId Coordinator(VertexId u, const std::vector<char>& down) const;
 
   /// Adjacency of `u` read from its owner's local store (not from the
   /// input graph) — exercised by tests to validate the store itself.
@@ -154,21 +120,6 @@ class GraphDatabase {
 
   /// Builds the execution plan of `query`.
   QueryPlan Plan(const Query& query) const;
-
-  /// Builds the plan of `query` with the workers flagged in `down` (size
-  /// k; empty = healthy) excluded from routing: every read goes to its
-  /// effective owner, reads re-routed to replicas are marked degraded, and
-  /// the plan is flagged unreachable when some required vertex has no live
-  /// copy. With an empty mask this is identical to Plan(query).
-  QueryPlan Plan(const Query& query, const std::vector<char>& down) const;
-
-  /// Plan variant that additionally records, per task, which vertices it
-  /// reads (QueryPlan::Task::vertices) so a consumer can re-resolve reads
-  /// against ownership that changed after planning — the event
-  /// simulator's live-resharding mode. With record_vertices == false this
-  /// is identical to Plan(query, down).
-  QueryPlan Plan(const Query& query, const std::vector<char>& down,
-                 bool record_vertices) const;
 
   /// Per-vertex read counts of `query` (start, neighbors, …), used to
   /// build the workload-aware weighted graph of Figure 8. Accumulates
@@ -183,20 +134,13 @@ class GraphDatabase {
     std::vector<VertexId> adjacency;
   };
 
-  QueryPlan PlanOneHop(VertexId start, const std::vector<char>& down,
-                       bool record_vertices) const;
-  QueryPlan PlanTwoHop(VertexId start, const std::vector<char>& down,
-                       bool record_vertices) const;
-  QueryPlan PlanShortestPath(VertexId start, VertexId target,
-                             const std::vector<char>& down,
-                             bool record_vertices) const;
+  QueryPlan PlanOneHop(VertexId start) const;
+  QueryPlan PlanTwoHop(VertexId start) const;
+  QueryPlan PlanShortestPath(VertexId start, VertexId target) const;
 
-  // Groups one read per vertex by effective owner under `down`. Returns
-  // false when some vertex has no live replica.
-  bool GroupByEffectiveOwner(std::span<const VertexId> vertices,
-                             const std::vector<char>& down,
-                             bool record_vertices,
-                             std::vector<QueryPlan::Task>* out) const;
+  // Groups one read per vertex by owner, in ascending worker order.
+  void GroupByOwner(std::span<const VertexId> vertices,
+                    std::vector<QueryPlan::Task>* out) const;
 
   // Appends a fetch round and charges messages/bytes for the remote tasks.
   void AddFetchRound(std::vector<QueryPlan::Task> round,
@@ -209,9 +153,6 @@ class GraphDatabase {
   std::vector<PartitionId> owner_;
   std::vector<uint32_t> local_slot_;  // vertex -> slot in its worker store
   std::vector<WorkerStore> stores_;
-  // Sorted replica sets A(u) for vertex-cut / hybrid placements; empty
-  // offsets for edge-cut (no physical replication).
-  ReplicaSets data_replicas_;
 };
 
 }  // namespace sgp

@@ -22,8 +22,7 @@ PartitionConfig StateConfig(const DynamicOptions& options) {
 }  // namespace
 
 DynamicPartitioner::DynamicPartitioner(const DynamicOptions& options)
-    : options_(options), state_(StateConfig(options)),
-      disabled_(options.k, 0), alive_k_(options.k) {
+    : options_(options), state_(StateConfig(options)) {
   SGP_CHECK(options.k > 0);
   SGP_CHECK(options.balance_slack >= 1.0);
   SGP_CHECK(options.migration_gain >= 1.0);
@@ -54,21 +53,17 @@ void DynamicPartitioner::EnsureVertex(VertexId v) {
   adjacency_.resize(static_cast<size_t>(v) + 1);
 }
 
-double DynamicPartitioner::Capacity(PartitionId) const {
+double DynamicPartitioner::Capacity() const {
   return std::max(1.0, options_.balance_slack *
                            static_cast<double>(placed_vertices_) /
-                           static_cast<double>(alive_k_));
+                           static_cast<double>(options_.k));
 }
 
-PartitionId DynamicPartitioner::LeastLoadedAlive() const {
-  PartitionId best = kInvalidPartition;
-  for (PartitionId p = 0; p < options_.k; ++p) {
-    if (disabled_[p]) continue;
-    if (best == kInvalidPartition || state_.load(p) < state_.load(best)) {
-      best = p;
-    }
+PartitionId DynamicPartitioner::LeastLoaded() const {
+  PartitionId best = 0;
+  for (PartitionId p = 1; p < options_.k; ++p) {
+    if (state_.load(p) < state_.load(best)) best = p;
   }
-  SGP_CHECK(best != kInvalidPartition);
   return best;
 }
 
@@ -100,9 +95,8 @@ PartitionId DynamicPartitioner::PlaceNew(VertexId v) {
   PartitionId best = kInvalidPartition;
   double best_score = 0;
   for (const auto& [p, count] : neighbor_counts_[v]) {
-    if (disabled_[p]) continue;
     double size = static_cast<double>(state_.load(p));
-    double cap = Capacity(p);
+    double cap = Capacity();
     if (size + 1.0 > cap) continue;
     double score = static_cast<double>(count) * (1.0 - size / cap);
     if (best == kInvalidPartition || score > best_score) {
@@ -113,10 +107,9 @@ PartitionId DynamicPartitioner::PlaceNew(VertexId v) {
   if (best == kInvalidPartition) {
     best = static_cast<PartitionId>(
         HashU64Seeded(v, options_.seed) % options_.k);
-    // Respect capacity (and dead partitions) even for hashed placements.
-    if (disabled_[best] ||
-        static_cast<double>(state_.load(best)) + 1.0 > Capacity(best)) {
-      best = LeastLoadedAlive();
+    // Respect capacity even for hashed placements.
+    if (static_cast<double>(state_.load(best)) + 1.0 > Capacity()) {
+      best = LeastLoaded();
     }
   }
   assignment_[v] = best;
@@ -125,7 +118,7 @@ PartitionId DynamicPartitioner::PlaceNew(VertexId v) {
   return best;
 }
 
-uint64_t DynamicPartitioner::MoveVertex(VertexId v, PartitionId to) {
+void DynamicPartitioner::MoveVertex(VertexId v, PartitionId to) {
   const PartitionId from = assignment_[v];
   state_.RemoveLoad(from);
   state_.AddLoad(to);
@@ -134,13 +127,7 @@ uint64_t DynamicPartitioner::MoveVertex(VertexId v, PartitionId to) {
     ForgetNeighbor(w, from);
     NoteNeighbor(w, to);
   }
-  const uint64_t bytes =
-      options_.migration_cost.bytes_per_vertex_record +
-      adjacency_[v].size() *
-          static_cast<uint64_t>(options_.migration_cost.bytes_per_adjacency_entry);
   ++total_migrations_;
-  total_migration_bytes_ += bytes;
-  return bytes;
 }
 
 bool DynamicPartitioner::MaybeMigrate(VertexId v) {
@@ -150,7 +137,6 @@ bool DynamicPartitioner::MaybeMigrate(VertexId v) {
   uint32_t best_count = 0;
   for (const auto& [p, count] : neighbor_counts_[v]) {
     if (p == cur) cur_count = count;
-    if (disabled_[p]) continue;
     if (count > best_count) {
       best_count = count;
       best = p;
@@ -161,7 +147,7 @@ bool DynamicPartitioner::MaybeMigrate(VertexId v) {
       options_.migration_gain * static_cast<double>(cur_count) + 1.0) {
     return false;
   }
-  if (static_cast<double>(state_.load(best)) + 1.0 > Capacity(best)) {
+  if (static_cast<double>(state_.load(best)) + 1.0 > Capacity()) {
     return false;
   }
 
@@ -196,132 +182,6 @@ uint32_t DynamicPartitioner::AddEdge(VertexId u, VertexId v) {
   migrations += MaybeMigrate(u) ? 1 : 0;
   migrations += MaybeMigrate(v) ? 1 : 0;
   return migrations;
-}
-
-const char* ReshapeStatusName(ReshapeStatus status) {
-  switch (status) {
-    case ReshapeStatus::kOk:
-      return "ok";
-    case ReshapeStatus::kInvalidPartition:
-      return "invalid-partition";
-    case ReshapeStatus::kAlreadyDisabled:
-      return "already-disabled";
-    case ReshapeStatus::kLastAlive:
-      return "last-alive";
-  }
-  return "unknown";
-}
-
-DrainReport DynamicPartitioner::DrainPartition(PartitionId dead) {
-  DrainReport report;
-  if (dead >= options_.k) {
-    report.status = ReshapeStatus::kInvalidPartition;
-    return report;
-  }
-  if (disabled_[dead]) {
-    report.status = ReshapeStatus::kAlreadyDisabled;
-    return report;
-  }
-  if (alive_k_ <= 1) {
-    report.status = ReshapeStatus::kLastAlive;
-    return report;
-  }
-  disabled_[dead] = 1;
-  --alive_k_;
-  for (VertexId v = 0; v < assignment_.size(); ++v) {
-    if (assignment_[v] != dead) continue;
-    // Same placement rule as PlaceNew, restricted to survivors: most
-    // neighbors, discounted by fill, least-loaded when nothing fits.
-    PartitionId best = kInvalidPartition;
-    double best_score = 0;
-    for (const auto& [p, count] : neighbor_counts_[v]) {
-      if (disabled_[p]) continue;
-      double size = static_cast<double>(state_.load(p));
-      double cap = Capacity(p);
-      if (size + 1.0 > cap) continue;
-      double score = static_cast<double>(count) * (1.0 - size / cap);
-      if (best == kInvalidPartition || score > best_score) {
-        best_score = score;
-        best = p;
-      }
-    }
-    if (best == kInvalidPartition) best = LeastLoadedAlive();
-    report.migration_bytes += MoveVertex(v, best);
-    ++report.moved_vertices;
-  }
-  SGP_CHECK(state_.load(dead) == 0);
-  return report;
-}
-
-PartitionId DynamicPartitioner::AddPartition() {
-  const PartitionId fresh = state_.AddPartition();
-  SGP_CHECK(fresh == options_.k);
-  ++options_.k;
-  disabled_.push_back(0);
-  ++alive_k_;
-  return fresh;
-}
-
-SplitReport DynamicPartitioner::SplitPartition(PartitionId p) {
-  SplitReport report;
-  if (p >= options_.k) {
-    report.status = ReshapeStatus::kInvalidPartition;
-    return report;
-  }
-  if (disabled_[p]) {
-    report.status = ReshapeStatus::kAlreadyDisabled;
-    return report;
-  }
-  std::vector<VertexId> members;
-  for (VertexId v = 0; v < assignment_.size(); ++v) {
-    if (assignment_[v] == p) members.push_back(v);
-  }
-  const PartitionId fresh = AddPartition();
-  report.new_partition = fresh;
-  const uint64_t target = members.size() / 2;
-  if (target == 0) return report;  // nothing to halve; fresh slot stays empty
-
-  // Locality-preserving halving: grow BFS regions inside p's induced
-  // subgraph, seeded at the best-connected resident, until half of p has
-  // moved. Disconnected leftovers seed new regions in id order, so the
-  // result is deterministic regardless of insertion history.
-  std::vector<char> moved_flag(assignment_.size(), 0);
-  std::vector<VertexId> queue;
-  queue.reserve(target);
-  size_t head = 0;
-  VertexId seed = members.front();
-  size_t seed_degree = adjacency_[seed].size();
-  for (VertexId v : members) {
-    if (adjacency_[v].size() > seed_degree) {
-      seed = v;
-      seed_degree = adjacency_[v].size();
-    }
-  }
-  size_t next_member = 0;  // fallback scan cursor for disconnected parts
-  queue.push_back(seed);
-  moved_flag[seed] = 1;
-  while (report.moved_vertices < target) {
-    if (head == queue.size()) {
-      while (next_member < members.size() &&
-             (moved_flag[members[next_member]] != 0)) {
-        ++next_member;
-      }
-      if (next_member == members.size()) break;
-      moved_flag[members[next_member]] = 1;
-      queue.push_back(members[next_member]);
-    }
-    const VertexId v = queue[head++];
-    report.migration_bytes += MoveVertex(v, fresh);
-    ++report.moved_vertices;
-    for (VertexId w : adjacency_[v]) {
-      if (w >= moved_flag.size() || moved_flag[w] || assignment_[w] != p) {
-        continue;
-      }
-      moved_flag[w] = 1;
-      queue.push_back(w);
-    }
-  }
-  return report;
 }
 
 uint64_t DynamicPartitioner::SynopsisBytes() const {
@@ -360,140 +220,6 @@ Partitioning DynamicPartitioner::Snapshot(const Graph& graph) const {
   p.state_bytes = SynopsisBytes();
   DeriveEdgePlacement(graph, &p);
   return p;
-}
-
-FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
-                                     const Partitioning& p, PartitionId dead,
-                                     const DynamicOptions& options,
-                                     const MigrationCostModel& cost) {
-  SGP_CHECK(p.k > 1);
-  SGP_CHECK(dead < p.k);
-  SGP_CHECK(p.vertex_to_partition.size() == graph.num_vertices());
-  SGP_CHECK(p.edge_to_partition.size() == graph.num_edges());
-  const ReplicaSets old_replicas = ComputeReplicaSets(graph, p);
-
-  FailoverRepair repair;
-  if (p.model == CutModel::kEdgeCut) {
-    // No surviving copies of the dead worker's vertices: re-place them via
-    // the dynamic partitioner's neighbor-majority migration.
-    DynamicOptions opts = options;
-    opts.k = p.k;
-    opts.migration_cost = cost;
-    DynamicPartitioner dp(opts);
-    dp.Bootstrap(graph, p);
-    const DrainReport drain = dp.DrainPartition(dead);
-    SGP_CHECK(drain.ok());
-    repair.partitioning = dp.Snapshot(graph);
-    repair.partitioning.model = p.model;
-    repair.migration_bytes = drain.migration_bytes;
-  } else {
-    // Vertex-cut / hybrid: every orphaned master usually has surviving
-    // replicas — promote the one holding the most still-live incident
-    // edges; its edges on the dead worker follow the source's new master.
-    Partitioning q = p;
-    std::vector<uint32_t> orphan_index(graph.num_vertices(), UINT32_MAX);
-    std::vector<VertexId> orphans;
-    for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-      if (p.vertex_to_partition[v] == dead) {
-        orphan_index[v] = static_cast<uint32_t>(orphans.size());
-        orphans.push_back(v);
-      }
-    }
-    // Live incident-edge counts per candidate partition, orphans only.
-    std::vector<std::vector<std::pair<PartitionId, uint32_t>>> live_counts(
-        orphans.size());
-    auto bump = [&](VertexId v, PartitionId part) {
-      if (orphan_index[v] == UINT32_MAX) return;
-      auto& vec = live_counts[orphan_index[v]];
-      auto it = std::find_if(vec.begin(), vec.end(),
-                             [part](const auto& pr) {
-                               return pr.first == part;
-                             });
-      if (it == vec.end()) {
-        vec.emplace_back(part, 1u);
-      } else {
-        ++it->second;
-      }
-    };
-    const auto& edges = graph.edges();
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      const PartitionId pe = p.edge_to_partition[e];
-      if (pe == dead) continue;
-      bump(edges[e].src, pe);
-      bump(edges[e].dst, pe);
-    }
-    // Running master loads so replica-less orphans spread evenly.
-    std::vector<uint64_t> master_loads(p.k, 0);
-    for (PartitionId part : p.vertex_to_partition) ++master_loads[part];
-    auto least_loaded_alive = [&]() {
-      PartitionId best = kInvalidPartition;
-      for (PartitionId part = 0; part < p.k; ++part) {
-        if (part == dead) continue;
-        if (best == kInvalidPartition ||
-            master_loads[part] < master_loads[best]) {
-          best = part;
-        }
-      }
-      SGP_CHECK(best != kInvalidPartition);
-      return best;
-    };
-    for (uint32_t i = 0; i < orphans.size(); ++i) {
-      const VertexId v = orphans[i];
-      PartitionId best = kInvalidPartition;
-      uint32_t best_count = 0;
-      // Of(v) is sorted, so ties resolve toward the lower partition id.
-      for (PartitionId cand : old_replicas.Of(v)) {
-        if (cand == dead) continue;
-        uint32_t count = 0;
-        for (const auto& [part, c] : live_counts[i]) {
-          if (part == cand) count = c;
-        }
-        if (best == kInvalidPartition || count > best_count) {
-          best = cand;
-          best_count = count;
-        }
-      }
-      if (best == kInvalidPartition) best = least_loaded_alive();
-      --master_loads[dead];
-      ++master_loads[best];
-      q.vertex_to_partition[v] = best;
-    }
-    for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-      if (q.edge_to_partition[e] == dead) {
-        q.edge_to_partition[e] = q.vertex_to_partition[edges[e].src];
-      }
-    }
-    repair.partitioning = std::move(q);
-  }
-
-  // Migration volume: diff the repaired placement against the original.
-  const Partitioning& q = repair.partitioning;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (q.vertex_to_partition[v] == p.vertex_to_partition[v]) continue;
-    ++repair.moved_masters;
-    bool had_replica = false;
-    for (PartitionId part : old_replicas.Of(v)) {
-      if (part == q.vertex_to_partition[v]) had_replica = true;
-    }
-    if (!had_replica) ++repair.copied_vertices;
-  }
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    if (q.edge_to_partition[e] != p.edge_to_partition[e]) {
-      ++repair.moved_edges;
-    }
-  }
-  if (p.model == CutModel::kEdgeCut) {
-    // Unified MigrationCostModel definition, already accumulated move by
-    // move inside DrainPartition: every moved master ships its record plus
-    // its adjacency. No surviving copies exist on edge-cut, so copied ==
-    // moved.
-    repair.copied_vertices = repair.moved_masters;
-  } else {
-    repair.migration_bytes =
-        repair.copied_vertices * cost.bytes_per_vertex_record +
-        repair.moved_edges * cost.bytes_per_adjacency_entry;
-  }
-  return repair;
 }
 
 }  // namespace sgp

@@ -11,16 +11,6 @@
 
 namespace sgp {
 
-/// Wire-volume model of data migration. One definition shared by every
-/// migration path (incremental migrations, DrainPartition, split/merge,
-/// RepairAfterWorkerLoss, the live resharder): a migrated vertex ships
-/// its record plus one entry per adjacency slot rebuilt at the new
-/// location.
-struct MigrationCostModel {
-  uint32_t bytes_per_vertex_record = 128;
-  uint32_t bytes_per_adjacency_entry = 8;
-};
-
 /// Options of the dynamic partitioner.
 struct DynamicOptions {
   PartitionId k = 4;
@@ -35,42 +25,6 @@ struct DynamicOptions {
 
   /// Hash seed for first-contact placements.
   uint64_t seed = 42;
-
-  /// Wire cost of every migration this partitioner performs.
-  MigrationCostModel migration_cost;
-};
-
-/// Why a drain / split / merge request was rejected (kOk = it ran).
-enum class ReshapeStatus : uint8_t {
-  kOk,
-  kInvalidPartition,   // id out of range
-  kAlreadyDisabled,    // partition was drained / merged away before
-  kLastAlive,          // draining would leave no partition standing
-};
-
-/// Human-readable name of `status`.
-const char* ReshapeStatusName(ReshapeStatus status);
-
-/// Outcome of DrainPartition / MergePartition. Rejections are recoverable:
-/// the partitioner state is untouched and the caller can retry with a
-/// valid id (no asserts on bad input — a resharding controller must
-/// survive racing against worker deaths).
-struct DrainReport {
-  ReshapeStatus status = ReshapeStatus::kOk;
-  uint64_t moved_vertices = 0;
-  uint64_t migration_bytes = 0;  // MigrationCostModel applied to the moves
-
-  bool ok() const { return status == ReshapeStatus::kOk; }
-};
-
-/// Outcome of SplitPartition.
-struct SplitReport {
-  ReshapeStatus status = ReshapeStatus::kOk;
-  PartitionId new_partition = kInvalidPartition;
-  uint64_t moved_vertices = 0;
-  uint64_t migration_bytes = 0;
-
-  bool ok() const { return status == ReshapeStatus::kOk; }
 };
 
 /// Incremental edge-cut partitioning for evolving graphs — the
@@ -94,42 +48,7 @@ class DynamicPartitioner {
   /// Returns the number of migrations it triggered (0, 1 or 2).
   uint32_t AddEdge(VertexId u, VertexId v);
 
-  /// Recovery strategy for a permanent worker failure: marks `dead` as
-  /// lost, migrates every vertex it held to its neighbor-majority
-  /// surviving partition (least-loaded fallback), and excludes it from
-  /// all future placements. Bad input (out-of-range id, already-disabled
-  /// partition, last alive partition) is reported in the DrainReport
-  /// status instead of aborting, with the state untouched.
-  DrainReport DrainPartition(PartitionId dead);
-
-  /// Elastic scale-in: voluntarily retires partition `p` by draining its
-  /// vertices into their neighbor-majority siblings — identical mechanics
-  /// to DrainPartition, but the slot is given up on purpose (the
-  /// split-merge-partitioner's merge operation) rather than lost.
-  DrainReport MergePartition(PartitionId p) { return DrainPartition(p); }
-
-  /// Elastic scale-out: appends a fresh empty partition (id = old k) and
-  /// moves a locality-preserving half of `p`'s vertices into it, growing
-  /// BFS regions inside p's induced subgraph so split halves stay
-  /// connected where the graph allows. k() grows by one on success;
-  /// rejections leave the partitioner untouched.
-  SplitReport SplitPartition(PartitionId p);
-
-  /// Appends one empty partition to the placement space and returns its
-  /// id (the low-level half of SplitPartition, exposed for controllers
-  /// that plan their own move sets).
-  PartitionId AddPartition();
-
-  /// Partition `p` has been drained / merged away (out-of-range ids
-  /// report disabled — they are never usable).
-  bool IsDisabled(PartitionId p) const {
-    return p >= disabled_.size() || disabled_[p] != 0;
-  }
-
-  /// Partitions currently accepting placements.
-  PartitionId alive_k() const { return alive_k_; }
-
-  /// Current number of partition slots (grows with SplitPartition).
+  /// Number of partitions.
   PartitionId k() const { return options_.k; }
 
   /// Current partition of `v` (kInvalidPartition if never seen).
@@ -152,11 +71,6 @@ class DynamicPartitioner {
   /// Total migrations since construction/bootstrap.
   uint64_t total_migrations() const { return total_migrations_; }
 
-  /// Total wire volume of those migrations under the configured
-  /// MigrationCostModel — the same definition DrainPartition, split/merge
-  /// and RepairAfterWorkerLoss report.
-  uint64_t total_migration_bytes() const { return total_migration_bytes_; }
-
   /// Materializes a Partitioning of `graph` from the current assignment
   /// (graph must contain all fed vertices).
   Partitioning Snapshot(const Graph& graph) const;
@@ -167,59 +81,21 @@ class DynamicPartitioner {
   void ForgetNeighbor(VertexId v, PartitionId p);
   PartitionId PlaceNew(VertexId v);
   bool MaybeMigrate(VertexId v);
-  double Capacity(PartitionId p) const;
-  PartitionId LeastLoadedAlive() const;
-  /// Reassigns `v` to `to`, fixing loads and every neighbor's synopsis,
-  /// and returns the migration's wire bytes (also accumulated).
-  uint64_t MoveVertex(VertexId v, PartitionId to);
+  double Capacity() const;
+  PartitionId LeastLoaded() const;
+  /// Reassigns `v` to `to`, fixing loads and every neighbor's synopsis.
+  void MoveVertex(VertexId v, PartitionId to);
 
   DynamicOptions options_;
   std::vector<PartitionId> assignment_;
-  PartitionState state_;         // per-partition vertex loads
-  std::vector<char> disabled_;   // permanently failed partitions
-  PartitionId alive_k_;          // partitions still accepting vertices
+  PartitionState state_;  // per-partition vertex loads
   // Neighbor-partition counts per vertex (tiny sorted-by-insertion vecs).
   std::vector<std::vector<std::pair<PartitionId, uint32_t>>> neighbor_counts_;
   // Adjacency retained so migrations can update neighbors' synopses.
   std::vector<std::vector<VertexId>> adjacency_;
   uint64_t placed_vertices_ = 0;
   uint64_t total_migrations_ = 0;
-  uint64_t total_migration_bytes_ = 0;
 };
-
-/// Outcome of repairing a placement after a permanent worker failure. The
-/// repaired partitioning assigns nothing — neither masters nor edges — to
-/// the dead worker.
-struct FailoverRepair {
-  Partitioning partitioning;
-
-  /// Vertices whose master partition changed.
-  uint64_t moved_masters = 0;
-
-  /// Edges whose assigned partition changed (their adjacency entries must
-  /// be rebuilt at the new location).
-  uint64_t moved_edges = 0;
-
-  /// Vertices whose record had to be copied to a partition that held no
-  /// replica before the failure. For vertex-cut placements most masters
-  /// are promoted from surviving replicas instead — the replication
-  /// factor buying cheap recovery.
-  uint64_t copied_vertices = 0;
-
-  /// Total migration traffic implied by the two counters above.
-  uint64_t migration_bytes = 0;
-};
-
-/// Repairs `p` after worker `dead` permanently fails. Edge-cut placements
-/// are drained through a DynamicPartitioner (neighbor-majority migration
-/// under the balance slack); vertex-cut / hybrid placements promote each
-/// orphaned master to its surviving replica with the most local edges and
-/// move the dead worker's edges with their source master. Deterministic;
-/// migration volume is diffed against the pre-failure placement.
-FailoverRepair RepairAfterWorkerLoss(const Graph& graph,
-                                     const Partitioning& p, PartitionId dead,
-                                     const DynamicOptions& options,
-                                     const MigrationCostModel& cost = {});
 
 }  // namespace sgp
 

@@ -105,17 +105,6 @@ void PartitionState::InitReplicas(VertexId num_vertices) {
   replicas_enabled_ = true;
 }
 
-PartitionId PartitionState::AddPartition() {
-  SGP_CHECK(!heterogeneous_);
-  SGP_CHECK(capacity_.empty() && effective_.empty() && secondary_.empty());
-  SGP_CHECK(!replicas_enabled_);
-  const PartitionId fresh = k_;
-  ++k_;
-  weights_.push_back(1.0);
-  loads_.push_back(0);
-  return fresh;
-}
-
 void PartitionState::EnsureVertex(VertexId v) {
   if (degree_enabled_ && v >= degree_.size()) {
     degree_.resize(static_cast<size_t>(v) + 1, 0);

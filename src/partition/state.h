@@ -111,19 +111,6 @@ class PartitionState {
   }
 
   // ---------------------------------------------------------------------
-  // Elastic resharding: growing k at runtime.
-  // ---------------------------------------------------------------------
-
-  /// Appends one empty partition (weight 1.0) and returns its id — the
-  /// split path of the elastic resharder. Only supported on homogeneous
-  /// states whose derived per-partition tables (capacities, effective
-  /// loads, secondary loads) are uninitialized; growing those would
-  /// silently change every other partition's normalized weight. Replica
-  /// sets must be disabled too: their bit rows are k bits wide, and a bit
-  /// past the width would land in the next vertex's row.
-  PartitionId AddPartition();
-
-  // ---------------------------------------------------------------------
   // Synopsis accounting: Partitioning::state_bytes is computed one way
   // for every algorithm — the bytes of every live component plus whatever
   // auxiliary state the algorithm registered (assignment arrays,

@@ -119,65 +119,6 @@ TEST(DynamicPartitionerTest, GrowsVertexSpaceOnDemand) {
   EXPECT_EQ(dp.PartitionOf(500), kInvalidPartition);
 }
 
-TEST(DynamicPartitionerTest, SplitPartitionMovesHalfToFreshPartition) {
-  Graph g = MakeDataset("ldbc", 9);
-  PartitionConfig pcfg;
-  pcfg.k = 4;
-  DynamicOptions opts;
-  opts.k = 4;
-  DynamicPartitioner dp(opts);
-  dp.Bootstrap(g, CreatePartitioner("LDG")->Run(g, pcfg));
-  const uint64_t before = dp.partition_sizes()[2];
-  ASSERT_GT(before, 1u);
-  SplitReport report = dp.SplitPartition(2);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.new_partition, 4u);
-  EXPECT_EQ(report.moved_vertices, before / 2);
-  EXPECT_GT(report.migration_bytes, 0u);
-  EXPECT_EQ(report.migration_bytes, dp.total_migration_bytes());
-  EXPECT_EQ(dp.k(), 5u);
-  EXPECT_EQ(dp.alive_k(), 5u);
-  EXPECT_EQ(dp.partition_sizes()[4], before / 2);
-  EXPECT_EQ(dp.partition_sizes()[2], before - before / 2);
-  // The snapshot stays a valid partitioning over the grown id space.
-  ValidatePartitioning(g, dp.Snapshot(g));
-}
-
-TEST(DynamicPartitionerTest, SplitGuardsMatchDrainGuards) {
-  Graph g = MakeDataset("ldbc", 9);
-  PartitionConfig pcfg;
-  pcfg.k = 4;
-  DynamicOptions opts;
-  opts.k = 4;
-  DynamicPartitioner dp(opts);
-  dp.Bootstrap(g, CreatePartitioner("LDG")->Run(g, pcfg));
-  EXPECT_EQ(dp.SplitPartition(7).status, ReshapeStatus::kInvalidPartition);
-  ASSERT_TRUE(dp.MergePartition(1).ok());
-  EXPECT_EQ(dp.SplitPartition(1).status, ReshapeStatus::kAlreadyDisabled);
-  EXPECT_EQ(dp.k(), 4u);  // failed reshapes never allocate partitions
-}
-
-TEST(DynamicPartitionerTest, MergeThenSplitRoundTripKeepsAllVertices) {
-  Graph g = MakeDataset("ldbc", 9);
-  PartitionConfig pcfg;
-  pcfg.k = 4;
-  DynamicOptions opts;
-  opts.k = 4;
-  DynamicPartitioner dp(opts);
-  dp.Bootstrap(g, CreatePartitioner("LDG")->Run(g, pcfg));
-  DrainReport merged = dp.MergePartition(3);
-  ASSERT_TRUE(merged.ok());
-  SplitReport split = dp.SplitPartition(0);
-  ASSERT_TRUE(split.ok());
-  // Migration bytes accumulate across reshapes under one cost model.
-  EXPECT_EQ(dp.total_migration_bytes(),
-            merged.migration_bytes + split.migration_bytes);
-  uint64_t total = 0;
-  for (uint64_t s : dp.partition_sizes()) total += s;
-  EXPECT_EQ(total, g.num_vertices());
-  EXPECT_EQ(dp.partition_sizes()[3], 0u);
-}
-
 TEST(EdgeStreamGreedyTest, ValidAndBalanced) {
   Graph g = MakeDataset("ldbc", 10);
   PartitionConfig cfg;

@@ -152,20 +152,6 @@ TEST(EdgeCaseDeathTest, DatasetRejectsUnknownName) {
   EXPECT_DEATH(MakeDataset("nope", 10), "SGP_CHECK");
 }
 
-// Replica rows are k bits wide: at k = 64 (one word, stride 1) a replica
-// on a 65th partition would set a bit of the next vertex's row, so growing
-// k is refused once replica sets exist. Without them it still works.
-TEST(EdgeCaseDeathTest, AddPartitionRejectsEnabledReplicaSets) {
-  PartitionConfig cfg;
-  cfg.k = 64;
-  PartitionState plain(cfg);
-  EXPECT_EQ(plain.AddPartition(), 64u);
-  EXPECT_EQ(plain.k(), 65u);
-  PartitionState state(cfg);
-  state.InitReplicas(2);
-  EXPECT_DEATH(state.AddPartition(), "SGP_CHECK");
-}
-
 TEST(EdgeCaseTest, MetricsOnSelfContainedPartition) {
   // All vertices and edges on one partition of many.
   Graph g = testing::MakeCycle(6);

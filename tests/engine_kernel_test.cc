@@ -1,7 +1,7 @@
 // Kernel-equivalence suite: the compile-time-specialized superstep kernels
 // (engine/kernel.h) must produce byte-identical EngineStats to the generic
-// virtual-dispatch path for every program, graph kind, worker-speed
-// profile, and fault configuration. GenericProgramView pins a program to
+// virtual-dispatch path for every program, graph kind, partitioner and
+// worker-speed profile. GenericProgramView pins a program to
 // the generic path, so the same AnalyticsEngine instance runs both kernels
 // on the same distributed graph.
 #include <bit>
@@ -53,11 +53,6 @@ void ExpectStatsByteIdentical(const EngineStats& s, const EngineStats& g) {
   EXPECT_EQ(s.active_per_iteration, g.active_per_iteration);
   EXPECT_EQ(s.messages_per_iteration, g.messages_per_iteration);
   ExpectBitsEqual(s.values, g.values, "values");
-  EXPECT_EQ(s.checkpoints, g.checkpoints);
-  EXPECT_EQ(s.crashes_recovered, g.crashes_recovered);
-  EXPECT_EQ(s.replayed_supersteps, g.replayed_supersteps);
-  EXPECT_PRED_FORMAT2(BitsEqual, s.checkpoint_seconds, g.checkpoint_seconds);
-  EXPECT_PRED_FORMAT2(BitsEqual, s.recovery_seconds, g.recovery_seconds);
 }
 
 std::unique_ptr<VertexProgram> MakeProgram(const std::string& name,
@@ -69,13 +64,13 @@ std::unique_ptr<VertexProgram> MakeProgram(const std::string& name,
   return std::make_unique<SsspProgram>(source);
 }
 
-// program × dataset × partitioner × heterogeneous-speeds × faults.
-using EquivParam = std::tuple<std::string, std::string, std::string, bool, bool>;
+// program × dataset × partitioner × heterogeneous-speeds.
+using EquivParam = std::tuple<std::string, std::string, std::string, bool>;
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
 
 TEST_P(KernelEquivalenceTest, SpecializedMatchesGenericByteForByte) {
-  const auto& [prog_name, dataset, algo, hetero, with_faults] = GetParam();
+  const auto& [prog_name, dataset, algo, hetero] = GetParam();
   Graph g = MakeDataset(dataset, 8);
   PartitionConfig cfg;
   cfg.k = 8;
@@ -87,18 +82,13 @@ TEST_P(KernelEquivalenceTest, SpecializedMatchesGenericByteForByte) {
     // evenly, so precomputed per-replica divisions face awkward rounding.
     cost.worker_speeds = {1.0, 2.0, 0.5, 3.0, 1.0, 0.7, 1.3, 2.0};
   }
-  EngineFaultConfig faults;
-  if (with_faults) {
-    faults.checkpoint_interval = 3;
-    faults.crashes = {{1, 2}, {0, 5}};
-  }
 
   AnalyticsEngine engine(g, p, cost);
   auto program = MakeProgram(prog_name, g);
   GenericProgramView generic(*program);
 
-  EngineStats specialized = engine.Run(*program, faults);
-  EngineStats fallback = engine.Run(generic, faults);
+  EngineStats specialized = engine.Run(*program);
+  EngineStats fallback = engine.Run(generic);
   ExpectStatsByteIdentical(specialized, fallback);
 }
 
@@ -107,12 +97,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("PageRank", "WCC", "SSSP"),
                        ::testing::Values("twitter", "usaroad"),
                        ::testing::Values("HDRF", "LDG"),
-                       ::testing::Bool(), ::testing::Bool()),
+                       ::testing::Bool()),
     [](const auto& info) {
       return std::get<0>(info.param) + "_" + std::get<1>(info.param) + "_" +
              std::get<2>(info.param) +
-             (std::get<3>(info.param) ? "_hetero" : "_uniform") +
-             (std::get<4>(info.param) ? "_faults" : "_nofaults");
+             (std::get<3>(info.param) ? "_hetero" : "_uniform");
     });
 
 // Sender-side aggregation off (Bourse et al. comparison mode): per-edge

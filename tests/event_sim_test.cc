@@ -125,7 +125,6 @@ TEST(EventSimTest, ZeroClientsYieldEmptyResult) {
   ASSERT_EQ(r.reads_per_worker.size(), 4u);
   for (double reads : r.reads_per_worker) EXPECT_EQ(reads, 0.0);
   EXPECT_TRUE(r.Traces().empty());
-  EXPECT_DOUBLE_EQ(r.availability.availability, 1.0);
 }
 
 TEST(EventSimTest, ZeroQueriesYieldEmptyResult) {
