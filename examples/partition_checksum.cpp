@@ -1,6 +1,7 @@
 // Deterministic partitioning fingerprints: one FNV-1a line per
 // (algorithm, dataset, k, seed, order, capacity profile) cell, plus the
-// parallel-ingest driver at several worker counts. Two builds of this
+// parallel-ingest driver at several worker counts and HDRF, 2PS and HEP
+// at the non-default balance weights λ = 0 and λ = 4. Two builds of this
 // repository must print byte-identical output — scripts/check.sh diffs a
 // portable build against a -march=native one (and the PR workflow diffs
 // refactors against the previous HEAD) to prove every scoring change is
@@ -112,6 +113,39 @@ int main(int argc, char** argv) {
           std::printf("%s PAR-%s w=%u k=%u %016" PRIx64 "\n", dataset.c_str(),
                       std::string(ParallelAlgoName(algo)).c_str(), workers, k,
                       Fingerprint(r.partitioning));
+        }
+      }
+    }
+  }
+  // Non-default HDRF λ for the codes that score with the balance term.
+  // At λ = 0 every balance term is 0, so each pick is decided by the
+  // g-term and the tie rule (lighter load, then lower id) alone.
+  for (const std::string& dataset : datasets) {
+    const Graph g = MakeDataset(dataset, scale);
+    for (const char* algo : {"HDRF", "2PS", "HEP"}) {
+      for (PartitionId k : {3u, 32u, 257u}) {
+        for (double lambda : {0.0, 4.0}) {
+          for (StreamOrder order : orders) {
+            for (bool hetero : {false, true}) {
+              PartitionConfig cfg;
+              cfg.k = k;
+              cfg.seed = 42;
+              cfg.order = order;
+              cfg.hdrf_lambda = lambda;
+              if (hetero) {
+                cfg.capacity_weights.resize(k);
+                for (PartitionId i = 0; i < k; ++i) {
+                  cfg.capacity_weights[i] = 1.0 + 0.5 * (i % 4);
+                }
+              }
+              Partitioning p = CreatePartitioner(algo)->Run(g, cfg);
+              std::printf("%s %s k=%u seed=42 %s %s lambda=%g %016" PRIx64
+                          "\n",
+                          dataset.c_str(), algo, k, OrderName(order),
+                          hetero ? "hetero" : "plain", lambda,
+                          Fingerprint(p));
+            }
+          }
         }
       }
     }

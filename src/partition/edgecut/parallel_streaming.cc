@@ -15,34 +15,29 @@ namespace sgp {
 namespace {
 
 // Worker-interval scratch of the sharded scorers: the combined
-// (published + own delta) loads materialized as flat arrays at the start
-// of each worker's interval and updated incrementally per placement.
-// Only the owning worker mutates state between barriers, so the scratch
-// stays exactly equal to CombinedLoad and its effective load — same
-// integers, same division — for the whole interval.
+// (published + own delta) loads materialized as a flat array at the start
+// of each worker's interval and updated incrementally per placement, plus
+// (HDRF) the balance row over them, rebuilt at each interval start and
+// grown per placement exactly as the sequential state's. Only the owning
+// worker mutates state between barriers, so the scratch stays exactly
+// equal to CombinedLoad and the row to one computed from it — same
+// integers, same operations — for the whole interval.
 struct CombinedLoadScratch {
   std::vector<uint64_t> loads;
-  std::vector<double> effective;
+  BalanceRow balance;
 
-  void Fill(const ShardedPartitionState& shard, uint32_t w, bool eff) {
+  explicit CombinedLoadScratch(double lambda) : balance(lambda) {}
+
+  void Fill(const ShardedPartitionState& shard, uint32_t w, bool hdrf) {
     const PartitionId k = shard.global().k();
     loads.resize(k);
-    if (eff) effective.resize(k);
-    for (PartitionId p = 0; p < k; ++p) {
-      loads[p] = shard.CombinedLoad(w, p);
-      if (eff) {
-        effective[p] = static_cast<double>(loads[p]) /
-                       shard.global().weights()[p];
-      }
-    }
+    for (PartitionId p = 0; p < k; ++p) loads[p] = shard.CombinedLoad(w, p);
+    if (hdrf) balance.Reset(k, loads.data(), shard.global().weights().data());
   }
 
-  void AddLoad(const ShardedPartitionState& shard, PartitionId p, bool eff) {
+  void AddLoad(const ShardedPartitionState& shard, PartitionId p, bool hdrf) {
     ++loads[p];
-    if (eff) {
-      effective[p] = static_cast<double>(loads[p]) /
-                     shard.global().weights()[p];
-    }
+    if (hdrf) balance.Grow(p, loads[p], shard.global().weights()[p]);
   }
 };
 
@@ -101,7 +96,7 @@ ParallelStreamResult RunParallelVertexStream(
   std::vector<uint32_t> neighbor_counts(k, 0);
   std::vector<PartitionId> touched;
   std::vector<size_t> cursor(s, 0);
-  CombinedLoadScratch comb;
+  CombinedLoadScratch comb(config.hdrf_lambda);
 
   bool work_left = true;
   while (work_left) {
@@ -113,7 +108,7 @@ ParallelStreamResult RunParallelVertexStream(
         return scratch_view[v] != kInvalidPartition ? scratch_view[v]
                                                     : published[v];
       };
-      comb.Fill(shard, w, /*eff=*/false);
+      comb.Fill(shard, w, /*hdrf=*/false);
       core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
@@ -130,7 +125,7 @@ ParallelStreamResult RunParallelVertexStream(
         deltas[w].emplace_back(u, best);
         scratch_view[u] = best;
         shard.AddWorkerLoad(w, best);
-        comb.AddLoad(shard, best, /*eff=*/false);
+        comb.AddLoad(shard, best, /*hdrf=*/false);
         for (PartitionId p : touched) neighbor_counts[p] = 0;
         touched.clear();
       }
@@ -168,13 +163,13 @@ ParallelStreamResult RunParallelVertexStream(
 // ---------------------------------------------------------------------
 
 // One HDRF placement against worker w's combined view: the combined
-// loads come from the interval scratch and replica membership from the bit
-// rows (published row OR delta row), scored by the shared ScoreCore pick.
-// Effective loads are recomputed from the combined integer loads, which
-// yields the same doubles the sequential incremental update maintains.
+// loads and balance row come from the interval scratch and replica
+// membership from the bit rows (published row OR delta row), scored by
+// the shared ScoreCore pick. With one worker the row equals the
+// sequential state's, so the result is the sequential algorithm's.
 PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
                              CombinedLoadScratch& comb, ScoreCore& core,
-                             VertexId u, VertexId v, double lambda) {
+                             VertexId u, VertexId v) {
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
   const double du = shard.CombinedDegree(w, u);
@@ -185,11 +180,10 @@ PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
                                    shard.DeltaReplicaRow(w, u)};
   const score::MembershipRow row_v{shard.GlobalReplicaRow(v),
                                    shard.DeltaReplicaRow(w, v)};
-  const PartitionId best =
-      core.PickHdrf(comb.effective.data(), comb.loads.data(), row_u, row_v,
-                    theta_u, theta_v, lambda);
+  const PartitionId best = core.PickHdrf(
+      comb.balance.row(), comb.loads.data(), row_u, row_v, theta_u, theta_v);
   shard.AddWorkerLoad(w, best);
-  comb.AddLoad(shard, best, /*eff=*/true);
+  comb.AddLoad(shard, best, /*hdrf=*/true);
   if (!row_u.Test(best)) shard.AddWorkerReplica(w, u, best);
   if (!row_v.Test(best)) shard.AddWorkerReplica(w, v, best);
   return best;
@@ -242,7 +236,7 @@ PartitionId PlacePggSharded(ShardedPartitionState& shard, uint32_t w,
   }
 
   shard.AddWorkerLoad(w, target);
-  comb.AddLoad(shard, target, /*eff=*/false);
+  comb.AddLoad(shard, target, /*hdrf=*/false);
   // Placed degrees update after the decision, as in the sequential code.
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
@@ -280,7 +274,7 @@ ParallelStreamResult RunParallelEdgeStream(
 
   const bool is_hdrf = algo == ParallelAlgo::kHdrf;
   ScoreCore core(shard.global());
-  CombinedLoadScratch comb;
+  CombinedLoadScratch comb(config.hdrf_lambda);
   std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
   std::vector<size_t> cursor(s, 0);
   std::vector<uint64_t> round_placed(s, 0);
@@ -289,7 +283,7 @@ ParallelStreamResult RunParallelEdgeStream(
   while (work_left) {
     work_left = false;
     for (uint32_t w = 0; w < s; ++w) {
-      comb.Fill(shard, w, /*eff=*/is_hdrf);
+      comb.Fill(shard, w, is_hdrf);
       core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
@@ -297,8 +291,7 @@ ParallelStreamResult RunParallelEdgeStream(
       for (size_t i = cursor[w]; i < end; ++i) {
         const StreamEdge& e = substreams[w][i];
         const PartitionId target =
-            is_hdrf ? PlaceHdrfSharded(shard, w, comb, core, e.src, e.dst,
-                                       config.hdrf_lambda)
+            is_hdrf ? PlaceHdrfSharded(shard, w, comb, core, e.src, e.dst)
                     : PlacePggSharded(shard, w, comb, graph, e.src, e.dst,
                                       inter_words, core.stats());
         result.partitioning.edge_to_partition[e.id] = target;

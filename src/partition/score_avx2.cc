@@ -5,19 +5,22 @@
 // arithmetic op below maps 1:1 onto an IEEE-exact instruction in the
 // exact order of the batched kernels, which is what makes the selections
 // bit-identical:
-//   - membership bit → {0.0, 1.0} multiply becomes an AND against a
-//     cmpeq-derived all-ones mask (x & ~0 == x, x & 0 == +0.0 == 0.0·x
-//     for the strictly positive gains),
+//   - membership bit → {0.0, 1.0} multiply becomes an AND against an
+//     all-ones mask (x & ~0 == x, x & 0 == +0.0 == 0.0·x for the strictly
+//     positive gains), from cmpeq for the greedy kernels and from a
+//     16-entry nibble table for HDRF,
 //   - u64 loads become doubles via the 2^52 magic-number trick, exact for
 //     values < 2^52 (partition loads are element counts),
 //   - neighbor counts ride signed i32→double lanes, exact below 2^31,
 //   - vdivpd / vsqrtpd are correctly rounded per element.
-// The argmax runs lane-wise with the incumbent-keeping rule (indices
-// ascend within a lane, so full ties keep the lower id), then the four
-// lane winners and the scalar tail merge through the full lexicographic
-// rule (score desc, load asc, index asc) — a plain lane-order reduction
-// would mis-rank equal (score, load) pairs whose indices interleave
-// across lanes.
+// The greedy and Ginger argmaxes run lane-wise with the incumbent-keeping
+// rule (indices ascend within a lane, so full ties keep the lower id),
+// then the four lane winners and the scalar tail merge through the full
+// lexicographic rule (score desc, load asc, index asc) — a plain
+// lane-order reduction would mis-rank equal (score, load) pairs whose
+// indices interleave across lanes. The HDRF argmax takes two passes
+// instead: the max score, then the tie rule over the candidates equal to
+// it in ascending id order, which needs no cross-lane merge.
 //
 // This unit calls none of the inline helpers of score_core.h: any
 // COMDAT-inline function it emitted with AVX2 flags could be picked by
@@ -54,6 +57,24 @@ struct LexBest {
     }
   }
 };
+
+// Lane masks of a 4-bit membership nibble: lane l is all-ones when bit l
+// of the nibble is set, else zero.
+struct NibbleLaneTable {
+  alignas(32) uint64_t lanes[16][4];
+};
+
+constexpr NibbleLaneTable MakeNibbleLaneTable() {
+  NibbleLaneTable t{};
+  for (unsigned n = 0; n < 16; ++n) {
+    for (unsigned l = 0; l < 4; ++l) {
+      t.lanes[n][l] = ((n >> l) & 1u) != 0 ? ~uint64_t{0} : 0;
+    }
+  }
+  return t;
+}
+
+constexpr NibbleLaneTable kNibbleLanes = MakeNibbleLaneTable();
 
 // Keep in sync with MembershipRow::Word (score_core.h).
 inline uint64_t RowWord(const MembershipRow& row, uint64_t w) {
@@ -94,11 +115,10 @@ inline double GreedyScoreTail(const GreedyObjective& obj, uint32_t count,
 
 bool Available() { return __builtin_cpu_supports("avx2"); }
 
-PartitionId HdrfPick(PartitionId k, const double* effective,
+PartitionId HdrfPick(PartitionId k, const double* balance,
                      const uint64_t* loads, MembershipRow u_row,
                      MembershipRow v_row, double theta_u, double theta_v,
-                     double lambda, double max_load, double spread,
-                     uint64_t* bitset_hits) {
+                     double* scores, uint64_t* bitset_hits) {
   const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
   const double gain_v = 1.0 + theta_u;
   // Bitset-hit audit, identical to the HdrfPickBatched popcount loop so
@@ -116,85 +136,76 @@ PartitionId HdrfPick(PartitionId k, const double* effective,
   }
   *bitset_hits += hits;
 
+  // Pass 1: every score into `scores`, and their max, seeded from −∞.
+  // A 4-aligned group of candidates shares one membership word per
+  // endpoint: g = bu·gain_u + bv·gain_v with bu, bv ∈ {0.0, 1.0} (the AND
+  // against the nibble's lane masks reproduces the multiply bit for bit),
+  // then g + b[i]. Scores are never NaN, so vmaxpd is an exact max.
   const __m256d v_gain_u = _mm256_set1_pd(gain_u);
   const __m256d v_gain_v = _mm256_set1_pd(gain_v);
-  const __m256d v_lambda = _mm256_set1_pd(lambda);
-  const __m256d v_max = _mm256_set1_pd(max_load);
-  const __m256d v_spread = _mm256_set1_pd(spread);
-  const __m256i v_one = _mm256_set1_epi64x(1);
-  const __m256i v_four = _mm256_set1_epi64x(4);
-  const __m256i lane_off = _mm256_setr_epi64x(0, 1, 2, 3);
-
-  __m256d best_sc = _mm256_set1_pd(kNegInf);
-  __m256i best_ld = _mm256_setzero_si256();
-  __m256i best_ix = _mm256_setzero_si256();
-  __m256i cur_ix = lane_off;
-
   const PartitionId vec_end = k & ~PartitionId{3};
-  PartitionId i = 0;
-  for (; i < vec_end; i += 4) {
-    // The group is 4-aligned, so all four candidates read the same
-    // 64-bit membership word.
-    const uint64_t wu = RowWord(u_row, i >> 6);
-    const uint64_t wv = RowWord(v_row, i >> 6);
-    const __m256i shift = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(i & 63)), lane_off);
-    const __m256i bits_u = _mm256_and_si256(
-        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(wu)),
-                          shift),
-        v_one);
-    const __m256i bits_v = _mm256_and_si256(
-        _mm256_srlv_epi64(_mm256_set1_epi64x(static_cast<long long>(wv)),
-                          shift),
-        v_one);
-    const __m256d mu = _mm256_castsi256_pd(_mm256_cmpeq_epi64(bits_u, v_one));
-    const __m256d mv = _mm256_castsi256_pd(_mm256_cmpeq_epi64(bits_v, v_one));
-    // bu·gain_u + bv·gain_v with bu, bv ∈ {0.0, 1.0} — the AND against the
-    // all-ones/all-zero masks reproduces the multiply bit-for-bit.
-    const __m256d g = _mm256_add_pd(_mm256_and_pd(mu, v_gain_u),
-                                    _mm256_and_pd(mv, v_gain_v));
-    const __m256d eff = _mm256_loadu_pd(effective + i);
-    // g + λ(max − eff)/spread in the scalar association order.
-    const __m256d sc = _mm256_add_pd(
-        g, _mm256_div_pd(_mm256_mul_pd(v_lambda, _mm256_sub_pd(v_max, eff)),
-                         v_spread));
-    const __m256i ld = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(loads + i));
-    const __m256d gt = _mm256_cmp_pd(sc, best_sc, _CMP_GT_OQ);
-    const __m256d eq = _mm256_cmp_pd(sc, best_sc, _CMP_EQ_OQ);
-    // Loads are element counts < 2^63, so the signed compare is safe.
-    const __m256d lighter =
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(best_ld, ld));
-    const __m256d take = _mm256_or_pd(gt, _mm256_and_pd(eq, lighter));
-    best_sc = BlendPd(best_sc, sc, take);
-    best_ld = BlendI64(best_ld, ld, take);
-    best_ix = BlendI64(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, v_four);
-  }
-
-  LexBest<uint64_t> best;
-  if (vec_end > 0) {
-    alignas(32) double lane_sc[4];
-    alignas(32) uint64_t lane_ld[4];
-    alignas(32) uint64_t lane_ix[4];
-    _mm256_store_pd(lane_sc, best_sc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ld), best_ld);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-    for (int l = 0; l < 4; ++l) {
-      best.Merge(lane_sc[l], lane_ld[l],
-               static_cast<PartitionId>(lane_ix[l]));
+  __m256d max4 = _mm256_set1_pd(kNegInf);
+  for (PartitionId blk = 0; blk < vec_end; blk += 64) {
+    uint64_t wu = RowWord(u_row, blk >> 6);
+    uint64_t wv = RowWord(v_row, blk >> 6);
+    const PartitionId lim = vec_end < blk + 64 ? vec_end : blk + 64;
+    for (PartitionId i = blk; i < lim; i += 4, wu >>= 4, wv >>= 4) {
+      const __m256d mu = _mm256_castsi256_pd(_mm256_load_si256(
+          reinterpret_cast<const __m256i*>(kNibbleLanes.lanes[wu & 15])));
+      const __m256d mv = _mm256_castsi256_pd(_mm256_load_si256(
+          reinterpret_cast<const __m256i*>(kNibbleLanes.lanes[wv & 15])));
+      const __m256d g = _mm256_add_pd(_mm256_and_pd(mu, v_gain_u),
+                                      _mm256_and_pd(mv, v_gain_v));
+      const __m256d sc = _mm256_add_pd(g, _mm256_loadu_pd(balance + i));
+      _mm256_storeu_pd(scores + i, sc);
+      max4 = _mm256_max_pd(max4, sc);
     }
   }
-  for (; i < k; ++i) {
+  __m128d max2 = _mm_max_pd(_mm256_castpd256_pd128(max4),
+                            _mm256_extractf128_pd(max4, 1));
+  max2 = _mm_max_sd(max2, _mm_unpackhi_pd(max2, max2));
+  double best_score = _mm_cvtsd_f64(max2);
+  for (PartitionId i = vec_end; i < k; ++i) {
+    // Keep in sync with HdrfPickBatched's per-candidate score.
     const uint64_t wu = RowWord(u_row, i >> 6);
     const uint64_t wv = RowWord(v_row, i >> 6);
     const double bu = static_cast<double>((wu >> (i & 63)) & 1u);
     const double bv = static_cast<double>((wv >> (i & 63)) & 1u);
     const double g = bu * gain_u + bv * gain_v;
-    const double sc = g + lambda * (max_load - effective[i]) / spread;
-    best.Merge(sc, loads[i], i);
+    scores[i] = g + balance[i];
+    if (scores[i] > best_score) best_score = scores[i];
   }
-  return best.index;
+
+  // Pass 2: the canonical tie rule over the candidates scoring exactly
+  // best_score — lighter load, then lower id. They are visited in
+  // ascending id order, so a strict compare keeps the lower id.
+  PartitionId best = kInvalidPartition;
+  uint64_t best_load = 0;
+  auto consider = [&](PartitionId i) {
+    if (best == kInvalidPartition || loads[i] < best_load) {
+      best = i;
+      best_load = loads[i];
+    }
+  };
+  // Per 64-candidate block, the lanes equal to best_score are gathered
+  // into one bit mask first, so the scan takes no branch per group.
+  const __m256d v_best = _mm256_set1_pd(best_score);
+  for (PartitionId blk = 0; blk < vec_end; blk += 64) {
+    const PartitionId lim = vec_end < blk + 64 ? vec_end : blk + 64;
+    uint64_t eq = 0;
+    for (PartitionId i = blk; i < lim; i += 4) {
+      const int lanes = _mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_loadu_pd(scores + i), v_best, _CMP_EQ_OQ));
+      eq |= static_cast<uint64_t>(lanes) << (i - blk);
+    }
+    for (; eq != 0; eq &= eq - 1) {
+      consider(blk + static_cast<PartitionId>(__builtin_ctzll(eq)));
+    }
+  }
+  for (PartitionId i = vec_end; i < k; ++i) {
+    if (scores[i] == best_score) consider(i);
+  }
+  return best;
 }
 
 PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
@@ -340,8 +351,8 @@ namespace sgp::score::avx2 {
 bool Available() { return false; }
 
 PartitionId HdrfPick(PartitionId, const double*, const uint64_t*,
-                     MembershipRow, MembershipRow, double, double, double,
-                     double, double, uint64_t*) {
+                     MembershipRow, MembershipRow, double, double, double*,
+                     uint64_t*) {
   SGP_CHECK(false);
   return kInvalidPartition;
 }

@@ -22,8 +22,8 @@ namespace sgp {
 /// (Equation 8) and the edge-stream greedy family — instead of each
 /// algorithm hand-rolling its own copy over `partition/state`.
 ///
-/// Layering: PartitionState (flat SoA synopsis: loads, effective loads,
-/// capacities, degrees, replica sets) → ScoreCore (candidate scoring +
+/// Layering: PartitionState (flat SoA synopsis: loads, the HDRF balance
+/// row, capacities, degrees, replica sets) → ScoreCore (candidate scoring +
 /// argmax with the canonical tie-break: equal score → lighter load →
 /// lower id) → partitioner (stream order, gather, placement recording).
 ///
@@ -66,30 +66,16 @@ struct MembershipRow {
   bool Test(PartitionId p) const { return (Word(p >> 6) >> (p & 63)) & 1u; }
 };
 
-/// Max effective load and the normalized HDRF spread 1 + (max − min)
-/// (ε = 1), in the one accumulation order every HDRF kernel shares.
-inline void EffectiveSpread(const double* effective, PartitionId k,
-                            double* max_out, double* spread_out) {
-  double max_load = 0;
-  double min_load = effective[0];
-  for (PartitionId i = 0; i < k; ++i) {
-    max_load = std::max(max_load, effective[i]);
-    min_load = std::min(min_load, effective[i]);
-  }
-  *max_out = max_load;
-  *spread_out = 1.0 + (max_load - min_load);
-}
-
 /// Batched HDRF candidate evaluation: one membership word per endpoint
-/// per 64-candidate block, branch-free g-term, argmax with the canonical
-/// tie-break. The g accumulation order (u-term then v-term) matches the
-/// per-candidate probe loop of the oracle, so scores are bit-identical.
-inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
+/// per 64-candidate block, branch-free g-term plus the memoised balance
+/// term `balance[i]` (BalanceRow, partition/state.h), argmax with the
+/// canonical tie-break. The g accumulation order (u-term then v-term) and
+/// the final g + b[i] match the per-candidate probe loop of the oracle,
+/// so scores are bit-identical.
+inline PartitionId HdrfPickBatched(PartitionId k, const double* balance,
                                    const uint64_t* loads, MembershipRow u_row,
                                    MembershipRow v_row, double theta_u,
-                                   double theta_v, double lambda,
-                                   double max_load, double spread,
-                                   uint64_t* bitset_hits) {
+                                   double theta_v, uint64_t* bitset_hits) {
   const double gain_u = 1.0 + theta_v;  // g of replicating endpoint u
   const double gain_v = 1.0 + theta_u;
   PartitionId best = 0;
@@ -108,7 +94,7 @@ inline PartitionId HdrfPickBatched(PartitionId k, const double* effective,
       const double bu = static_cast<double>((wu >> (i - blk)) & 1u);
       const double bv = static_cast<double>((wv >> (i - blk)) & 1u);
       const double g = bu * gain_u + bv * gain_v;
-      const double sc = g + lambda * (max_load - effective[i]) / spread;
+      const double sc = g + balance[i];
       if (sc > best_score) {
         best_score = sc;
         best = i;
@@ -296,19 +282,21 @@ inline void IntersectRows(PartitionId k, MembershipRow a, MembershipRow b,
 // selection as its batched kernel above — and HdrfPick the same bitset
 // hits — because every floating-point operation keeps the batched
 // kernel's order (the unit is built with -mavx2 only plus
-// -ffp-contract=off) and the lane-wise argmax merges through the full
-// canonical rule. Preconditions (hold for every caller): partition loads
-// < 2^52 and neighbor counts < 2^31. On hosts or toolchains without AVX2,
-// Available() is false and ScoreCore never calls the kernels.
+// -ffp-contract=off) and every argmax applies the full canonical rule.
+// Preconditions (hold for every caller): partition loads < 2^52,
+// neighbor counts < 2^31, and no NaN balance term (BalanceRow rejects a
+// NaN λ). On hosts or toolchains without AVX2, Available() is false and
+// ScoreCore never calls the kernels.
 namespace avx2 {
 
 bool Available();
 
-PartitionId HdrfPick(PartitionId k, const double* effective,
+/// Two passes over `scores` (k doubles of scratch): every score and their
+/// max, then the tie rule over the candidates equal to it.
+PartitionId HdrfPick(PartitionId k, const double* balance,
                      const uint64_t* loads, MembershipRow u_row,
                      MembershipRow v_row, double theta_u, double theta_v,
-                     double lambda, double max_load, double spread,
-                     uint64_t* bitset_hits);
+                     double* scores, uint64_t* bitset_hits);
 
 /// LDG or sqrt-form FENNEL only (pow-form FENNEL stays batched).
 PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
@@ -325,7 +313,8 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
 
 /// Edges of lookahead in the chunked scoring loops: while edge i is being
 /// scored, the degree entries and bit-matrix rows of edge i+8 are pulled
-/// toward the cache. 8 edges ≈ the latency of one k-way sweep.
+/// toward the cache, far enough ahead that a DRAM miss on those rows
+/// resolves before the edge is reached even when the k-way pick is short.
 inline constexpr size_t kScorePrefetchAhead = 8;
 
 /// Per-run scoring context: binds a PartitionState, the kernel choice
@@ -348,32 +337,30 @@ class ScoreCore {
   void NoteBatch() { ++stats_.batches; }
 
   /// HDRF-shaped k-way pick (Equation 7 g-term + normalized λ balance
-  /// term) over caller-provided effective and raw loads — the state's own
-  /// or a sharded driver's combined view — and membership rows.
-  PartitionId PickHdrf(const double* effective, const uint64_t* loads,
+  /// term) over a caller-provided balance row and raw loads — the state's
+  /// own or a sharded driver's combined view — and membership rows.
+  /// The balance term has the normalized form of the HDRF paper,
+  /// λ · (maxsize − |Pi|)/(ε + maxsize − minsize), memoised per partition
+  /// by BalanceRow. Equation (7) of the survey abbreviates it as
+  /// λ(1 − |e(Pi)|/C); the normalized form is what keeps the algorithm
+  /// balanced under adversarial (BFS) orders.
+  PartitionId PickHdrf(const double* balance, const uint64_t* loads,
                        score::MembershipRow u_row, score::MembershipRow v_row,
-                       double theta_u, double theta_v, double lambda) {
+                       double theta_u, double theta_v) {
     const PartitionId k = state_.k();
     stats_.candidates += k;
-    // Balance term in the normalized form of the HDRF paper:
-    // λ · (maxsize − |Pi|)/(ε + maxsize − minsize). Equation (7) of the
-    // survey abbreviates this as λ(1 − |e(Pi)|/C); the normalized form is
-    // what keeps the algorithm balanced under adversarial (BFS) orders.
-    double max_load, spread;
-    score::EffectiveSpread(effective, k, &max_load, &spread);
     if (avx2_) {
-      return score::avx2::HdrfPick(k, effective, loads, u_row, v_row,
-                                   theta_u, theta_v, lambda, max_load, spread,
+      return score::avx2::HdrfPick(k, balance, loads, u_row, v_row, theta_u,
+                                   theta_v, scores_.data(),
                                    &stats_.bitset_hits);
     }
-    return score::HdrfPickBatched(k, effective, loads, u_row, v_row, theta_u,
-                                  theta_v, lambda, max_load, spread,
-                                  &stats_.bitset_hits);
+    return score::HdrfPickBatched(k, balance, loads, u_row, v_row, theta_u,
+                                  theta_v, &stats_.bitset_hits);
   }
 
   // ---------------------------------------------------------------------
   // HDRF (Section 4.2.2): full state transition per edge — partial-degree
-  // updates, scoring, load + effective-load update, replica adds. The
+  // updates, scoring, load + balance-row update, replica adds. The
   // state must have degree table, effective loads and replica sets
   // initialized and covering every endpoint of `chunk`. Shared by
   // HdrfPartitioner's in-memory and streaming entry points, so both place
@@ -381,11 +368,11 @@ class ScoreCore {
   // already held.
   // ---------------------------------------------------------------------
   template <typename PlaceFn>
-  void PlaceHdrfChunk(std::span<const StreamEdge> chunk, double lambda,
+  void PlaceHdrfChunk(std::span<const StreamEdge> chunk,
                       uint64_t& degree_hits, PlaceFn&& place) {
     ++stats_.batches;
     ReplicaState& replicas = state_.replicas();
-    const double* effective = state_.effective().data();
+    const double* balance = state_.balance().row();
     const uint64_t* loads = state_.loads().data();
     // Every endpoint of the chunk is covered (callers EnsureVertex the
     // whole chunk up front), so degree entries and bit-matrix rows are
@@ -413,8 +400,8 @@ class ScoreCore {
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
       const PartitionId best =
-          PickHdrf(effective, loads, {replicas.RowWords(u), nullptr},
-                   {replicas.RowWords(v), nullptr}, theta_u, theta_v, lambda);
+          PickHdrf(balance, loads, {replicas.RowWords(u), nullptr},
+                   {replicas.RowWords(v), nullptr}, theta_u, theta_v);
       state_.AddLoadUpdatingEffective(best);
       replicas.Add(u, best);
       replicas.Add(v, best);
@@ -548,7 +535,7 @@ class ScoreCore {
   PartitionState& state_;
   const bool avx2_;
   ScoreCoreStats stats_;
-  std::vector<double> scores_;         // batched candidate scores, size k
+  std::vector<double> scores_;         // candidate-score scratch, size k
   std::vector<uint64_t> inter_words_;  // intersection scratch, ceil(k/64)
 };
 

@@ -1,6 +1,7 @@
 #include "partition/state.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -58,7 +59,8 @@ PartitionState::PartitionState(const PartitionConfig& config)
     : k_(config.k),
       heterogeneous_(!config.capacity_weights.empty()),
       weights_(NormalizedCapacities(config)),
-      loads_(config.k, 0) {
+      loads_(config.k, 0),
+      balance_(config.hdrf_lambda) {
   SGP_CHECK(k_ > 0);
   StateMetrics::Get().builds->Increment();
 }
@@ -86,11 +88,57 @@ void PartitionState::InitCapacities(uint64_t total_items,
   }
 }
 
-void PartitionState::InitEffectiveLoads() {
-  effective_.resize(k_);
-  for (PartitionId i = 0; i < k_; ++i) {
-    effective_[i] = static_cast<double>(loads_[i]) / weights_[i];
+void BalanceRow::Reset(PartitionId k, const uint64_t* loads,
+                       const double* weights) {
+  SGP_CHECK(std::isfinite(lambda_) && lambda_ >= 0);
+  effective_.resize(k);
+  row_.resize(k);
+  max_ = 0;
+  for (PartitionId i = 0; i < k; ++i) {
+    effective_[i] = static_cast<double>(loads[i]) / weights[i];
+    max_ = std::max(max_, effective_[i]);
   }
+  RescanMin();
+  Refresh(0);
+}
+
+void BalanceRow::RescanMin() {
+  min_ = effective_[0];
+  at_min_ = 0;
+  for (double eff : effective_) {
+    if (eff < min_) {
+      min_ = eff;
+      at_min_ = 1;
+    } else if (eff == min_) {
+      ++at_min_;
+    }
+  }
+}
+
+void BalanceRow::Refresh(PartitionId grown) {
+  spread_ = 1.0 + (max_ - min_);
+  // Locals, so the compiler need not reload the members through the row
+  // stores and can vectorise the loops.
+  const double lambda = lambda_, max_load = max_, spread = spread_;
+  const size_t k = row_.size();
+  const double* eff = effective_.data();
+  double* row = row_.data();
+  if (at_min_ + 1 == k && eff[grown] != min_) {
+    // Every partition but `grown` sits at the min, so they share one
+    // term; one partition taking every edge (a depth-first stream of a
+    // low-degree graph) lands here on every placement.
+    const double at_min = lambda * (max_load - min_) / spread;
+    for (size_t i = 0; i < k; ++i) row[i] = at_min;
+    row[grown] = lambda * (max_load - eff[grown]) / spread;
+    return;
+  }
+  for (size_t i = 0; i < k; ++i) {
+    row[i] = lambda * (max_load - eff[i]) / spread;
+  }
+}
+
+void PartitionState::InitEffectiveLoads() {
+  balance_.Reset(k_, loads_.data(), weights_.data());
 }
 
 void PartitionState::InitSecondaryLoads() { secondary_.assign(k_, 0); }
@@ -114,7 +162,7 @@ void PartitionState::EnsureVertex(VertexId v) {
 
 uint64_t PartitionState::SynopsisBytes() const {
   uint64_t bytes = VectorBytes(weights_) + VectorBytes(loads_) +
-                   VectorBytes(capacity_) + VectorBytes(effective_) +
+                   VectorBytes(capacity_) + balance_.MemoryBytes() +
                    VectorBytes(secondary_) + VectorBytes(degree_);
   if (replicas_enabled_) bytes += replicas_.SynopsisBytes();
   return bytes + aux_bytes_;
@@ -196,7 +244,7 @@ void ShardedPartitionState::Publish() {
     }
     replica_records_[w].clear();
   }
-  if (!global_.effective().empty()) global_.InitEffectiveLoads();
+  if (global_.balance().enabled()) global_.InitEffectiveLoads();
 }
 
 uint64_t ShardedPartitionState::SynopsisBytes() const {

@@ -11,6 +11,79 @@
 
 namespace sgp {
 
+/// HDRF's balance term kept as state (paper §4.2.2; also the pass-2 score
+/// of 2PS and HEP): the effective loads eff[i] = load/weight, their max
+/// and min, the spread 1 + (max − min) (ε = 1) and the row
+/// b[i] = λ·(max − eff[i])/spread that the HDRF picks add to each
+/// candidate's g-term.
+///
+/// Loads only grow, so a placement moves the max only when the winner
+/// passes it, and the min only when the last partition at the min leaves
+/// it; a count of partitions at the min means the min is rescanned only
+/// then. When neither moves, only b[winner] is rewritten; otherwise the
+/// whole row is recomputed in one vectorisable loop, or, when every other
+/// partition sits at the min, filled with their one shared term. Every
+/// value comes from the same IEEE operations, in the same order, as a
+/// fresh sweep over all k partitions would use, so the row is
+/// bit-identical to one recomputed from scratch.
+class BalanceRow {
+ public:
+  explicit BalanceRow(double lambda) : lambda_(lambda) {}
+
+  /// Rebuilds the effective loads, extremes and row from `loads`.
+  /// Rejects a non-finite or negative λ: a NaN would make every score
+  /// NaN, and λ = +∞ gives ∞·0 = NaN for the max partition.
+  void Reset(PartitionId k, const uint64_t* loads, const double* weights);
+
+  /// Partition p's load grew to `load`.
+  void Grow(PartitionId p, uint64_t load, double weight) {
+    const double old = effective_[p];
+    const double eff = static_cast<double>(load) / weight;
+    effective_[p] = eff;
+    bool moved = false;
+    if (eff > max_) {
+      max_ = eff;
+      moved = true;
+    }
+    if (old == min_ && eff != min_ && --at_min_ == 0) {
+      RescanMin();
+      moved = true;
+    }
+    if (moved) {
+      Refresh(p);
+    } else {
+      row_[p] = lambda_ * (max_ - eff) / spread_;
+    }
+  }
+
+  /// The k balance terms b[i].
+  const double* row() const { return row_.data(); }
+  const std::vector<double>& effective() const { return effective_; }
+  double max_load() const { return max_; }
+  double min_load() const { return min_; }
+  double spread() const { return spread_; }
+  bool enabled() const { return !row_.empty(); }
+
+  /// Bytes of the effective-load and balance rows.
+  uint64_t MemoryBytes() const {
+    return (effective_.capacity() + row_.capacity()) * sizeof(double);
+  }
+
+ private:
+  void RescanMin();
+  // Spread and every b[i] from the current extremes; `grown` is the
+  // partition whose load just grew.
+  void Refresh(PartitionId grown);
+
+  double lambda_;
+  std::vector<double> effective_;
+  std::vector<double> row_;
+  double max_ = 0;
+  double min_ = 0;
+  double spread_ = 1;
+  PartitionId at_min_ = 0;  // partitions whose effective load is min_
+};
+
 /// Shared partition-state core: the O(n + k) synopsis every streaming
 /// partitioner maintains (Section 2). One PartitionState owns the
 /// per-partition loads, the mean-1 normalized capacity weights of
@@ -65,14 +138,15 @@ class PartitionState {
   }
 
   // ---------------------------------------------------------------------
-  // Incrementally maintained effective loads (HDRF reads all k per edge,
-  // so the division is paid once per placement, not k times per edge).
+  // Incrementally maintained effective loads and HDRF balance row (HDRF
+  // reads all k per edge, so the division is paid once per placement, not
+  // k times per edge). λ is the config's hdrf_lambda.
   // ---------------------------------------------------------------------
   void InitEffectiveLoads();
-  const std::vector<double>& effective() const { return effective_; }
+  const BalanceRow& balance() const { return balance_; }
   void AddLoadUpdatingEffective(PartitionId p) {
     ++loads_[p];
-    effective_[p] = static_cast<double>(loads_[p]) / weights_[p];
+    balance_.Grow(p, loads_[p], weights_[p]);
   }
 
   // ---------------------------------------------------------------------
@@ -125,7 +199,7 @@ class PartitionState {
   std::vector<double> weights_;
   std::vector<uint64_t> loads_;
   std::vector<double> capacity_;
-  std::vector<double> effective_;
+  BalanceRow balance_;
   std::vector<uint64_t> secondary_;
   std::vector<uint32_t> degree_;
   bool degree_enabled_ = false;
@@ -196,8 +270,8 @@ class ShardedPartitionState {
   }
 
   /// Barrier: merges every worker's deltas into the published state in
-  /// worker order and clears them. Refreshes the global effective-load
-  /// table when enabled.
+  /// worker order and clears them. Rebuilds the global balance row when
+  /// enabled.
   void Publish();
 
   /// Global synopsis plus all per-worker delta state.
@@ -210,7 +284,6 @@ class ShardedPartitionState {
   std::vector<std::vector<VertexId>> touched_degrees_;
   std::vector<ReplicaState> delta_replicas_;
   std::vector<std::vector<std::pair<VertexId, PartitionId>>> replica_records_;
-  bool effective_enabled_ = false;
 };
 
 }  // namespace sgp

@@ -24,9 +24,10 @@ class ClusterScorer {
  public:
   /// `state` must have capacities, effective loads and replica sets
   /// initialized; `core` must be constructed over the same state (it owns
-  /// the kernel choice and the partition.score.* accounting).
-  ClusterScorer(PartitionState& state, ScoreCore& core, double lambda)
-      : state_(state), core_(core), lambda_(lambda) {
+  /// the kernel choice and the partition.score.* accounting). λ is the
+  /// state's: its balance row already carries it.
+  ClusterScorer(PartitionState& state, ScoreCore& core)
+      : state_(state), core_(core) {
     const PartitionId k = state.k();
     words_ = (static_cast<uint64_t>(k) + 63) / 64;
     // k one-hot rows plus a trailing all-zero row for "no cluster home".
@@ -46,18 +47,17 @@ class ClusterScorer {
     return onehot_.data() + row * words_;
   }
 
-  /// Scores, capacity-checks and commits one edge: updates loads,
-  /// effective loads and both endpoints' replica sets, and returns the
-  /// chosen partition.
+  /// Scores, capacity-checks and commits one edge: updates loads, the
+  /// balance row and both endpoints' replica sets, and returns the chosen
+  /// partition.
   PartitionId Place(VertexId u, VertexId v, PartitionId home_u,
                     PartitionId home_v, double theta_u, double theta_v) {
     const PartitionId k = state_.k();
     ReplicaState& replicas = state_.replicas();
     const uint64_t* loads = state_.loads().data();
     PartitionId best = core_.PickHdrf(
-        state_.effective().data(), loads,
-        {replicas.RowWords(u), RowFor(home_u)},
-        {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v, lambda_);
+        state_.balance().row(), loads, {replicas.RowWords(u), RowFor(home_u)},
+        {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v);
     if (!state_.HasRoom(best)) {
       best = score::LeastLoadedWithRoom(k, loads, state_.weights().data(),
                                         state_.capacities().data());
@@ -75,7 +75,6 @@ class ClusterScorer {
  private:
   PartitionState& state_;
   ScoreCore& core_;
-  double lambda_;
   uint64_t words_ = 0;
   std::vector<uint64_t> onehot_;
 };

@@ -104,7 +104,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   state.InitEffectiveLoads();
   state.InitReplicas(n);
   ScoreCore core(state);
-  twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
+  twophase::ClusterScorer scorer(state, core);
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   MasterTracker masters(n);

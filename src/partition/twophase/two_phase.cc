@@ -90,7 +90,7 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
   state.InitEffectiveLoads();
   state.InitReplicas(n);
   ScoreCore core(state);
-  twophase::ClusterScorer scorer(state, core, config.hdrf_lambda);
+  twophase::ClusterScorer scorer(state, core);
   const std::vector<PartitionId> cluster_part =
       PackClusters(clusters, config.k, state.weights());
   auto home_of = [&](VertexId u) {

@@ -38,7 +38,6 @@ Partitioning HdrfPartitioner::Run(const Graph& graph,
                                   const PartitionConfig& config) const {
   SGP_CHECK(config.k > 0);
   Timer timer;
-  const double lambda = config.hdrf_lambda;
 
   Partitioning result;
   result.model = CutModel::kVertexCut;
@@ -59,7 +58,7 @@ Partitioning HdrfPartitioner::Run(const Graph& graph,
   uint64_t degree_hits = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
-    core.PlaceHdrfChunk(chunk, lambda, degree_hits,
+    core.PlaceHdrfChunk(chunk, degree_hits,
                         [&](const StreamEdge& edge, PartitionId target) {
                           result.edge_to_partition[edge.id] = target;
                         });
@@ -99,7 +98,7 @@ StreamRunResult HdrfPartitioner::RunOnSource(
     const VertexId hi = MaxEndpoint(chunk);
     state.EnsureVertex(hi);
     max_bound = std::max(max_bound, hi + 1);
-    core.PlaceHdrfChunk(chunk, config.hdrf_lambda, degree_hits,
+    core.PlaceHdrfChunk(chunk, degree_hits,
                         [&](const StreamEdge& e, PartitionId target) {
                           out.partitioning.edge_to_partition.push_back(target);
                           masters.Note(e.src, target);

@@ -8,6 +8,7 @@
 #include "engine/programs.h"
 #include "graph/datasets.h"
 #include "graphdb/event_sim.h"
+#include "partition/edgecut/parallel_streaming.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
 #include "partition/state.h"
@@ -150,6 +151,28 @@ TEST(EdgeCaseDeathTest, BuilderRejectsOutOfRangeVertex) {
 
 TEST(EdgeCaseDeathTest, DatasetRejectsUnknownName) {
   EXPECT_DEATH(MakeDataset("nope", 10), "SGP_CHECK");
+}
+
+TEST(EdgeCaseDeathTest, HdrfLambdaMustBeFiniteAndNonNegative) {
+  // A NaN λ would make every HDRF score NaN and send every edge to
+  // partition 0; λ = +∞ gives ∞·0 = NaN for the max partition. The
+  // balance row rejects both, and a negative λ, for every code that
+  // scores with it.
+  const Graph g = testing::MakeCycle(6);
+  for (double lambda : {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), -1.0}) {
+    PartitionConfig cfg;
+    cfg.k = 4;
+    cfg.hdrf_lambda = lambda;
+    for (const char* algo : {"HDRF", "2PS", "HEP"}) {
+      EXPECT_DEATH(CreatePartitioner(algo)->Run(g, cfg), "SGP_CHECK")
+          << algo << " lambda=" << lambda;
+    }
+    EXPECT_DEATH(RunParallelStreaming(g, cfg, ParallelStreamOptions{},
+                                      ParallelAlgo::kHdrf),
+                 "SGP_CHECK")
+        << "PAR-HDRF lambda=" << lambda;
+  }
 }
 
 TEST(EdgeCaseTest, MetricsOnSelfContainedPartition) {

@@ -1,7 +1,8 @@
-// ScoreCore suite: the bit-packed membership structures, a differential
-// suite of every production scoring kernel — the portable batched kernels
-// on every host, the AVX2 kernels where the CPU has them — against the
-// scalar oracles of tests/score_oracle.h, whole-stream HDRF and PGG runs
+// ScoreCore suite: the bit-packed membership structures, the memoised
+// HDRF balance row against a fresh sweep, a differential suite of every
+// production scoring kernel — the portable batched kernels on every
+// host, the AVX2 kernels where the CPU has them — against the scalar
+// oracles of tests/score_oracle.h, whole-stream HDRF and PGG runs
 // against the oracle transitions, and fingerprint pins of every
 // partitioner family (sequential, sharded parallel, vertex-discovering
 // ingest) recorded when the scalar, batched and SIMD paths still ran side
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <set>
 #include <string>
@@ -266,6 +268,86 @@ TEST(ReplicaStateTest, MatchesSetOracle) {
 }
 
 // ---------------------------------------------------------------------
+// The memoised HDRF balance row (BalanceRow, partition/state.h) against a
+// fresh sweep: after every placement, the effective loads, row, max, min
+// and spread must equal a recompute from the loads bit for bit.
+// ---------------------------------------------------------------------
+
+enum class LoadPattern {
+  kHomogeneous,     // uniform random winners
+  kHetero,          // the grid's weights 1 + 0.5·(i mod 4)
+  kOneTakesAll,     // one partition takes every edge (depth-first road)
+  kAllEqualStart,   // every partition starts at the same nonzero load
+};
+
+TEST(BalanceRowTest, MatchesFreshSweepAfterEveryPlacement) {
+  for (LoadPattern pattern :
+       {LoadPattern::kHomogeneous, LoadPattern::kHetero,
+        LoadPattern::kOneTakesAll, LoadPattern::kAllEqualStart}) {
+    for (PartitionId k : {1u, 2u, 3u, 64u, 65u, 257u}) {
+      for (double lambda : {0.0, 1.1, 4.0}) {
+        PartitionConfig cfg;
+        cfg.k = k;
+        cfg.hdrf_lambda = lambda;
+        if (pattern == LoadPattern::kHetero) {
+          cfg.capacity_weights.resize(k);
+          for (PartitionId i = 0; i < k; ++i) {
+            cfg.capacity_weights[i] = 1.0 + 0.5 * (i % 4);
+          }
+        }
+        PartitionState state(cfg);
+        if (pattern == LoadPattern::kAllEqualStart) {
+          for (PartitionId p = 0; p < k; ++p) {
+            for (int i = 0; i < 3; ++i) state.AddLoad(p);
+          }
+        }
+        state.InitEffectiveLoads();
+        std::mt19937_64 rng(k * 7 + static_cast<uint64_t>(pattern));
+        const PartitionId hog = static_cast<PartitionId>(rng() % k);
+        const std::string cell =
+            "pattern=" + std::to_string(static_cast<int>(pattern)) +
+            " k=" + std::to_string(k) + " lambda=" + std::to_string(lambda);
+
+        auto check = [&](int step) {
+          std::vector<double> eff(k), row(k);
+          for (PartitionId i = 0; i < k; ++i) {
+            eff[i] = static_cast<double>(state.load(i)) / state.weights()[i];
+          }
+          double max_load, spread;
+          oracle::EffectiveSpread(eff.data(), k, &max_load, &spread);
+          const double min_load = *std::min_element(eff.begin(), eff.end());
+          for (PartitionId i = 0; i < k; ++i) {
+            row[i] = lambda * (max_load - eff[i]) / spread;
+          }
+          const BalanceRow& b = state.balance();
+          const size_t bytes = k * sizeof(double);
+          ASSERT_EQ(std::memcmp(b.effective().data(), eff.data(), bytes), 0)
+              << cell << " step=" << step;
+          ASSERT_EQ(std::memcmp(b.row(), row.data(), bytes), 0)
+              << cell << " step=" << step;
+          const double got[] = {b.max_load(), b.min_load(), b.spread()};
+          const double want[] = {max_load, min_load, spread};
+          ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0)
+              << cell << " step=" << step << " max " << got[0] << "/"
+              << want[0] << " min " << got[1] << "/" << want[1];
+        };
+
+        check(-1);
+        const int steps = 6 * static_cast<int>(k) + 64;
+        for (int step = 0; step < steps; ++step) {
+          const PartitionId p = pattern == LoadPattern::kOneTakesAll
+                                    ? hog
+                                    : static_cast<PartitionId>(rng() % k);
+          state.AddLoadUpdatingEffective(p);
+          check(step);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // Kernel differential suite: every production kernel against its oracle
 // on seeded random inputs at k below one AVX2 lane group, around one and
 // two membership words, and in the multi-word regime. Small value ranges
@@ -321,6 +403,10 @@ struct RandomRow {
   std::vector<bool> member;
   bool has_delta = false;
 
+  // The empty row.
+  explicit RandomRow(PartitionId k)
+      : base((k + 63) / 64, 0), delta((k + 63) / 64, 0), member(k, false) {}
+
   RandomRow(PartitionId k, bool with_delta, std::mt19937_64& rng)
       : base((k + 63) / 64, 0), delta((k + 63) / 64, 0), member(k, false),
         has_delta(with_delta) {
@@ -337,55 +423,109 @@ struct RandomRow {
     }
   }
 
+  void Set(PartitionId i) {
+    base[i >> 6] |= uint64_t{1} << (i & 63);
+    member[i] = true;
+  }
+
   score::MembershipRow Row() const {
     return {base.data(), has_delta ? delta.data() : nullptr};
   }
 };
 
+// HDRF input patterns of the kernel differential suite.
+enum class HdrfCase {
+  kRandom,       // random loads and rows
+  kAllEqual,     // equal effective loads, random rows: whole-row ties
+  kAllTie,       // equal effective loads, empty rows: every score ties
+  kInterleaved,  // equal loads, a few equal-g winners spread over lanes
+};
+
+HdrfCase HdrfCaseOf(int trial) {
+  switch (trial % 6) {
+    case 1:
+      return HdrfCase::kAllEqual;
+    case 2:
+      return HdrfCase::kAllTie;
+    case 4:
+      return HdrfCase::kInterleaved;
+    default:
+      return HdrfCase::kRandom;
+  }
+}
+
 TEST(ScoreKernelTest, HdrfKernelsMatchOracle) {
   std::mt19937_64 rng(13);
   for (PartitionId k : kKernelKs) {
-    std::vector<double> weights(k), effective(k);
+    std::vector<double> weights(k), scores(k);
     std::vector<uint64_t> loads(k);
     for (int trial = 0; trial < kTrials; ++trial) {
-      const bool hetero = trial % 2 == 1;
+      const HdrfCase hcase = HdrfCaseOf(trial);
+      const bool hetero = hcase == HdrfCase::kRandom && trial % 2 == 1;
+      const uint64_t common = rng() % 4;
       for (PartitionId i = 0; i < k; ++i) {
-        loads[i] = rng() % 4;
+        loads[i] = hcase == HdrfCase::kRandom ? rng() % 4 : common;
         weights[i] = hetero ? 0.5 + 0.25 * static_cast<double>(rng() % 4) : 1;
-        effective[i] = static_cast<double>(loads[i]) / weights[i];
       }
       const bool with_delta = trial % 3 == 0;
-      const RandomRow ru(k, with_delta, rng), rv(k, with_delta, rng);
+      RandomRow ru(k, with_delta, rng), rv(k, with_delta, rng);
+      if (hcase == HdrfCase::kAllTie) {
+        ru = RandomRow(k);
+        rv = RandomRow(k);
+      } else if (hcase == HdrfCase::kInterleaved) {
+        // Two to five u-only members, at random ids and so in random
+        // lanes: equal g, and equal load except where one is lightened.
+        ru = RandomRow(k);
+        rv = RandomRow(k);
+        const uint64_t members = 2 + rng() % 4;
+        for (uint64_t m = 0; m < members; ++m) {
+          const PartitionId p = static_cast<PartitionId>(rng() % k);
+          ru.Set(p);
+          if (rng() % 3 == 0 && loads[p] > 0) --loads[p];
+        }
+      }
       const double du = 1.0 + static_cast<double>(rng() % 5);
       const double dv = 1.0 + static_cast<double>(rng() % 5);
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
-      const double lambda = trial % 4 == 0 ? 1.0 : 1.1;
-      double max_load, spread;
-      score::EffectiveSpread(effective.data(), k, &max_load, &spread);
+      for (double lambda : {0.0, 1.1, 4.0}) {
+        // The kernels read the row the production helper builds; the
+        // oracle scores from the effective loads with a fresh sweep.
+        BalanceRow balance(lambda);
+        balance.Reset(k, loads.data(), weights.data());
+        const std::vector<double>& effective = balance.effective();
+        double max_load, spread;
+        oracle::EffectiveSpread(effective.data(), k, &max_load, &spread);
 
-      uint64_t want_hits = 0;
-      const PartitionId want = oracle::HdrfPickScalar(
-          k, effective.data(), loads.data(),
-          [&](PartitionId i) { return ru.member[i]; },
-          [&](PartitionId i) { return rv.member[i]; }, theta_u, theta_v,
-          lambda, max_load, spread, &want_hits);
+        uint64_t want_hits = 0;
+        const PartitionId want = oracle::HdrfPickScalar(
+            k, effective.data(), loads.data(),
+            [&](PartitionId i) { return ru.member[i]; },
+            [&](PartitionId i) { return rv.member[i]; }, theta_u, theta_v,
+            lambda, max_load, spread, &want_hits);
+        const std::string cell = "k=" + std::to_string(k) +
+                                 " trial=" + std::to_string(trial) +
+                                 " lambda=" + std::to_string(lambda);
+        if (hcase == HdrfCase::kAllTie) {
+          ASSERT_EQ(want, 0u) << cell;
+        }
 
-      uint64_t hits = 0;
-      EXPECT_EQ(score::HdrfPickBatched(k, effective.data(), loads.data(),
-                                       ru.Row(), rv.Row(), theta_u, theta_v,
-                                       lambda, max_load, spread, &hits),
-                want)
-          << "batched k=" << k << " trial=" << trial;
-      EXPECT_EQ(hits, want_hits) << "batched k=" << k << " trial=" << trial;
-      if (score::avx2::Available()) {
-        hits = 0;
-        EXPECT_EQ(score::avx2::HdrfPick(k, effective.data(), loads.data(),
-                                        ru.Row(), rv.Row(), theta_u, theta_v,
-                                        lambda, max_load, spread, &hits),
+        uint64_t hits = 0;
+        EXPECT_EQ(score::HdrfPickBatched(k, balance.row(), loads.data(),
+                                         ru.Row(), rv.Row(), theta_u, theta_v,
+                                         &hits),
                   want)
-            << "avx2 k=" << k << " trial=" << trial;
-        EXPECT_EQ(hits, want_hits) << "avx2 k=" << k << " trial=" << trial;
+            << "batched " << cell;
+        EXPECT_EQ(hits, want_hits) << "batched " << cell;
+        if (score::avx2::Available()) {
+          hits = 0;
+          EXPECT_EQ(score::avx2::HdrfPick(k, balance.row(), loads.data(),
+                                          ru.Row(), rv.Row(), theta_u,
+                                          theta_v, scores.data(), &hits),
+                    want)
+              << "avx2 " << cell;
+          EXPECT_EQ(hits, want_hits) << "avx2 " << cell;
+        }
       }
     }
   }

@@ -10,6 +10,7 @@
 // must agree on the chosen partition, tie-breaks included (equal score →
 // lighter load → lower id).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -19,8 +20,24 @@
 
 namespace sgp::oracle {
 
-/// HDRF-shaped pick (Equation 7 g-term + normalized λ balance term) with
-/// one membership probe per candidate: `in_u(i)` / `in_v(i)` say whether
+/// Max effective load and the normalized HDRF spread 1 + (max − min)
+/// (ε = 1), by one fresh sweep over all k partitions: what BalanceRow
+/// (partition/state.h) memoises.
+inline void EffectiveSpread(const double* effective, PartitionId k,
+                            double* max_out, double* spread_out) {
+  double max_load = 0;
+  double min_load = effective[0];
+  for (PartitionId i = 0; i < k; ++i) {
+    max_load = std::max(max_load, effective[i]);
+    min_load = std::min(min_load, effective[i]);
+  }
+  *max_out = max_load;
+  *spread_out = 1.0 + (max_load - min_load);
+}
+
+/// HDRF-shaped pick (Equation 7 g-term + normalized λ balance term,
+/// computed per candidate from the effective loads) with one membership
+/// probe per candidate: `in_u(i)` / `in_v(i)` say whether
 /// partition i counts as a replica of u / v (for 2PS, replica or cluster
 /// home). Adds the number of set memberships to `*bitset_hits`.
 template <typename InU, typename InV>
@@ -53,12 +70,13 @@ PartitionId HdrfPickScalar(PartitionId k, const double* effective,
 
 /// Full single-edge HDRF transition over `state` (degree table, effective
 /// loads and replica sets initialized and covering u and v): partial
-/// degree update, Contains-probe scoring, load and replica commit.
+/// degree update, Contains-probe scoring from a fresh EffectiveSpread
+/// sweep, load and replica commit.
 inline PartitionId PlaceHdrfEdgeScalar(PartitionState& state, VertexId u,
                                        VertexId v, double lambda) {
   const PartitionId k = state.k();
   const std::vector<uint64_t>& loads = state.loads();
-  const std::vector<double>& effective = state.effective();
+  const std::vector<double>& effective = state.balance().effective();
   ReplicaState& replicas = state.replicas();
   state.IncrementDegree(u);
   state.IncrementDegree(v);
@@ -67,7 +85,7 @@ inline PartitionId PlaceHdrfEdgeScalar(PartitionState& state, VertexId u,
   const double theta_u = du / (du + dv);
   const double theta_v = 1.0 - theta_u;
   double max_load, spread;
-  score::EffectiveSpread(effective.data(), k, &max_load, &spread);
+  EffectiveSpread(effective.data(), k, &max_load, &spread);
   PartitionId best = 0;
   double best_score = score::kNegInf;
   for (PartitionId i = 0; i < k; ++i) {
