@@ -43,8 +43,9 @@ int main() {
   run_static("ESG", "edge stream");
 
   // The same ESG loop fed from disk through the bounded-memory
-  // EdgeListFileSource — one page-sized chunk of edges in memory at a
-  // time, never a materialized stream. Quality matches the in-memory
+  // EdgeListFileSource — at most four page-sized chunks of edges in
+  // memory, parsed ahead by its reader thread, never a materialized
+  // stream. Quality matches the in-memory
   // natural-order run; this row is about the ingest path, not the score.
   {
     const std::string path = "/tmp/sgp_input_stream_bench_edges.txt";

@@ -117,6 +117,17 @@ int main(int argc, char** argv) {
   config.k = static_cast<PartitionId>(*k);
   config.ingest_chunk_size = chunk_size;
 
+  // Open the output before partitioning, so an unwritable path fails in
+  // milliseconds instead of after the whole run.
+  std::ofstream output_file;
+  if (!output.empty()) {
+    output_file.open(output);
+    if (!output_file) {
+      std::cerr << "error: cannot open output file " << output << "\n";
+      return 1;
+    }
+  }
+
   std::cout << "score kernels: "
             << (score::avx2::Available() ? "avx2" : "portable") << "\n";
 
@@ -208,7 +219,14 @@ int main(int argc, char** argv) {
   }
 
   if (!output.empty()) {
-    WritePartitioningFile(partitioning, output);
+    WritePartitioning(partitioning, output_file);
+    output_file.close();
+    // Write and flush failures (a full disk) surface as the stream's
+    // failbit, at the latest on close.
+    if (!output_file) {
+      std::cerr << "error: cannot write output file " << output << "\n";
+      return 1;
+    }
     std::cout << "partitioning written to " << output
               << " (reload with ReadPartitioningFile)\n";
   }

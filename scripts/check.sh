@@ -126,17 +126,20 @@ python3 scripts/bench_diff.py \
 echo "check.sh: bench goldens match"
 
 # ThreadSanitizer pass over the concurrent subsystems: the worker pool,
-# the sharded ingest path, and the parallel grid runner (its determinism
+# the sharded ingest path, the parallel grid runner (its determinism
 # tests drive 4 worker threads through the memoized caches and the
-# per-cell registry merge). TSan is incompatible with ASan, so it gets
-# its own build tree; only the concurrency suites need rebuilding.
+# per-cell registry merge), and the edge-list pipeline (the file source's
+# reader thread and the master tracker's tally thread). TSan is
+# incompatible with ASan, so it gets its own build tree; only the
+# concurrency suites need rebuilding.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSGP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
   --target thread_pool_test parallel_streaming_test grid_test \
-  score_core_test twophase_test
+  score_core_test twophase_test source_equivalence_test \
+  edge_list_scanner_test master_tracker_test vertexcut_test
 
 export TSAN_OPTIONS="halt_on_error=1"
 "$TSAN_DIR/tests/thread_pool_test"
@@ -150,6 +153,15 @@ export TSAN_OPTIONS="halt_on_error=1"
 # cell a worker thread sharing the memoized dataset cache); their suite
 # under TSan keeps the per-run state honestly run-local.
 "$TSAN_DIR/tests/twophase_test"
+# The file source parses on a reader thread into a ring of chunk slots,
+# and every vertex-cut RunOnSource folds its master tallies on a tally
+# thread: the chunk handoffs, rewinds, early destruction and the join
+# before Derive run under TSan through the source and tracker suites and
+# the partitioners that drive both.
+"$TSAN_DIR/tests/source_equivalence_test"
+"$TSAN_DIR/tests/edge_list_scanner_test"
+"$TSAN_DIR/tests/master_tracker_test"
+"$TSAN_DIR/tests/vertexcut_test"
 echo "check.sh: concurrency tests passed under thread sanitizer"
 
 # Portable-vs-native smoke: build partition_checksum twice — the default

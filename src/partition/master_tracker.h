@@ -1,11 +1,17 @@
 #ifndef SGP_PARTITION_MASTER_TRACKER_H_
 #define SGP_PARTITION_MASTER_TRACKER_H_
 
-#include <algorithm>
+#include <array>
+#include <condition_variable>
+#include <cstdint>
+#include <exception>
+#include <mutex>
+#include <span>
+#include <thread>
 #include <vector>
 
-#include "common/hashing.h"
 #include "common/types.h"
+#include "stream/source.h"
 
 namespace sgp {
 
@@ -16,6 +22,12 @@ namespace sgp {
 /// the same masters. Shared by every vertex-cut RunOnSource override
 /// (single-pass ingest and the two-phase family alike).
 ///
+/// Pipeline: NoteChunk() copies a chunk's endpoints and targets into one
+/// of kQueueSlots queue buffers and returns; a tally thread, started by
+/// the first NoteChunk(), folds the buffers in order. The partitioner
+/// therefore only waits when every buffer is still queued. Derive() and
+/// SynopsisBytes() join the tally thread first.
+///
 /// Layout: each vertex's first partition and its count sit inline in one
 /// flat array. Only the tallies of a vertex's second and later partitions
 /// go to an open-addressing overflow table keyed by (vertex, partition),
@@ -23,58 +35,44 @@ namespace sgp {
 /// two arrays.
 class MasterTracker {
  public:
+  /// Queue buffers between the partitioner and the tally thread, the one
+  /// being folded included.
+  static constexpr size_t kQueueSlots = 4;
+
+  /// Notes per queue buffer: a longer chunk is queued in pieces, so the
+  /// buffers stay bounded when a whole in-memory stream is one chunk.
+  static constexpr size_t kBufferNotes = 4096;
+
+  /// Notes ahead of the current one whose inline tally and overflow slot
+  /// the fold prefetches.
+  static constexpr size_t kPrefetchAhead = 16;
+
   MasterTracker() = default;
 
   /// Presizes the inline array for ids [0, n), for callers that know the
   /// id space up front (multi-pass codes after their first pass).
   explicit MasterTracker(VertexId n) : first_(n) {}
 
-  void Note(VertexId v, PartitionId part) {
-    if (v >= first_.size()) first_.resize(static_cast<size_t>(v) + 1);
-    Tally& first = first_[v];
-    if (first.count == 0) first.part = part;
-    if (first.part == part) {
-      ++first.count;
-      return;
-    }
-    if (2 * (overflow_used_ + 1) > overflow_.size()) GrowOverflow();
-    Entry& e = Slot(v, part);
-    if (e.count == 0) {
-      e.vertex = v;
-      e.part = part;
-      ++overflow_used_;
-    }
-    ++e.count;
-  }
+  /// Joins the tally thread.
+  ~MasterTracker();
 
-  // Masters for [0, n): most incident edges, ties toward the lower
-  // partition id; ids with no edges are hashed like DeriveMasterPlacement.
-  std::vector<PartitionId> Derive(VertexId n, PartitionId k) const {
-    // Fold every overflow tally into a copy of the inline ones. Beats() is
-    // a strict order on a vertex's distinct partitions, so the fold order
-    // (hash-table order) never matters.
-    std::vector<Tally> best(n);
-    std::copy_n(first_.begin(), std::min<size_t>(n, first_.size()),
-                best.begin());
-    for (const Entry& e : overflow_) {
-      if (e.count == 0 || e.vertex >= n) continue;
-      const Tally t{e.part, e.count};
-      if (Beats(t, best[e.vertex])) best[e.vertex] = t;
-    }
-    std::vector<PartitionId> masters(n);
-    for (VertexId u = 0; u < n; ++u) {
-      masters[u] = best[u].count > 0
-                       ? best[u].part
-                       : static_cast<PartitionId>(HashU64(u) % k);
-    }
-    return masters;
-  }
+  MasterTracker(const MasterTracker&) = delete;
+  MasterTracker& operator=(const MasterTracker&) = delete;
 
-  /// Allocated bytes of both arrays.
-  uint64_t SynopsisBytes() const {
-    return first_.capacity() * sizeof(Tally) +
-           overflow_.capacity() * sizeof(Entry);
-  }
+  /// Notes both endpoints of every chunk[i] on partition targets[i]
+  /// (the spans have equal length). Time spent waiting for a free queue
+  /// buffer is counted in `partition.masters.wait_nanos`.
+  void NoteChunk(std::span<const StreamEdge> chunk,
+                 std::span<const PartitionId> targets);
+
+  /// Masters for [0, n): most incident edges, ties toward the lower
+  /// partition id; ids with no edges are hashed like
+  /// DeriveMasterPlacement. Joins the tally thread first.
+  std::vector<PartitionId> Derive(VertexId n, PartitionId k);
+
+  /// Allocated bytes of both tally arrays and the queue buffers. Joins the
+  /// tally thread first. Both rethrow what a fold threw.
+  uint64_t SynopsisBytes();
 
  private:
   struct Tally {
@@ -86,6 +84,12 @@ class MasterTracker {
     PartitionId part = 0;
     uint32_t count = 0;  // 0: empty slot
   };
+  // One queued edge: both endpoints go to `part`.
+  struct Note {
+    VertexId src = 0;
+    VertexId dst = 0;
+    PartitionId part = 0;
+  };
 
   static constexpr size_t kMinOverflowSlots = 64;
 
@@ -93,30 +97,52 @@ class MasterTracker {
     return a.count > b.count || (a.count == b.count && a.part < b.part);
   }
 
-  // The slot holding (v, part), or the empty slot where it belongs. The
-  // table is at most half full, so linear probing always ends.
-  Entry& Slot(VertexId v, PartitionId part) {
-    const size_t mask = overflow_.size() - 1;
-    size_t i = HashU64((uint64_t{v} << 32) | part) & mask;
-    while (overflow_[i].count != 0 &&
-           (overflow_[i].vertex != v || overflow_[i].part != part)) {
-      i = (i + 1) & mask;
-    }
-    return overflow_[i];
-  }
+  // Copies one piece of at most kBufferNotes into the next free buffer.
+  void Enqueue(std::span<const StreamEdge> chunk,
+               std::span<const PartitionId> targets);
+
+  // Tally thread body and its per-buffer fold.
+  void FoldQueue();
+  void Fold(std::span<const Note> notes);
+  void Add(VertexId v, PartitionId part);
+  void Prefetch(VertexId v, PartitionId part) const;
+
+  // Folds what is queued, then joins the tally thread (a no-op when none
+  // runs). Counted in `partition.masters.wait_nanos`. The destructor
+  // joins; Finish() also rethrows a fold's failure.
+  void Join();
+  void Finish();
+
+  // Where the probe for (v, part) starts in the power-of-two table.
+  size_t HomeSlot(VertexId v, PartitionId part) const;
+
+  // Index of the slot holding (v, part), or of the empty slot where it
+  // belongs. The table is at most half full, so linear probing always
+  // ends.
+  size_t SlotIndex(VertexId v, PartitionId part) const;
 
   // Doubles the power-of-two overflow table and reinserts its entries.
-  void GrowOverflow() {
-    std::vector<Entry> old = std::move(overflow_);
-    overflow_.assign(std::max(kMinOverflowSlots, 2 * old.size()), Entry{});
-    for (const Entry& e : old) {
-      if (e.count != 0) Slot(e.vertex, e.part) = e;
-    }
-  }
+  void GrowOverflow();
 
+  // Tally state, owned by the tally thread while it runs.
   std::vector<Tally> first_;
   std::vector<Entry> overflow_;
   uint64_t overflow_used_ = 0;
+
+  // What a fold threw (memory exhaustion). Set on the tally thread, which
+  // then skips the rest of the queue; Derive rethrows it after the join.
+  std::exception_ptr failure_;
+
+  std::array<std::vector<Note>, kQueueSlots> queue_;
+  std::mutex mu_;
+  std::condition_variable queued_cv_;  // the tally thread waits for a buffer
+  std::condition_variable folded_cv_;  // NoteChunk waits for a free buffer
+  uint64_t queued_ = 0;  // buffers handed to the tally thread; guarded by mu_
+  uint64_t folded_ = 0;  // buffers it has folded; guarded by mu_
+  bool stop_ = false;    // guarded by mu_
+
+  // Declared last: the tally thread uses every member above.
+  std::thread tally_;
 };
 
 }  // namespace sgp

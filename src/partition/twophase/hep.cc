@@ -113,15 +113,18 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
       assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
     }
     assign[e.id] = target;
-    masters.Note(e.src, target);
-    masters.Note(e.dst, target);
     ++out.num_edges;
   };
 
+  // The chunk's streamed edges and their targets, for the master tally.
+  std::vector<StreamEdge> streamed_edges;
+  std::vector<PartitionId> streamed_targets;
   std::vector<StreamEdge> hub_edges;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
+    streamed_edges.clear();
+    streamed_targets.clear();
     for (const StreamEdge& e : chunk) {
       if (degree[e.src] >= threshold && degree[e.dst] >= threshold) {
         hub_edges.push_back(e);
@@ -131,9 +134,14 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
       const double dv = degree[e.dst];
       const double theta_u = du / (du + dv);
       const double theta_v = 1.0 - theta_u;
-      record(e, scorer.Place(e.src, e.dst, kInvalidPartition,
-                             kInvalidPartition, theta_u, theta_v));
+      const PartitionId target = scorer.Place(
+          e.src, e.dst, kInvalidPartition, kInvalidPartition, theta_u,
+          theta_v);
+      record(e, target);
+      streamed_edges.push_back(e);
+      streamed_targets.push_back(target);
     }
+    masters.NoteChunk(streamed_edges, streamed_targets);
   }
   if (!source.ok()) {
     out.ok = false;
@@ -160,6 +168,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   std::vector<uint32_t> hub_rank(degree.size(), ~uint32_t{0});
   for (uint32_t i = 0; i < hubs.size(); ++i) hub_rank[hubs[i]] = i;
   std::vector<bool> placed(hub_edges.size(), false);
+  std::vector<PartitionId> hub_targets(hub_edges.size());
   for (uint32_t i = 0; i < hub_edges.size(); ++i) {
     incident[hub_rank[hub_edges[i].src]].push_back(i);
     if (hub_edges[i].dst != hub_edges[i].src) {
@@ -182,14 +191,17 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
       state.replicas().Add(e.src, target);
       state.replicas().Add(e.dst, target);
       record(e, target);
+      hub_targets[idx] = target;
     }
   }
+  masters.NoteChunk(hub_edges, hub_targets);
   metrics.pass2_wall->Record(pass2.ElapsedSeconds());
 
   out.num_vertices = n;
   out.partitioning.vertex_to_partition = masters.Derive(n, config.k);
   state.NoteAuxiliaryBytes(degree.capacity() * sizeof(uint32_t) +
                            hub_edges.capacity() * sizeof(StreamEdge) +
+                           hub_targets.capacity() * sizeof(PartitionId) +
                            masters.SynopsisBytes() + scorer.SynopsisBytes() +
                            assign.capacity() * sizeof(PartitionId));
   out.partitioning.state_bytes = state.SynopsisBytes();

@@ -101,9 +101,11 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
 
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   MasterTracker masters(n);
+  std::vector<PartitionId> targets;  // the chunk's, in arrival order
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
+    targets.clear();
     for (const StreamEdge& e : chunk) {
       const double du = clusters.degree[e.src];
       const double dv = clusters.degree[e.dst];
@@ -116,10 +118,10 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
         assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
       }
       assign[e.id] = target;
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
+      targets.push_back(target);
     }
+    masters.NoteChunk(chunk, targets);
+    out.num_edges += chunk.size();
   }
   if (!source.ok()) {
     out.ok = false;

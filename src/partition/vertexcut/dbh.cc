@@ -73,18 +73,17 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
   // The pre-pass saw every id: the degree table spans the id space.
   const VertexId max_bound = static_cast<VertexId>(stream_degree.size());
   MasterTracker masters(max_bound);
+  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
     core.NoteBatch();
     for (const StreamEdge& e : chunk) {
       VertexId pivot =
           stream_degree[e.src] <= stream_degree[e.dst] ? e.src : e.dst;
-      const PartitionId target = hasher.Pick(HashU64Seeded(pivot, config.seed));
-      out.partitioning.edge_to_partition.push_back(target);
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
+      assign.push_back(hasher.Pick(HashU64Seeded(pivot, config.seed)));
     }
+    masters.NoteChunk(chunk, std::span(assign).last(chunk.size()));
+    out.num_edges += chunk.size();
   }
   if (!source.ok()) {
     out.ok = false;

@@ -45,6 +45,7 @@ StreamRunResult HashVertexCutPartitioner::RunOnSource(
   const CapacityAwareHasher hasher(state);
   ScoreCore core(state);
   MasterTracker masters;
+  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   VertexId max_bound = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
@@ -53,12 +54,10 @@ StreamRunResult HashVertexCutPartitioner::RunOnSource(
     for (const StreamEdge& e : chunk) {
       uint64_t h = HashCombine(HashU64Seeded(e.src, config.seed),
                                HashU64Seeded(e.dst, config.seed));
-      const PartitionId target = hasher.Pick(h);
-      out.partitioning.edge_to_partition.push_back(target);
-      masters.Note(e.src, target);
-      masters.Note(e.dst, target);
-      ++out.num_edges;
+      assign.push_back(hasher.Pick(h));
     }
+    masters.NoteChunk(chunk, std::span(assign).last(chunk.size()));
+    out.num_edges += chunk.size();
   }
   if (!source.ok()) {
     out.ok = false;

@@ -89,6 +89,7 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   state.InitReplicas(0);
   ScoreCore core(state);
   MasterTracker masters;
+  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   VertexId max_bound = 0;
   uint64_t degree_hits = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
@@ -99,12 +100,11 @@ StreamRunResult HdrfPartitioner::RunOnSource(
     state.EnsureVertex(hi);
     max_bound = std::max(max_bound, hi + 1);
     core.PlaceHdrfChunk(chunk, degree_hits,
-                        [&](const StreamEdge& e, PartitionId target) {
-                          out.partitioning.edge_to_partition.push_back(target);
-                          masters.Note(e.src, target);
-                          masters.Note(e.dst, target);
-                          ++out.num_edges;
+                        [&](const StreamEdge&, PartitionId target) {
+                          assign.push_back(target);
                         });
+    masters.NoteChunk(chunk, std::span(assign).last(chunk.size()));
+    out.num_edges += chunk.size();
   }
   if (!source.ok()) {
     out.ok = false;

@@ -1,6 +1,7 @@
 #include "stream/source.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -12,11 +13,13 @@ namespace {
 
 // Chunk-refill instrumentation shared by every source. `stream.chunks` is
 // deterministic (a function of stream length and chunk size);
-// `stream.refill_nanos` is wall time and registered as such so
-// deterministic exports exclude it (docs/OBSERVABILITY.md).
+// `stream.refill_nanos` and `stream.wait_nanos` are wall time and
+// registered as such so deterministic exports exclude them
+// (docs/OBSERVABILITY.md).
 struct SourceMetrics {
   Counter* chunks = nullptr;
   Counter* refill_nanos = nullptr;
+  Counter* wait_nanos = nullptr;
   Counter* disk_edges = nullptr;
   Counter* disk_skipped_lines = nullptr;
 
@@ -25,6 +28,8 @@ struct SourceMetrics {
     chunks = reg.GetCounter("stream.chunks");
     refill_nanos =
         reg.GetCounter("stream.refill_nanos", MetricOptions::WallClock());
+    wait_nanos =
+        reg.GetCounter("stream.wait_nanos", MetricOptions::WallClock());
     disk_edges = reg.GetCounter("stream.disk.edges");
     disk_skipped_lines = reg.GetCounter("stream.disk.skipped_lines");
   }
@@ -90,44 +95,121 @@ EdgeListFileSource::EdgeListFileSource(const std::string& path,
       scanner_(in_, options.num_vertices != 0 ? options.num_vertices
                                               : kInvalidVertex) {
   SGP_CHECK(options_.chunk_size >= 1);
-  buffer_.reserve(options_.chunk_size);
-  if (!in_.good()) open_error_ = "cannot open edge list file: " + path_;
+  if (!in_.good()) error_ = "cannot open edge list file: " + path_;
+}
+
+EdgeListFileSource::~EdgeListFileSource() { StopReader(); }
+
+void EdgeListFileSource::StopReader() {
+  if (reader_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    freed_cv_.notify_one();
+    reader_.join();
+  }
+  stop_ = false;
+  filled_ = 0;
+  released_ = 0;
+  holding_ = false;
+  done_ = false;
 }
 
 void EdgeListFileSource::Reset() {
+  StopReader();
   if (!in_.is_open()) return;
   in_.clear();
   in_.seekg(0);
   scanner_.Reset();
-  next_edge_id_ = 0;
+  skipped_lines_ = 0;
   max_vertex_bound_ = 0;
-  open_error_ =
+  error_ =
       in_.good() ? std::string() : "cannot rewind edge list file: " + path_;
 }
 
+void EdgeListFileSource::ReadAhead(MetricsRegistry* registry) {
+  ScopedMetricsRegistry scoped(registry);
+  Counter* refill_nanos = SourceMetrics::Get().refill_nanos;
+  EdgeId next_edge_id = 0;
+  VertexId max_bound = 0;
+  for (uint64_t n = 0;; ++n) {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      freed_cv_.wait(lock, [&] {
+        return stop_ || n - released_ < kReadAheadSlots;
+      });
+      if (stop_) return;
+    }
+    Timer timer;
+    Slot& slot = ring_[n % kReadAheadSlots];
+    slot.edges.clear();
+    bool more = true;
+    try {
+      Edge edge;
+      while (slot.edges.size() < options_.chunk_size &&
+             (more = scanner_.Next(&edge))) {
+        // GraphBuilder drops self-loops during canonicalization; mirroring
+        // that here keeps disk edge ids aligned with in-memory EdgeIds for
+        // duplicate-free inputs.
+        if (edge.src == edge.dst) continue;
+        slot.edges.push_back(StreamEdge{next_edge_id++, edge.src, edge.dst});
+        max_bound = std::max({max_bound, edge.src + 1, edge.dst + 1});
+      }
+    } catch (...) {
+      slot.failure = std::current_exception();
+      more = false;
+    }
+    slot.skipped_lines = scanner_.skipped_lines();
+    slot.max_vertex_bound = max_bound;
+    slot.error = scanner_.error();
+    slot.last = !more;
+    refill_nanos->Increment(timer.ElapsedNanos());
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      filled_ = n + 1;
+    }
+    filled_cv_.notify_one();
+    if (!more) return;
+  }
+}
+
 std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
-  if (!ok()) return {};
-  Timer timer;
-  buffer_.clear();
-  const uint64_t skipped_before = scanner_.skipped_lines();
-  Edge edge;
-  while (buffer_.size() < options_.chunk_size && scanner_.Next(&edge)) {
-    // GraphBuilder drops self-loops during canonicalization; mirroring
-    // that here keeps disk edge ids aligned with in-memory EdgeIds for
-    // duplicate-free inputs.
-    if (edge.src == edge.dst) continue;
-    buffer_.push_back(StreamEdge{next_edge_id_++, edge.src, edge.dst});
-    max_vertex_bound_ =
-        std::max({max_vertex_bound_, edge.src + 1, edge.dst + 1});
+  if (holding_) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++released_;
+    }
+    freed_cv_.notify_one();
+    holding_ = false;
+  }
+  if (!ok() || done_) return {};
+  if (!reader_.joinable()) {
+    reader_ = std::thread(&EdgeListFileSource::ReadAhead, this,
+                          &MetricsRegistry::Current());
   }
   SourceMetrics& metrics = SourceMetrics::Get();
-  metrics.disk_skipped_lines->Increment(scanner_.skipped_lines() -
-                                        skipped_before);
-  if (!scanner_.ok() || buffer_.empty()) return {};
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (filled_ == released_) {
+      Timer timer;
+      filled_cv_.wait(lock, [&] { return filled_ > released_; });
+      metrics.wait_nanos->Increment(timer.ElapsedNanos());
+    }
+  }
+  Slot& slot = ring_[released_ % kReadAheadSlots];
+  holding_ = true;
+  done_ = slot.last;
+  if (slot.failure) std::rethrow_exception(std::exchange(slot.failure, {}));
+  metrics.disk_skipped_lines->Increment(slot.skipped_lines - skipped_lines_);
+  skipped_lines_ = slot.skipped_lines;
+  max_vertex_bound_ = slot.max_vertex_bound;
+  error_ = slot.error;
+  // A failing chunk is dropped whole, as the scanner stops at the bad line.
+  if (!ok() || slot.edges.empty()) return {};
   metrics.chunks->Increment();
-  metrics.disk_edges->Increment(buffer_.size());
-  metrics.refill_nanos->Increment(timer.ElapsedNanos());
-  return {buffer_.data(), buffer_.size()};
+  metrics.disk_edges->Increment(slot.edges.size());
+  return {slot.edges.data(), slot.edges.size()};
 }
 
 }  // namespace sgp

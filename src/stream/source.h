@@ -2,10 +2,15 @@
 #define SGP_STREAM_SOURCE_H_
 
 #include <algorithm>
+#include <array>
+#include <condition_variable>
 #include <cstdint>
+#include <exception>
 #include <fstream>
+#include <mutex>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.h"
@@ -13,6 +18,8 @@
 #include "stream/stream.h"
 
 namespace sgp {
+
+class MetricsRegistry;
 
 /// Pull-based, chunk-batched ingest layer (Section 2: a streaming
 /// partitioner consumes the graph as it arrives and keeps only an O(n+k)
@@ -144,14 +151,22 @@ class InMemoryEdgeSource final : public EdgeStreamSource {
 };
 
 /// Bounded-memory disk edge source: streams a whitespace-separated edge
-/// list ("src dst" per line) through the EdgeListScanner of graph/io.h,
-/// holding one scanner block plus one chunk of edges in memory. Mirrors the
-/// GraphBuilder canonicalization it can afford statelessly: self-loops
-/// are dropped (duplicate suppression would need O(m) state, so inputs
-/// with duplicates simply stream them — ids then diverge from the
+/// list ("src dst" per line) through the EdgeListScanner of graph/io.h.
+/// Mirrors the GraphBuilder canonicalization it can afford statelessly:
+/// self-loops are dropped (duplicate suppression would need O(m) state, so
+/// inputs with duplicates simply stream them — ids then diverge from the
 /// deduplicated in-memory Graph). Only natural order is possible without
 /// materializing the file. Malformed lines are skipped and counted;
 /// out-of-range ids put the source in a failed state (ok() == false).
+///
+/// Parsing runs ahead on a reader thread, started by the first NextChunk()
+/// of a pass: it fills a ring of kReadAheadSlots chunk buffers while the
+/// consumer works on the chunk it holds, and sleeps while the ring is
+/// full. The memory bound is one scanner block plus kReadAheadSlots
+/// chunks. Every filled slot records the source state as of its last
+/// line, and ok(), error(), skipped_lines() and max_vertex_bound() report
+/// the state of the chunk handed out last, so a consumer sees exactly
+/// what a reader parsing inside NextChunk() would show it.
 class EdgeListFileSource final : public EdgeStreamSource {
  public:
   struct Options {
@@ -162,41 +177,85 @@ class EdgeListFileSource final : public EdgeStreamSource {
     VertexId num_vertices = 0;
   };
 
+  /// Chunk buffers in the read-ahead ring, the one the consumer holds
+  /// included.
+  static constexpr size_t kReadAheadSlots = 4;
+
   explicit EdgeListFileSource(const std::string& path);
   EdgeListFileSource(const std::string& path, const Options& options);
 
+  /// Stops and joins the reader thread.
+  ~EdgeListFileSource() override;
+
+  EdgeListFileSource(const EdgeListFileSource&) = delete;
+  EdgeListFileSource& operator=(const EdgeListFileSource&) = delete;
+
   /// False when the file cannot be opened or a line had an out-of-range
   /// id; `error()` carries the diagnostic. NextChunk() returns empty.
-  bool ok() const override { return open_error_.empty() && scanner_.ok(); }
-  std::string error() const override {
-    return open_error_.empty() ? scanner_.error() : open_error_;
-  }
+  bool ok() const override { return error_.empty(); }
+  std::string error() const override { return error_; }
 
+  /// The next filled slot of the ring. The slot handed out before it is
+  /// recycled only now, so the span stays valid until the next
+  /// NextChunk()/Reset() call.
   std::span<const StreamEdge> NextChunk() override;
 
-  /// Seeks back to the start of the file (multi-pass, e.g. a
-  /// degree-counting pre-pass). Skipped-line and id-space accounting
-  /// restart with the pass.
+  /// Stops the reader and seeks back to the start of the file (multi-pass,
+  /// e.g. a degree-counting pre-pass). Skipped-line and id-space
+  /// accounting restart with the pass.
   void Reset() override;
 
   uint64_t size_hint() const override { return 0; }
 
-  /// Malformed lines skipped so far (this pass).
-  uint64_t skipped_lines() const { return scanner_.skipped_lines(); }
+  /// Malformed lines skipped up to the last chunk handed out (this pass).
+  uint64_t skipped_lines() const { return skipped_lines_; }
 
-  /// Max vertex id accepted + 1 so far (this pass); the id space a
-  /// consumer must have grown to after draining the stream.
+  /// Max vertex id accepted + 1 up to the last chunk handed out (this
+  /// pass); the id space a consumer must have grown to after draining
+  /// the stream.
   VertexId max_vertex_bound() const { return max_vertex_bound_; }
 
  private:
+  // One chunk plus the source state after its last line.
+  struct Slot {
+    std::vector<StreamEdge> edges;
+    uint64_t skipped_lines = 0;
+    VertexId max_vertex_bound = 0;
+    std::string error;  // the scanner failed inside this chunk
+    // What the parse threw (memory exhaustion), rethrown at hand-out on
+    // the consumer's thread.
+    std::exception_ptr failure;
+    bool last = false;  // end of the pass: no slot follows
+  };
+
+  // Reader thread body: parses the pass from the current file position,
+  // one slot per chunk, publishing into `registry`.
+  void ReadAhead(MetricsRegistry* registry);
+  void StopReader();
+
   std::string path_;
   Options options_;
+  // The file and the scanner belong to the reader while it runs.
   std::ifstream in_;
   EdgeListScanner scanner_;
-  std::vector<StreamEdge> buffer_;
-  std::string open_error_;
-  uint64_t next_edge_id_ = 0;
+  std::array<Slot, kReadAheadSlots> ring_;
+
+  std::mutex mu_;
+  std::condition_variable filled_cv_;  // the consumer waits for a chunk
+  std::condition_variable freed_cv_;   // the reader waits for a free slot
+  uint64_t filled_ = 0;    // slots published this pass; guarded by mu_
+  uint64_t released_ = 0;  // slots recycled this pass; guarded by mu_
+  bool stop_ = false;      // guarded by mu_
+
+  // Consumer state: what the chunks handed out so far have shown.
+  bool holding_ = false;  // ring_[released_ % kReadAheadSlots] is out
+  bool done_ = false;     // the pass's last slot was handed out
+  std::string error_;
+  uint64_t skipped_lines_ = 0;
   VertexId max_vertex_bound_ = 0;
+
+  // Declared last: the reader uses every member above.
+  std::thread reader_;
 };
 
 /// Models a non-seekable input (a pipe, a network feed) on top of any edge

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 #include "common/random.h"
+#include "common/telemetry.h"
 #include "graph/io.h"
 #include "stream/source.h"
 
@@ -119,27 +120,100 @@ class TempFile {
   std::string path_;
 };
 
-// Drains the file source; its edges are the oracle's minus self-loops,
-// numbered in arrival order.
-ReadOutcome SourceRead(EdgeListFileSource& source) {
-  ReadOutcome out;
-  ForEachStreamItem(source, [&](const StreamEdge& e) {
-    EXPECT_EQ(e.id, out.edges.size());
-    out.edges.push_back(Edge{e.src, e.dst});
-  });
-  out.skipped_lines = source.skipped_lines();
-  if (!source.ok()) {
-    out.error = source.error();
-    // The error text starts with "line N:".
-    out.error_line = std::stoull(out.error.substr(5));
+// What the file source shows after handing out one chunk: the chunk, and
+// the skipped lines and id bound as of its last edge.
+struct ChunkState {
+  std::vector<StreamEdge> edges;
+  uint64_t skipped_lines = 0;
+  VertexId max_vertex_bound = 0;
+};
+
+struct ChunkedOutcome {
+  std::vector<ChunkState> chunks;  // the non-empty chunks, in order
+  ChunkState end;                  // state at the terminating empty chunk
+  std::string error;
+};
+
+// The oracle cut into the file source's chunks: self-loops are dropped,
+// the others numbered in arrival order, and a chunk ends at its
+// `chunk_size`-th edge. A failing line drops the chunk it falls in, but
+// the id bound still covers that chunk's edges.
+ChunkedOutcome OracleChunks(const std::string& text, VertexId limit,
+                            uint64_t chunk_size) {
+  ChunkedOutcome out;
+  ChunkState cur;
+  std::istringstream in(text);
+  std::string line;
+  uint64_t line_number = 0;
+  while (std::getline(in, line)) {
+    ++line_number;
+    Edge edge;
+    switch (ParseEdgeListLine(line, line_number, limit, &edge, &out.error)) {
+      case EdgeLineStatus::kIgnored:
+        break;
+      case EdgeLineStatus::kSkipped:
+        ++cur.skipped_lines;
+        break;
+      case EdgeLineStatus::kError:
+        out.end = cur;
+        out.end.edges.clear();
+        return out;
+      case EdgeLineStatus::kEdge:
+        if (edge.src == edge.dst) break;
+        cur.edges.push_back(StreamEdge{out.chunks.size() * chunk_size +
+                                           cur.edges.size(),
+                                       edge.src, edge.dst});
+        cur.max_vertex_bound = std::max(
+            {cur.max_vertex_bound, edge.src + 1, edge.dst + 1});
+        if (cur.edges.size() == chunk_size) {
+          out.chunks.push_back(cur);
+          cur.edges.clear();
+        }
+        break;
+    }
   }
+  if (!cur.edges.empty()) out.chunks.push_back(cur);
+  out.end = cur;
+  out.end.edges.clear();
   return out;
 }
 
+void ExpectSourceState(const EdgeListFileSource& source,
+                       const ChunkState& want, const std::string& what) {
+  EXPECT_EQ(source.skipped_lines(), want.skipped_lines) << what;
+  EXPECT_EQ(source.max_vertex_bound(), want.max_vertex_bound) << what;
+}
+
+// Drains `source` chunk by chunk against the oracle: every chunk's ids and
+// endpoints, and the accessors after every chunk and at the end.
+void ExpectChunksMatchOracle(EdgeListFileSource& source,
+                             const ChunkedOutcome& expected,
+                             const std::string& what) {
+  for (size_t c = 0; c < expected.chunks.size(); ++c) {
+    const std::string at = what + " chunk " + std::to_string(c);
+    const ChunkState& want = expected.chunks[c];
+    const std::span<const StreamEdge> chunk = source.NextChunk();
+    ASSERT_EQ(chunk.size(), want.edges.size()) << at;
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      EXPECT_EQ(chunk[i].id, want.edges[i].id) << at;
+      EXPECT_EQ(chunk[i].src, want.edges[i].src) << at;
+      EXPECT_EQ(chunk[i].dst, want.edges[i].dst) << at;
+    }
+    EXPECT_TRUE(source.ok()) << at;
+    ExpectSourceState(source, want, at);
+  }
+  // The end, failed or not, is sticky.
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_TRUE(source.NextChunk().empty()) << what;
+    EXPECT_EQ(source.ok(), expected.error.empty()) << what;
+    EXPECT_EQ(source.error(), expected.error) << what;
+    ExpectSourceState(source, expected.end, what + " end");
+  }
+}
+
 // Compares every reader against the oracle on `text`: the scanner over an
-// in-memory stream, TryReadEdgeList, and the file source at several chunk
-// sizes, before and after a Rewind(). The file source also drops
-// self-loops.
+// in-memory stream, TryReadEdgeList, and the read-ahead file source chunk
+// by chunk at several chunk sizes, before and after a Rewind().
 void ExpectAllReadersAgree(const std::string& text,
                            VertexId num_vertices = 0) {
   const VertexId limit = num_vertices != 0 ? num_vertices : kInvalidVertex;
@@ -153,24 +227,17 @@ void ExpectAllReadersAgree(const std::string& text,
   EXPECT_EQ(read.error, expected.error);
   EXPECT_EQ(read.skipped_lines, expected.skipped_lines);
 
-  ReadOutcome no_loops = expected;
-  std::erase_if(no_loops.edges, [](const Edge& e) { return e.src == e.dst; });
   TempFile file("edge_list_scanner_input.txt", text);
   for (uint64_t chunk : {1ull, 7ull, 4096ull}) {
     EdgeListFileSource::Options opts;
     opts.chunk_size = chunk;
     opts.num_vertices = num_vertices;
     EdgeListFileSource source(file.path(), opts);
-    // A failing source drops the chunk it was filling: only whole chunks
-    // before the error line arrive.
-    ReadOutcome delivered = no_loops;
-    if (!delivered.error.empty()) {
-      delivered.edges.resize(delivered.edges.size() / chunk * chunk);
-    }
+    const ChunkedOutcome chunks = OracleChunks(text, limit, chunk);
     const std::string what = "source chunk=" + std::to_string(chunk);
-    ExpectSameOutcome(delivered, SourceRead(source), what);
+    ExpectChunksMatchOracle(source, chunks, what);
     source.Rewind();
-    ExpectSameOutcome(delivered, SourceRead(source), what + " rewound");
+    ExpectChunksMatchOracle(source, chunks, what + " rewound");
   }
 }
 
@@ -409,6 +476,110 @@ TEST(EdgeListScannerTest, OnlyComments) {
   ExpectAllReadersAgree("");
   EXPECT_TRUE(ScannerRead(text, kInvalidVertex).edges.empty());
   EXPECT_EQ(ScannerRead(text, kInvalidVertex).skipped_lines, 0u);
+}
+
+// --- Read-ahead lifecycle -------------------------------------------------
+
+// A document of `edges` edge lines with a malformed line after every
+// tenth, so skipped-line counts move between chunks.
+std::string NumberedEdges(uint64_t edges) {
+  std::string text;
+  for (uint64_t i = 0; i < edges; ++i) {
+    text += std::to_string(i) + " " + std::to_string(i + 1) + "\n";
+    if (i % 10 == 9) text += "junk\n";
+  }
+  return text;
+}
+
+// Rewind after a partial pass, with the reader blocked on a full ring or
+// still parsing: the next pass starts over at edge 0 with fresh counts.
+TEST(EdgeListFileSourceTest, RewindAfterPartialPass) {
+  const std::string text = NumberedEdges(5000);
+  TempFile file("read_ahead_rewind.txt", text);
+  for (uint64_t chunk : {1ull, 7ull, 4096ull}) {
+    EdgeListFileSource::Options opts;
+    opts.chunk_size = chunk;
+    EdgeListFileSource source(file.path(), opts);
+    const ChunkedOutcome expected = OracleChunks(text, kInvalidVertex, chunk);
+    for (size_t taken : {size_t{1}, size_t{2}, size_t{0}}) {
+      source.Rewind();
+      for (size_t c = 0; c < taken; ++c) {
+        ASSERT_FALSE(source.NextChunk().empty());
+      }
+      source.Rewind();
+      EXPECT_TRUE(source.ok());
+      EXPECT_EQ(source.skipped_lines(), 0u);
+      EXPECT_EQ(source.max_vertex_bound(), 0u);
+      ExpectChunksMatchOracle(source, expected,
+                              "chunk=" + std::to_string(chunk) + " after " +
+                                  std::to_string(taken));
+    }
+  }
+}
+
+// Destroying a source mid-stream stops and joins its reader, whether the
+// reader is parked on a full ring, still parsing, or never started.
+TEST(EdgeListFileSourceTest, DestroyedMidStreamDoesNotHang) {
+  const std::string text = NumberedEdges(20000);
+  TempFile file("read_ahead_destroy.txt", text);
+  for (uint64_t chunk : {1ull, 7ull, 4096ull}) {
+    EdgeListFileSource::Options opts;
+    opts.chunk_size = chunk;
+    for (int taken : {0, 1, 2}) {
+      EdgeListFileSource source(file.path(), opts);
+      for (int c = 0; c < taken; ++c) {
+        ASSERT_FALSE(source.NextChunk().empty());
+      }
+    }
+  }
+}
+
+// An out-of-range id fails the stream at the chunk holding its line, with
+// the scanner's message, after the whole chunks before it arrived intact.
+TEST(EdgeListFileSourceTest, OutOfRangeIdFailsAtItsChunk) {
+  std::string text = NumberedEdges(20);
+  text += "3 100\n4 5\n";
+  TempFile file("read_ahead_range.txt", text);
+  EdgeListFileSource::Options opts;
+  opts.chunk_size = 7;
+  opts.num_vertices = 50;
+  EdgeListFileSource source(file.path(), opts);
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_EQ(source.NextChunk().size(), 7u);
+    EXPECT_TRUE(source.ok());
+  }
+  EXPECT_TRUE(source.NextChunk().empty());
+  EXPECT_FALSE(source.ok());
+  EXPECT_EQ(source.error(), "line 23: vertex id 100 out of range (limit 50)");
+  EXPECT_EQ(source.skipped_lines(), 2u);
+  EXPECT_EQ(source.max_vertex_bound(), 21u);
+  ExpectAllReadersAgree(text, 50);
+}
+
+// The counters of a pass land in the registry current on the consumer's
+// thread: the deterministic ones are counted at hand-out, and the reader
+// thread installs that registry for its parse time.
+TEST(EdgeListFileSourceTest, CountersLandInTheCallersRegistry) {
+  TempFile file("read_ahead_metrics.txt", NumberedEdges(100));
+  Counter* global_refill = MetricsRegistry::Global().GetCounter(
+      "stream.refill_nanos", MetricOptions::WallClock());
+  const uint64_t global_before = global_refill->value();
+  MetricsRegistry registry;
+  {
+    ScopedMetricsRegistry scoped(&registry);
+    EdgeListFileSource::Options opts;
+    opts.chunk_size = 7;
+    EdgeListFileSource source(file.path(), opts);
+    ForEachStreamItem(source, [](const StreamEdge&) {});
+  }
+  EXPECT_EQ(registry.GetCounter("stream.chunks")->value(), 15u);
+  EXPECT_EQ(registry.GetCounter("stream.disk.edges")->value(), 100u);
+  EXPECT_EQ(registry.GetCounter("stream.disk.skipped_lines")->value(), 10u);
+  EXPECT_GT(registry
+                .GetCounter("stream.refill_nanos", MetricOptions::WallClock())
+                ->value(),
+            0u);
+  EXPECT_EQ(global_refill->value(), global_before);
 }
 
 }  // namespace

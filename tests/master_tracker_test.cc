@@ -1,7 +1,8 @@
 // Differential suite for the streaming master tracker
-// (partition/master_tracker.h): the flat inline-plus-overflow layout must
-// derive exactly the masters of the straightforward vector-of-vectors
-// tally it replaced, which lives on below as the oracle.
+// (partition/master_tracker.h): the flat inline-plus-overflow layout,
+// folded chunk by chunk on the tally thread, must derive exactly the
+// masters of the straightforward vector-of-vectors tally it replaced,
+// which lives on below as the oracle.
 #include <algorithm>
 #include <cstdint>
 #include <random>
@@ -12,6 +13,7 @@
 #include "common/hashing.h"
 #include "common/types.h"
 #include "partition/master_tracker.h"
+#include "stream/source.h"
 
 namespace sgp {
 namespace {
@@ -55,56 +57,113 @@ class ReferenceMasterTracker {
   std::vector<std::vector<std::pair<PartitionId, uint32_t>>> counts_;
 };
 
-using Note = std::pair<VertexId, PartitionId>;
+// One edge noted on both endpoints. The vertex-level cases below use
+// self-loops {v, v, p}: they note v twice, which doubles every count of v
+// and so keeps its winner and its ties.
+struct EdgeNote {
+  VertexId u = 0;
+  VertexId v = 0;
+  PartitionId p = 0;
+};
 
-// Feeds `notes` to a fresh tracker (presized to `reserve` when nonzero)
-// and to the oracle; both must derive the same masters for [0, n).
-void ExpectMatchesOracle(const std::vector<Note>& notes, VertexId n,
-                         PartitionId k, VertexId reserve = 0) {
-  MasterTracker tracker = reserve > 0 ? MasterTracker(reserve) : MasterTracker();
-  ReferenceMasterTracker oracle;
-  for (const auto& [v, p] : notes) {
-    tracker.Note(v, p);
-    oracle.Note(v, p);
+// Chunk sizes every differential case runs at: one edge per handoff, odd
+// sizes, one past a queue buffer (queued in two pieces), and the whole
+// stream as one chunk (0).
+constexpr size_t kChunkSizes[] = {1, 7, 33, MasterTracker::kBufferNotes + 1,
+                                  0};
+
+// Hands `notes` to `tracker` chunk by chunk, as RunOnSource does.
+void NoteInChunks(MasterTracker& tracker, const std::vector<EdgeNote>& notes,
+                  size_t chunk_size) {
+  if (chunk_size == 0) chunk_size = std::max<size_t>(1, notes.size());
+  std::vector<StreamEdge> chunk;
+  std::vector<PartitionId> targets;
+  for (size_t begin = 0; begin < notes.size(); begin += chunk_size) {
+    chunk.clear();
+    targets.clear();
+    for (size_t i = begin; i < std::min(notes.size(), begin + chunk_size);
+         ++i) {
+      chunk.push_back(StreamEdge{i, notes[i].u, notes[i].v});
+      targets.push_back(notes[i].p);
+    }
+    tracker.NoteChunk(chunk, targets);
   }
-  EXPECT_EQ(tracker.Derive(n, k), oracle.Derive(n, k))
-      << "k=" << k << " n=" << n << " notes=" << notes.size();
 }
 
-std::vector<Note> RandomNotes(std::mt19937_64& rng, size_t count,
-                              VertexId num_ids, PartitionId k) {
-  std::vector<Note> notes(count);
-  for (Note& note : notes) {
+std::vector<PartitionId> TrackerMasters(const std::vector<EdgeNote>& notes,
+                                        VertexId n, PartitionId k,
+                                        size_t chunk_size = 0) {
+  MasterTracker tracker;
+  NoteInChunks(tracker, notes, chunk_size);
+  return tracker.Derive(n, k);
+}
+
+std::vector<PartitionId> OracleMasters(const std::vector<EdgeNote>& notes,
+                                       VertexId n, PartitionId k) {
+  ReferenceMasterTracker oracle;
+  for (const EdgeNote& note : notes) {
+    oracle.Note(note.u, note.p);
+    oracle.Note(note.v, note.p);
+  }
+  return oracle.Derive(n, k);
+}
+
+// Feeds `notes` to a fresh tracker (presized to `reserve` when nonzero) at
+// every chunk size and to the oracle; all must derive the same masters for
+// [0, n).
+void ExpectMatchesOracle(const std::vector<EdgeNote>& notes, VertexId n,
+                         PartitionId k, VertexId reserve = 0) {
+  const std::vector<PartitionId> expected = OracleMasters(notes, n, k);
+  for (size_t chunk_size : kChunkSizes) {
+    MasterTracker tracker =
+        reserve > 0 ? MasterTracker(reserve) : MasterTracker();
+    NoteInChunks(tracker, notes, chunk_size);
+    EXPECT_EQ(tracker.Derive(n, k), expected)
+        << "k=" << k << " n=" << n << " notes=" << notes.size()
+        << " chunk=" << chunk_size;
+  }
+}
+
+std::vector<EdgeNote> RandomEdges(std::mt19937_64& rng, size_t count,
+                                  VertexId num_ids, PartitionId k) {
+  std::vector<EdgeNote> notes(count);
+  for (EdgeNote& note : notes) {
     note = {static_cast<VertexId>(rng() % num_ids),
+            static_cast<VertexId>(rng() % num_ids),
             static_cast<PartitionId>(rng() % k)};
   }
   return notes;
 }
 
-TEST(MasterTrackerTest, RandomNotesMatchOracle) {
+// Single-vertex notes as self-loops.
+std::vector<EdgeNote> SelfLoops(
+    const std::vector<std::pair<VertexId, PartitionId>>& notes) {
+  std::vector<EdgeNote> edges;
+  for (const auto& [v, p] : notes) edges.push_back({v, v, p});
+  return edges;
+}
+
+TEST(MasterTrackerTest, RandomEdgesMatchOracle) {
   std::mt19937_64 rng(13);
-  for (PartitionId k : {1u, 3u, 32u, 128u}) {
+  for (PartitionId k : {1u, 3u, 32u, 128u, 257u}) {
     for (VertexId num_ids : {1u, 17u, 500u, 4000u}) {
-      const std::vector<Note> notes = RandomNotes(rng, 20000, num_ids, k);
+      const std::vector<EdgeNote> notes = RandomEdges(rng, 6000, num_ids, k);
       ExpectMatchesOracle(notes, num_ids, k);
       ExpectMatchesOracle(notes, num_ids, k, /*reserve=*/num_ids);
     }
   }
 }
 
-// Edge-shaped streams: both endpoints of an edge are noted on the edge's
-// partition, with a skewed (hub-heavy) vertex choice.
+// Edge-shaped streams with a skewed (hub-heavy) endpoint choice.
 TEST(MasterTrackerTest, SkewedEdgeStreamsMatchOracle) {
   std::mt19937_64 rng(29);
-  for (PartitionId k : {1u, 3u, 32u, 128u}) {
-    std::vector<Note> notes;
-    for (int i = 0; i < 30000; ++i) {
+  for (PartitionId k : {1u, 3u, 32u, 128u, 257u}) {
+    std::vector<EdgeNote> notes;
+    for (int i = 0; i < 15000; ++i) {
       const double r = std::uniform_real_distribution<double>(0, 1)(rng);
       const VertexId u = static_cast<VertexId>(2000 * r * r * r);
       const VertexId v = static_cast<VertexId>(rng() % 2000);
-      const PartitionId p = static_cast<PartitionId>(rng() % k);
-      notes.emplace_back(u, p);
-      notes.emplace_back(v, p);
+      notes.push_back({u, v, static_cast<PartitionId>(rng() % k)});
     }
     ExpectMatchesOracle(notes, 2000, k);
   }
@@ -113,17 +172,16 @@ TEST(MasterTrackerTest, SkewedEdgeStreamsMatchOracle) {
 // A hub noted on every partition, far past the single inline tally, with
 // counts that make the last partition win.
 TEST(MasterTrackerTest, HubOnEveryPartition) {
-  for (PartitionId k : {3u, 32u, 128u}) {
-    std::vector<Note> notes;
+  for (PartitionId k : {3u, 32u, 128u, 257u}) {
+    std::vector<std::pair<VertexId, PartitionId>> vertex_notes;
     for (PartitionId p = 0; p < k; ++p) {
-      for (PartitionId c = 0; c <= p % 5; ++c) notes.emplace_back(0, p);
+      for (PartitionId c = 0; c <= p % 5; ++c) vertex_notes.emplace_back(0, p);
     }
-    for (int extra = 0; extra < 5; ++extra) notes.emplace_back(0, k - 1);
-    notes.emplace_back(1, 0);
+    for (int extra = 0; extra < 5; ++extra) vertex_notes.emplace_back(0, k - 1);
+    vertex_notes.emplace_back(1, 0);
+    const std::vector<EdgeNote> notes = SelfLoops(vertex_notes);
     ExpectMatchesOracle(notes, 2, k);
-    MasterTracker tracker;
-    for (const auto& [v, p] : notes) tracker.Note(v, p);
-    EXPECT_EQ(tracker.Derive(1, k)[0], k - 1);
+    EXPECT_EQ(TrackerMasters(notes, 1, k)[0], k - 1);
   }
 }
 
@@ -131,31 +189,31 @@ TEST(MasterTrackerTest, HubOnEveryPartition) {
 // the inline tally or an overflow one.
 TEST(MasterTrackerTest, ExactTiesGoToLowerPartition) {
   const PartitionId k = 8;
-  const std::vector<Note> notes = {
+  const std::vector<EdgeNote> notes = SelfLoops({
       {0, 5}, {0, 2}, {0, 5}, {0, 2},          // inline 5 vs overflow 2
       {1, 2}, {1, 6}, {1, 6}, {1, 2},          // inline 2 vs overflow 6
       {2, 7}, {2, 4}, {2, 3}, {2, 3}, {2, 4},  // two overflow tallies tie
-      {2, 7}};
+      {2, 7}});
   ExpectMatchesOracle(notes, 3, k);
-  MasterTracker tracker;
-  for (const auto& [v, p] : notes) tracker.Note(v, p);
-  EXPECT_EQ(tracker.Derive(3, k), (std::vector<PartitionId>{2, 2, 3}));
+  for (size_t chunk_size : kChunkSizes) {
+    EXPECT_EQ(TrackerMasters(notes, 3, k, chunk_size),
+              (std::vector<PartitionId>{2, 2, 3}));
+  }
 }
 
 // Ids far apart with never-noted gaps in between: the gaps are hashed.
 TEST(MasterTrackerTest, SparseIdsWithGaps) {
   const PartitionId k = 32;
   std::mt19937_64 rng(5);
-  std::vector<Note> notes;
+  std::vector<std::pair<VertexId, PartitionId>> vertex_notes;
   for (VertexId v : {0u, 7u, 1000u, 65535u, 250000u}) {
     for (int i = 0; i < 40; ++i) {
-      notes.emplace_back(v, static_cast<PartitionId>(rng() % 4));
+      vertex_notes.emplace_back(v, static_cast<PartitionId>(rng() % 4));
     }
   }
+  const std::vector<EdgeNote> notes = SelfLoops(vertex_notes);
   ExpectMatchesOracle(notes, 250001, k);
-  MasterTracker tracker;
-  for (const auto& [v, p] : notes) tracker.Note(v, p);
-  const std::vector<PartitionId> masters = tracker.Derive(250001, k);
+  const std::vector<PartitionId> masters = TrackerMasters(notes, 250001, k);
   EXPECT_EQ(masters[500], static_cast<PartitionId>(HashU64(500) % k));
   EXPECT_LT(masters[65535], 4u);
 }
@@ -165,46 +223,86 @@ TEST(MasterTrackerTest, SparseIdsWithGaps) {
 TEST(MasterTrackerTest, DeriveRangeDiffersFromTrackedRange) {
   const PartitionId k = 16;
   std::mt19937_64 rng(3);
-  const std::vector<Note> notes = RandomNotes(rng, 5000, 100, k);
+  const std::vector<EdgeNote> notes = RandomEdges(rng, 2500, 100, k);
   for (VertexId n : {0u, 1u, 50u, 100u, 101u, 5000u}) {
     ExpectMatchesOracle(notes, n, k);
     ExpectMatchesOracle(notes, n, k, /*reserve=*/100);
   }
-  MasterTracker empty;
-  EXPECT_EQ(empty.Derive(3, k),
-            (std::vector<PartitionId>{
-                static_cast<PartitionId>(HashU64(0) % k),
-                static_cast<PartitionId>(HashU64(1) % k),
-                static_cast<PartitionId>(HashU64(2) % k)}));
+}
+
+// No chunk at all, or only empty ones: every id is hashed, and no tally
+// thread is left behind.
+TEST(MasterTrackerTest, ZeroChunksHashEveryId) {
+  for (PartitionId k : {1u, 16u, 257u}) {
+    const std::vector<PartitionId> expected = {
+        static_cast<PartitionId>(HashU64(0) % k),
+        static_cast<PartitionId>(HashU64(1) % k),
+        static_cast<PartitionId>(HashU64(2) % k)};
+    MasterTracker untouched;
+    EXPECT_EQ(untouched.Derive(3, k), expected);
+    MasterTracker empty_chunks(3);
+    empty_chunks.NoteChunk({}, {});
+    empty_chunks.NoteChunk({}, {});
+    EXPECT_EQ(empty_chunks.Derive(3, k), expected);
+    EXPECT_EQ(OracleMasters({}, 3, k), expected);
+  }
+}
+
+// Chunks noted after a Derive are folded on a fresh tally thread; the next
+// Derive counts every note of both rounds.
+TEST(MasterTrackerTest, NotesAfterDeriveAreCounted) {
+  std::mt19937_64 rng(17);
+  const PartitionId k = 257;
+  const std::vector<EdgeNote> first = RandomEdges(rng, 3000, 300, k);
+  const std::vector<EdgeNote> second = RandomEdges(rng, 3000, 300, k);
+  std::vector<EdgeNote> both = first;
+  both.insert(both.end(), second.begin(), second.end());
+  MasterTracker tracker;
+  NoteInChunks(tracker, first, 7);
+  EXPECT_EQ(tracker.Derive(300, k), OracleMasters(first, 300, k));
+  NoteInChunks(tracker, second, 33);
+  EXPECT_EQ(tracker.Derive(300, k), OracleMasters(both, 300, k));
+}
+
+// A tracker dropped with chunks still queued (an early error return in a
+// RunOnSource) folds them and joins its thread instead of hanging.
+TEST(MasterTrackerTest, DestroyedWithQueuedChunks) {
+  std::mt19937_64 rng(23);
+  const std::vector<EdgeNote> notes = RandomEdges(rng, 20000, 5000, 32);
+  for (size_t chunk_size : kChunkSizes) {
+    MasterTracker tracker;
+    NoteInChunks(tracker, notes, chunk_size);
+  }
 }
 
 // The winner depends only on the multiset of notes: a permuted arrival
 // order changes which partition sits inline, never the masters.
 TEST(MasterTrackerTest, PermutedNotesGiveSameMasters) {
   std::mt19937_64 rng(41);
-  for (PartitionId k : {3u, 32u, 128u}) {
-    std::vector<Note> notes = RandomNotes(rng, 20000, 300, k);
-    MasterTracker first;
-    for (const auto& [v, p] : notes) first.Note(v, p);
-    const std::vector<PartitionId> expected = first.Derive(300, k);
-    for (int trial = 0; trial < 3; ++trial) {
+  for (PartitionId k : {3u, 32u, 128u, 257u}) {
+    std::vector<EdgeNote> notes = RandomEdges(rng, 10000, 300, k);
+    const std::vector<PartitionId> expected = TrackerMasters(notes, 300, k);
+    for (size_t chunk_size : {size_t{1}, size_t{7}, size_t{0}}) {
       std::shuffle(notes.begin(), notes.end(), rng);
-      MasterTracker permuted;
-      for (const auto& [v, p] : notes) permuted.Note(v, p);
-      EXPECT_EQ(permuted.Derive(300, k), expected) << "k=" << k;
+      EXPECT_EQ(TrackerMasters(notes, 300, k, chunk_size), expected)
+          << "k=" << k << " chunk=" << chunk_size;
     }
   }
 }
 
 // SynopsisBytes reports the allocated arrays: a presized tracker counts
-// its inline array before any note, and spilled tallies add to it.
+// its inline array before any note, and spilled tallies and the queue
+// buffer a chunk was copied into add to it.
 TEST(MasterTrackerTest, SynopsisBytesCountsAllocations) {
   EXPECT_EQ(MasterTracker().SynopsisBytes(), 0u);
   MasterTracker tracker(1000);
   const uint64_t presized = tracker.SynopsisBytes();
   EXPECT_GE(presized, 1000u * (sizeof(PartitionId) + sizeof(uint32_t)));
-  for (PartitionId p = 0; p < 100; ++p) tracker.Note(0, p);
-  EXPECT_GT(tracker.SynopsisBytes(), presized);
+  std::vector<EdgeNote> notes;
+  for (PartitionId p = 0; p < 100; ++p) notes.push_back({0, 1, p});
+  NoteInChunks(tracker, notes, 0);
+  EXPECT_GE(tracker.SynopsisBytes(),
+            presized + 100 * (2 * sizeof(VertexId) + sizeof(PartitionId)));
 }
 
 }  // namespace
