@@ -48,7 +48,11 @@ void MasterTracker::Enqueue(std::span<const StreamEdge> chunk,
     std::unique_lock<std::mutex> lock(mu_);
     if (queued_ - folded_ == kQueueSlots) {
       Timer timer;
-      folded_cv_.wait(lock, [&] { return queued_ - folded_ < kQueueSlots; });
+      noter_waiting_ = true;
+      folded_cv_.wait(lock, [&] {
+        return queued_ - folded_ <= kQueueSlots - kWakeBatch;
+      });
+      noter_waiting_ = false;
       MasterTrackerMetrics::Get().wait_nanos->Increment(timer.ElapsedNanos());
     }
   }
@@ -58,18 +62,26 @@ void MasterTracker::Enqueue(std::span<const StreamEdge> chunk,
   for (size_t i = 0; i < chunk.size(); ++i) {
     notes[i] = Note{chunk[i].src, chunk[i].dst, targets[i]};
   }
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++queued_;
+    wake = tally_waiting_ && queued_ - folded_ >= kWakeBatch;
+    if (wake) tally_waiting_ = false;
   }
-  queued_cv_.notify_one();
+  if (wake) queued_cv_.notify_one();
 }
 
 void MasterTracker::FoldQueue() {
   for (uint64_t n = 0;; ++n) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queued_cv_.wait(lock, [&] { return stop_ || queued_ > n; });
+      if (queued_ == n && !stop_) {
+        tally_waiting_ = true;
+        queued_cv_.wait(lock,
+                        [&] { return stop_ || queued_ - n >= kWakeBatch; });
+        tally_waiting_ = false;
+      }
       if (queued_ == n) return;  // stopped and drained
     }
     if (!failure_) {
@@ -79,11 +91,14 @@ void MasterTracker::FoldQueue() {
         failure_ = std::current_exception();
       }
     }
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       folded_ = n + 1;
+      wake = noter_waiting_ && queued_ - folded_ <= kQueueSlots - kWakeBatch;
+      if (wake) noter_waiting_ = false;
     }
-    folded_cv_.notify_one();
+    if (wake) folded_cv_.notify_one();
   }
 }
 
@@ -99,6 +114,8 @@ void MasterTracker::Join() {
   stop_ = false;
   queued_ = 0;
   folded_ = 0;
+  tally_waiting_ = false;
+  noter_waiting_ = false;
   MasterTrackerMetrics::Get().wait_nanos->Increment(timer.ElapsedNanos());
 }
 

@@ -39,6 +39,12 @@ class MasterTracker {
   /// being folded included.
   static constexpr size_t kQueueSlots = 4;
 
+  /// Buffers a blocked thread waits for before it resumes: an idle tally
+  /// thread sleeps until this many are queued (or Derive joins it),
+  /// NoteChunk facing a full queue until this many are free. Waking once
+  /// per batch rather than once per buffer halves the thread handoffs.
+  static constexpr size_t kWakeBatch = kQueueSlots / 2;
+
   /// Notes per queue buffer: a longer chunk is queued in pieces, so the
   /// buffers stay bounded when a whole in-memory stream is one chunk.
   static constexpr size_t kBufferNotes = 4096;
@@ -140,6 +146,11 @@ class MasterTracker {
   uint64_t queued_ = 0;  // buffers handed to the tally thread; guarded by mu_
   uint64_t folded_ = 0;  // buffers it has folded; guarded by mu_
   bool stop_ = false;    // guarded by mu_
+  // A thread sleeps on its condition variable and wants a notify once
+  // kWakeBatch buffers are ready for it; guarded by mu_. The other thread
+  // notifies only then, so neither wakes for nothing.
+  bool tally_waiting_ = false;
+  bool noter_waiting_ = false;
 
   // Declared last: the tally thread uses every member above.
   std::thread tally_;

@@ -112,6 +112,9 @@ void EdgeListFileSource::StopReader() {
   stop_ = false;
   filled_ = 0;
   released_ = 0;
+  reader_waiting_ = false;
+  consumer_waiting_ = false;
+  pass_read_ = false;
   holding_ = false;
   done_ = false;
 }
@@ -136,9 +139,13 @@ void EdgeListFileSource::ReadAhead(MetricsRegistry* registry) {
   for (uint64_t n = 0;; ++n) {
     {
       std::unique_lock<std::mutex> lock(mu_);
-      freed_cv_.wait(lock, [&] {
-        return stop_ || n - released_ < kReadAheadSlots;
-      });
+      if (n - released_ == kReadAheadSlots) {
+        reader_waiting_ = true;
+        freed_cv_.wait(lock, [&] {
+          return stop_ || n - released_ <= kReadAheadSlots - kWakeBatch;
+        });
+        reader_waiting_ = false;
+      }
       if (stop_) return;
     }
     Timer timer;
@@ -165,22 +172,31 @@ void EdgeListFileSource::ReadAhead(MetricsRegistry* registry) {
     slot.error = scanner_.error();
     slot.last = !more;
     refill_nanos->Increment(timer.ElapsedNanos());
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       filled_ = n + 1;
+      pass_read_ = !more;
+      wake = consumer_waiting_ &&
+             (filled_ - released_ >= kWakeBatch || pass_read_);
+      if (wake) consumer_waiting_ = false;
     }
-    filled_cv_.notify_one();
+    if (wake) filled_cv_.notify_one();
     if (!more) return;
   }
 }
 
 std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
   if (holding_) {
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       ++released_;
+      wake = reader_waiting_ &&
+             filled_ - released_ <= kReadAheadSlots - kWakeBatch;
+      if (wake) reader_waiting_ = false;
     }
-    freed_cv_.notify_one();
+    if (wake) freed_cv_.notify_one();
     holding_ = false;
   }
   if (!ok() || done_) return {};
@@ -193,7 +209,11 @@ std::span<const StreamEdge> EdgeListFileSource::NextChunk() {
     std::unique_lock<std::mutex> lock(mu_);
     if (filled_ == released_) {
       Timer timer;
-      filled_cv_.wait(lock, [&] { return filled_ > released_; });
+      consumer_waiting_ = true;
+      filled_cv_.wait(lock, [&] {
+        return filled_ - released_ >= kWakeBatch || pass_read_;
+      });
+      consumer_waiting_ = false;
       metrics.wait_nanos->Increment(timer.ElapsedNanos());
     }
   }

@@ -181,6 +181,12 @@ class EdgeListFileSource final : public EdgeStreamSource {
   /// included.
   static constexpr size_t kReadAheadSlots = 4;
 
+  /// Slots a blocked thread waits for before it resumes: a starved
+  /// consumer sleeps until this many are filled (or the pass is read), a
+  /// reader facing a full ring until this many are free. Waking once per
+  /// batch rather than once per chunk halves the thread handoffs.
+  static constexpr size_t kWakeBatch = kReadAheadSlots / 2;
+
   explicit EdgeListFileSource(const std::string& path);
   EdgeListFileSource(const std::string& path, const Options& options);
 
@@ -246,6 +252,12 @@ class EdgeListFileSource final : public EdgeStreamSource {
   uint64_t filled_ = 0;    // slots published this pass; guarded by mu_
   uint64_t released_ = 0;  // slots recycled this pass; guarded by mu_
   bool stop_ = false;      // guarded by mu_
+  bool pass_read_ = false;  // the pass's last slot is published; by mu_
+  // A thread sleeps on its condition variable and wants a notify once
+  // kWakeBatch slots are ready for it; guarded by mu_. The other thread
+  // notifies only then, so neither wakes for nothing.
+  bool reader_waiting_ = false;
+  bool consumer_waiting_ = false;
 
   // Consumer state: what the chunks handed out so far have shown.
   bool holding_ = false;  // ring_[released_ % kReadAheadSlots] is out
