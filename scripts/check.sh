@@ -170,15 +170,18 @@ echo "check.sh: concurrency tests passed under thread sanitizer"
 # every (algorithm, dataset, k, seed, order, capacity profile) cell plus
 # the parallel drivers. This is the guard that the scoring kernels'
 # equivalence is expression-shape stable, not an artifact of one compiler
-# flag set.
+# flag set. Both builds also run the graph golden
+# (tests/golden/graph_fingerprints.txt): the generators' inlined RNG and
+# branch-free R-MAT compares must give the same graphs under native codegen.
 PORTABLE_DIR="${BUILD_DIR}-portable"
 NATIVE_DIR="${BUILD_DIR}-native"
 cmake -B "$PORTABLE_DIR" -S . > /dev/null
 cmake -B "$NATIVE_DIR" -S . -DSGP_NATIVE=ON > /dev/null
-cmake --build "$PORTABLE_DIR" -j "$(nproc)" --target partition_checksum
-cmake --build "$NATIVE_DIR" -j "$(nproc)" --target partition_checksum
 for dir in "$PORTABLE_DIR" "$NATIVE_DIR"; do
+  cmake --build "$dir" -j "$(nproc)" \
+    --target partition_checksum graph_fingerprint_test
   diff tests/golden/partition_checksum_scale9.txt \
        <("$dir/examples/partition_checksum" --scale 9)
+  "$dir/tests/graph_fingerprint_test"
 done
-echo "check.sh: portable and -march=native builds reproduce the checksum golden"
+echo "check.sh: portable and -march=native builds reproduce the checksum and graph goldens"

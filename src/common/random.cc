@@ -14,25 +14,11 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 }  // namespace
 
 void Rng::Seed(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
-}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
-  const uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = Rotl(state_[3], 45);
-  return result;
 }
 
 uint64_t Rng::UniformInt(uint64_t bound) {
@@ -56,11 +42,6 @@ int64_t Rng::UniformInRange(int64_t lo, int64_t hi) {
   SGP_DCHECK(lo <= hi);
   return lo + static_cast<int64_t>(
                   UniformInt(static_cast<uint64_t>(hi - lo) + 1));
-}
-
-double Rng::UniformReal() {
-  // 53 random bits into the mantissa.
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
 }
 
 ZipfSampler::ZipfSampler(uint64_t n, double skew) : n_(n), skew_(skew) {

@@ -21,7 +21,17 @@ class Rng {
   void Seed(uint64_t seed);
 
   /// Returns the next raw 64-bit value.
-  uint64_t Next();
+  uint64_t Next() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   // UniformRandomBitGenerator interface (usable with <random> adapters).
   static constexpr uint64_t min() { return 0; }
@@ -35,8 +45,10 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   int64_t UniformInRange(int64_t lo, int64_t hi);
 
-  /// Uniform double in [0, 1).
-  double UniformReal();
+  /// Uniform double in [0, 1): 53 random bits into the mantissa.
+  double UniformReal() {
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Bernoulli trial with probability `p` of returning true.
   bool Bernoulli(double p) { return UniformReal() < p; }
@@ -51,6 +63,10 @@ class Rng {
   }
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
 };
 

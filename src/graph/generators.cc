@@ -81,6 +81,9 @@ Graph BarabasiAlbert(VertexId num_vertices, uint32_t edges_per_vertex,
 }
 
 Graph Rmat(const RmatParams& params, uint64_t seed) {
+  // The quadrant pick below needs a <= a+b <= a+b+c; no probability may be
+  // negative.
+  SGP_CHECK(params.a >= 0.0 && params.b >= 0.0 && params.c >= 0.0);
   SGP_CHECK(params.a + params.b + params.c < 1.0);
   const VertexId n = static_cast<VertexId>(1u) << params.scale;
   const uint64_t m = static_cast<uint64_t>(params.edge_factor) * n;
@@ -91,25 +94,20 @@ Graph Rmat(const RmatParams& params, uint64_t seed) {
   if (params.scramble_ids) rng.Shuffle(perm);
 
   GraphBuilder builder(n, params.directed);
+  const double a = params.a;
   const double ab = params.a + params.b;
   const double abc = ab + params.c;
   for (uint64_t i = 0; i < m; ++i) {
     VertexId src = 0;
     VertexId dst = 0;
     for (uint32_t bit = 0; bit < params.scale; ++bit) {
-      double r = rng.UniformReal();
-      src <<= 1;
-      dst <<= 1;
-      if (r < params.a) {
-        // top-left quadrant: neither bit set
-      } else if (r < ab) {
-        dst |= 1;
-      } else if (r < abc) {
-        src |= 1;
-      } else {
-        src |= 1;
-        dst |= 1;
-      }
+      // Quadrants [0, a), [a, ab), [ab, abc), [abc, 1) set the (src, dst)
+      // bits 00, 01, 10, 11: src is r >= ab, and dst is 1 where an odd
+      // number of the three bounds lie at or below r.
+      const double r = rng.UniformReal();
+      src = (src << 1) | static_cast<VertexId>(r >= ab);
+      dst = (dst << 1) |
+            static_cast<VertexId>((r >= a) ^ (r >= ab) ^ (r >= abc));
     }
     if (src == dst) continue;
     builder.AddEdge(perm[src], perm[dst]);
@@ -123,7 +121,13 @@ Graph RoadNetwork(uint32_t rows, uint32_t cols, double target_avg_degree,
   const VertexId n = rows * cols;
   Rng rng(seed);
   GraphBuilder builder(n, /*directed=*/false);
-  std::unordered_set<uint64_t> chosen;
+  // Lattice edges taken so far: slot 2u is u's edge to its right-hand
+  // neighbour, slot 2u + 1 its edge to the neighbour below.
+  std::vector<bool> chosen(2 * static_cast<size_t>(n), false);
+  auto slot = [](VertexId u, VertexId v) -> size_t {
+    const VertexId lo = std::min(u, v);
+    return 2 * static_cast<size_t>(lo) + (std::max(u, v) - lo == 1 ? 0 : 1);
+  };
 
   auto id = [cols](uint32_t r, uint32_t c) -> VertexId {
     return r * cols + c;
@@ -155,7 +159,7 @@ Graph RoadNetwork(uint32_t rows, uint32_t cols, double target_avg_degree,
     VertexId v = candidates[rng.UniformInt(count)];
     visited[v] = true;
     builder.AddEdge(u, v);
-    chosen.insert(EncodeUndirected(u, v));
+    chosen[slot(u, v)] = true;
     ++num_edges;
     stack.push_back(v);
   }
@@ -173,7 +177,9 @@ Graph RoadNetwork(uint32_t rows, uint32_t cols, double target_avg_degree,
     if (!horizontal && r + 1 >= rows) continue;
     VertexId u = id(r, c);
     VertexId v = horizontal ? id(r, c + 1) : id(r + 1, c);
-    if (chosen.insert(EncodeUndirected(u, v)).second) {
+    const size_t s = slot(u, v);
+    if (!chosen[s]) {
+      chosen[s] = true;
       builder.AddEdge(u, v);
       ++num_edges;
     }

@@ -54,6 +54,19 @@ TEST(RmatTest, SkewedDegreeDistribution) {
   EXPECT_GT(s.max_degree, 20 * s.avg_degree);
 }
 
+// The branch-free quadrant pick assumes a ≤ a+b ≤ a+b+c; a negative
+// probability must stop the generator rather than draw from the wrong
+// quadrants.
+TEST(RmatDeathTest, RejectsNegativeQuadrantProbability) {
+  for (double RmatParams::*field :
+       {&RmatParams::a, &RmatParams::b, &RmatParams::c}) {
+    RmatParams p;
+    p.scale = 6;
+    p.*field = -0.01;
+    EXPECT_DEATH(Rmat(p, 1), "SGP_CHECK");
+  }
+}
+
 TEST(RoadNetworkTest, ConnectedLowDegreeLongDiameter) {
   Graph g = RoadNetwork(40, 40, 2.5, /*seed=*/11);
   GraphStats s = ComputeStats(g);
