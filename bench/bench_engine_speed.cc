@@ -1,10 +1,6 @@
 // Engine superstep-kernel speed: wall-clock cost of the analytics engine's
-// specialized kernels vs the generic virtual-dispatch path, for PageRank
-// (all-active) and SSSP (frontier-driven) on the R-MAT "twitter" graph
-// across cluster sizes. The two paths produce byte-identical EngineStats
-// (tests/engine_kernel_test.cc), so the ratio is pure kernel overhead:
-// virtual calls per gather edge, per-superstep direction resolution and
-// speed division, and O(n) frontier resets.
+// superstep kernel for PageRank (all-active) and SSSP (frontier-driven) on
+// the R-MAT "twitter" graph across cluster sizes.
 //
 // ns/edge/superstep normalizes wall time by iterations × |E| — for the
 // frontier-driven SSSP most supersteps touch few edges, so treat its
@@ -62,15 +58,13 @@ int main() {
   const uint32_t scale = bench::ScaleFromEnv();
   bench::PrintBanner(
       "Engine kernel speed",
-      "Wall-clock ns/edge/superstep of the specialized GAS kernels vs the "
-      "generic virtual path (byte-identical results)",
+      "Wall-clock ns/edge/superstep of the GAS superstep kernel",
       scale);
   Graph g = MakeDataset("twitter", scale);
   VertexId source = 0;
   while (g.Degree(source) == 0) ++source;
 
-  TablePrinter table({"Program", "k", "generic ns/edge", "specialized ns/edge",
-                      "speedup", "supersteps"});
+  TablePrinter table({"Program", "k", "ns/edge", "supersteps"});
   for (PartitionId k : {8u, 32u, 128u}) {
     PartitionConfig cfg;
     cfg.k = k;
@@ -79,43 +73,24 @@ int main() {
 
     for (int which : {0, 1}) {
       const char* prog_name = which == 0 ? "PageRank" : "SSSP";
-      PageRankProgram pagerank(20);
-      SsspProgram sssp(source);
-      const VertexProgram& program =
-          which == 0 ? static_cast<const VertexProgram&>(pagerank)
-                     : static_cast<const VertexProgram&>(sssp);
-      GenericProgramView generic(program);
-
-      const KernelTiming spec =
-          TimeKernel(g, [&] { return engine.Run(program); });
-      const KernelTiming gen =
-          TimeKernel(g, [&] { return engine.Run(generic); });
-      const double speedup = spec.ns_per_edge_step == 0
-                                 ? 0
-                                 : gen.ns_per_edge_step / spec.ns_per_edge_step;
-
-      const std::string prefix = std::string("engine_speed.") + prog_name +
-                                 ".k" + std::to_string(k);
-      RecordWallGauge(prefix + ".generic.ns_per_edge.wall", gen.ns_per_edge_step);
-      RecordWallGauge(prefix + ".specialized.ns_per_edge.wall",
-                      spec.ns_per_edge_step);
-      RecordWallGauge(prefix + ".speedup.wall", speedup);
-
+      const KernelTiming t = TimeKernel(g, [&] {
+        return which == 0 ? engine.Run(PageRankProgram(20))
+                          : engine.Run(SsspProgram(source));
+      });
+      RecordWallGauge(std::string("engine_speed.") + prog_name + ".k" +
+                          std::to_string(k) + ".specialized.ns_per_edge.wall",
+                      t.ns_per_edge_step);
       table.AddRow({prog_name, std::to_string(k),
-                    FormatDouble(gen.ns_per_edge_step, 2),
-                    FormatDouble(spec.ns_per_edge_step, 2),
-                    FormatDouble(speedup, 2) + "x",
-                    std::to_string(spec.iterations)});
+                    FormatDouble(t.ns_per_edge_step, 2),
+                    std::to_string(t.iterations)});
     }
   }
   table.Print(std::cout);
   std::cout
-      << "\nExpected shape: the specialized all-active PageRank kernel runs\n"
-         ">=2x faster than the generic path (devirtualized gather, replica\n"
-         "cost tables, superstep-invariant accounting); SSSP gains most at\n"
-         "small frontiers where the epoch-stamped frontier replaces O(n)\n"
-         "resets. The engine.* counters below are identical for both paths\n"
-         "except engine.kernel.{specialized,generic}.\n";
+      << "\nExpected shape: all-active PageRank costs a few ns per edge per\n"
+         "superstep (inlined gather, replica cost tables, superstep-invariant\n"
+         "accounting); SSSP's rate is higher because most of its supersteps\n"
+         "touch a small frontier.\n";
   sgp::bench::WriteBenchJson("engine_speed", scale);
   return 0;
 }

@@ -91,8 +91,9 @@ python3 scripts/bench_diff.py \
   "$JSON_DIR/BENCH_ablation_parallel_ingest.json"
 
 # Same gate for the engine kernel bench: its deterministic section is
-# every engine.* counter the specialized and generic paths produce, so a
-# divergence here means the kernels are no longer byte-equivalent.
+# every engine.* counter of the superstep kernel's PageRank and SSSP runs,
+# so a divergence here means the kernel no longer reproduces the committed
+# message counts, bytes and simulated costs.
 python3 scripts/bench_diff.py \
   tests/golden/BENCH_engine_speed.json \
   "$JSON_DIR/BENCH_engine_speed.json"

@@ -6,7 +6,7 @@
 
 #include "common/types.h"
 #include "engine/distributed_graph.h"
-#include "engine/vertex_program.h"
+#include "engine/programs.h"
 #include "graph/graph.h"
 #include "partition/partitioning.h"
 
@@ -88,28 +88,24 @@ struct EngineStats {
 ///   - every vertex whose value changed sends one update message to each
 ///     mirror that hosts scatter-direction edges.
 ///
-/// Run() routes built-in programs (by ProgramKind tag) onto
-/// compile-time-specialized superstep kernels with precomputed replica
-/// cost tables (src/engine/kernel.h, docs/ENGINE.md); unknown programs
-/// take the generic virtual-dispatch path. Both paths produce
-/// byte-identical EngineStats — which path ran is observable only through
-/// the engine.kernel.{specialized,generic} counters and wall time.
+/// Each Run() overload instantiates the superstep kernel for its program
+/// type (src/engine/kernel.h, docs/ENGINE.md): the program's directions and
+/// all-active flag are compile-time constants, its calls inline, and the
+/// per-replica cost accounting runs off tables precomputed once per run.
 class AnalyticsEngine {
  public:
   AnalyticsEngine(const Graph& graph, const Partitioning& partitioning,
                   EngineCostModel cost_model = {});
 
-  /// Runs `program` to convergence (or its iteration cap).
-  EngineStats Run(const VertexProgram& program) const;
+  /// Runs `program` to convergence (or its iteration cap). An SSSP source
+  /// must be a vertex of the graph (checked).
+  EngineStats Run(const PageRankProgram& program) const;
+  EngineStats Run(const WccProgram& program) const;
+  EngineStats Run(const SsspProgram& program) const;
 
   const DistributedGraph& distributed_graph() const { return dgraph_; }
 
  private:
-  /// Generic fallback: virtual dispatch per gather edge, direction
-  /// resolution and speed division per replica per superstep. The oracle
-  /// the specialized kernels are tested against.
-  EngineStats RunGeneric(const VertexProgram& program) const;
-
   const Graph* graph_;
   DistributedGraph dgraph_;
   EngineCostModel cost_;

@@ -1,27 +1,30 @@
 #ifndef SGP_ENGINE_KERNEL_H_
 #define SGP_ENGINE_KERNEL_H_
 
-// Internal header of the analytics engine: compile-time-specialized GAS
-// superstep kernels plus the replica cost tables they run on. Included only
-// by engine.cc — nothing here is part of the public engine API.
+// Internal header of the analytics engine: the GAS superstep kernel plus
+// the replica cost tables it runs on. Included only by engine.cc — nothing
+// here is part of the public engine API.
 //
-// The contract (pinned by tests/engine_kernel_test.cc) is that
-// RunKernel<Program, ...> produces byte-identical EngineStats to the
-// generic virtual-dispatch path for the same program. Every optimization
-// below is therefore restricted to transformations that cannot change a
-// single bit of the result:
-//   - devirtualization: Program is the concrete final class, so
-//     Combine/GatherContribution/Apply inline — same arithmetic, no call.
+// RunKernel<Program> is the engine's one superstep loop. Its contract
+// (pinned by tests/engine_kernel_test.cc) is byte-identical EngineStats to
+// the plain superstep loop in tests/engine_oracle.h, which resolves
+// directions at run time, divides by worker speed per replica per superstep
+// and resets its frontier with std::fill. Every optimization below is
+// therefore restricted to transformations that cannot change a single bit
+// of the result:
+//   - compile-time program: Program is a concrete class whose directions
+//     and all-active flag are static constants, so Combine /
+//     GatherContribution / Apply inline and direction switches fold away.
 //   - replica cost tables: `local * seconds_per_edge_op / speed` is
 //     evaluated once per replica instead of once per superstep. The
 //     expression (and hence the rounded double) is unchanged; only the
 //     number of evaluations drops.
 //   - all-active fast path: for all-active programs the per-superstep
 //     accounting (per-partition compute seconds, bytes, message counts) is
-//     superstep-invariant, so it is computed once — with the exact
-//     addition order of the generic path — and the per-partition
-//     aggregates are added once per superstep, exactly as the generic
-//     path adds its freshly recomputed (bitwise equal) iteration arrays.
+//     superstep-invariant, so it is computed once — in the per-superstep
+//     addition order — and the per-partition aggregates are added once per
+//     superstep, exactly as freshly recomputed (bitwise equal) iteration
+//     arrays would be.
 //   - source-only gather hoist: programs marked kSourceOnlyGather compute
 //     contributions from the source vertex alone, so the all-active kernel
 //     evaluates each source's contribution once per superstep instead of
@@ -56,8 +59,6 @@ struct EngineMetrics {
   Counter* gather_messages = nullptr;
   Counter* sync_messages = nullptr;
   Counter* network_bytes = nullptr;
-  Counter* kernel_specialized = nullptr;
-  Counter* kernel_generic = nullptr;
   Gauge* barrier_wait_seconds = nullptr;
   Gauge* simulated_seconds = nullptr;
   Histogram* superstep_cost = nullptr;
@@ -69,8 +70,6 @@ struct EngineMetrics {
     gather_messages = reg.GetCounter("engine.gather.messages");
     sync_messages = reg.GetCounter("engine.sync.messages");
     network_bytes = reg.GetCounter("engine.network.bytes");
-    kernel_specialized = reg.GetCounter("engine.kernel.specialized");
-    kernel_generic = reg.GetCounter("engine.kernel.generic");
     barrier_wait_seconds = reg.GetGauge("engine.barrier_wait.sim_seconds");
     simulated_seconds = reg.GetGauge("engine.simulated.sim_seconds");
     superstep_cost = reg.GetHistogram("engine.superstep_cost.sim_seconds");
@@ -113,11 +112,11 @@ inline std::vector<double> ResolveWorkerSpeeds(const EngineCostModel& cost,
 /// Once-per-Run flat cost tables over the distributed graph's replicas,
 /// resolved for one (gather, scatter) direction pair and one speed vector.
 /// Replicas with zero edges in a direction are dropped from that table —
-/// the generic path skips them too, so per-partition floating-point
-/// accumulation order is unchanged. Entry order within a vertex follows
-/// replica order (master first), and each entry of one vertex targets a
-/// distinct partition, so per-partition accumulation order across vertices
-/// is fully determined by vertex visit order.
+/// the oracle skips them too, so per-partition floating-point accumulation
+/// order is unchanged. Entry order within a vertex follows replica order
+/// (master first), and each entry of one vertex targets a distinct
+/// partition, so per-partition accumulation order across vertices is fully
+/// determined by vertex visit order.
 struct ReplicaCostTables {
   struct GatherEntry {
     PartitionId partition = 0;
@@ -188,8 +187,8 @@ inline ReplicaCostTables BuildReplicaCostTables(
   return t;
 }
 
-// Compile-time direction-resolved neighbor iteration; the kBoth in+out
-// visit order for directed graphs matches the generic path.
+// Compile-time direction-resolved neighbor iteration; for kBoth on a
+// directed graph, in-neighbors are visited before out-neighbors.
 template <EdgeDirection kDir, typename Body>
 inline void ForEachNeighbor(const Graph& g, VertexId v, Body&& body) {
   if constexpr (kDir == EdgeDirection::kIn) {
@@ -214,16 +213,16 @@ concept SourceOnlyGather = requires {
   { Program::kSourceOnlyGather } -> std::convertible_to<bool>;
 } && Program::kSourceOnlyGather;
 
-/// Specialized superstep kernel: `Program` is a concrete final program
-/// class (virtual calls devirtualize and inline), the directions and
-/// all-active flag are compile-time constants matching the program's
-/// overrides, and all cost accounting runs off precomputed tables. The
-/// structure deliberately mirrors AnalyticsEngine::RunGeneric statement by
-/// statement; see the header comment for why each deviation is bit-exact.
-template <typename Program, EdgeDirection kGatherDir,
-          EdgeDirection kScatterDir, bool kAllActive>
+/// The superstep kernel: the program's calls inline, its directions and
+/// all-active flag are compile-time constants, and all cost accounting runs
+/// off precomputed tables. See the header comment for why each deviation
+/// from the oracle's plain loop is bit-exact.
+template <VertexProgram Program>
 EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
                       const EngineCostModel& cost, const Program& program) {
+  constexpr EdgeDirection kGatherDir = Program::kGatherDirection;
+  constexpr EdgeDirection kScatterDir = Program::kScatterDirection;
+  constexpr bool kAllActive = Program::kAllActive;
   const VertexId n = g.num_vertices();
   const PartitionId k = dgraph.k();
   const std::vector<double> speeds = ResolveWorkerSpeeds(cost, k);
@@ -242,7 +241,7 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   // Gather set for the current iteration. All-active programs process every
   // vertex every superstep, so the explicit list (and its per-superstep
   // rebuild) exists only for frontier programs, where an epoch stamp
-  // replaces the generic path's O(n) membership reset.
+  // replaces an O(n) membership reset.
   std::vector<VertexId> gather_list;
   std::vector<uint64_t> frontier_epoch;
   [[maybe_unused]] uint64_t epoch = 1;
@@ -264,11 +263,11 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   double barrier_wait = 0;  // idle worker-seconds at barriers
 
   // All-active fast path: the cost accounting of every superstep is the
-  // same, so run the accounting loops once — in the generic path's exact
-  // order: per vertex gather replicas then apply, then a second pass of
-  // scatter replicas — and replay the per-partition aggregates each
-  // superstep. stats arrays then receive the same bitwise additions the
-  // generic path performs with its recomputed per-iteration arrays.
+  // same, so run the accounting loops once — in the exact order of the
+  // frontier branch below: per vertex gather replicas then apply, then a
+  // second pass of scatter replicas — and replay the per-partition
+  // aggregates each superstep. stats arrays then receive the same bitwise
+  // additions that recomputed per-iteration arrays would give.
   std::vector<double> agg_compute;
   std::vector<uint64_t> agg_bytes;
   uint64_t agg_gather_messages = 0;
@@ -326,8 +325,8 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   // source alone and values are frozen during a superstep's gather, so each
   // source's contribution is computed once instead of once per edge.
   // Sources that are never gathered from may hold garbage (e.g. inf for a
-  // zero-out-degree PageRank source) — those slots are never read, exactly
-  // as the generic path never evaluates them.
+  // zero-out-degree PageRank source) — those slots are never read, so no
+  // unhoisted loop would have evaluated them either.
   std::vector<double> hoisted_contrib;
   if constexpr (kAllActive && SourceOnlyGather<Program>) {
     hoisted_contrib.resize(n);
@@ -436,7 +435,7 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
         // even if Apply left their value unchanged (the SSSP source must
         // announce its distance 0 to its neighbors).
         const bool did_change =
-            program.Changed(stats.values[v], new_values[idx]) || iter == 0;
+            stats.values[v] != new_values[idx] || iter == 0;
         stats.values[v] = new_values[idx];
         if (!did_change) continue;
         changed.push_back(v);

@@ -1,8 +1,8 @@
 #ifndef SGP_ENGINE_VERTEX_PROGRAM_H_
 #define SGP_ENGINE_VERTEX_PROGRAM_H_
 
+#include <concepts>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -16,122 +16,49 @@ enum class EdgeDirection {
   kBoth,  // undirected semantics
 };
 
-/// Dispatch tag of a vertex program. The engine pattern-matches on this to
-/// route built-in programs onto compile-time-specialized superstep kernels
-/// (virtual calls removed from the per-edge hot path); kGeneric — the
-/// default for user-defined programs — selects the virtual fallback path.
-/// The two paths produce byte-identical EngineStats (pinned by
-/// tests/engine_kernel_test.cc), so the tag is purely a speed hint.
-enum class ProgramKind {
-  kGeneric,
-  kPageRank,
-  kWcc,
-  kSssp,
-};
-
 /// Synchronous Gather-Apply-Scatter vertex program (the PowerGraph /
 /// PowerLyra computation model, Section 2). Vertex state is a double; the
 /// gather aggregate must be commutative and associative so mirrors can
 /// compute partial aggregates (sender-side aggregation, Appendix B).
-class VertexProgram {
- public:
-  virtual ~VertexProgram() = default;
-
-  /// Workload name as used in the paper ("PageRank", "WCC", "SSSP").
-  virtual std::string_view name() const = 0;
-
-  /// Initial vertex value.
-  virtual double InitialValue(VertexId v, const Graph& graph) const = 0;
-
-  /// Identity element of Combine().
-  virtual double GatherNeutral() const = 0;
-
-  /// Contribution of neighbor `u` (with current value `value_u`) to the
-  /// gather of `v` along one edge.
-  virtual double GatherContribution(VertexId u, VertexId v, double value_u,
-                                    const Graph& graph) const = 0;
-
-  /// Commutative-associative combiner (sum for PageRank, min for WCC/SSSP).
-  virtual double Combine(double a, double b) const = 0;
-
-  /// New value of `v` from its old value and the combined gather result.
-  /// `num_contributions` is the number of gathered edges (0 if none).
-  virtual double Apply(VertexId v, double old_value, double gathered,
-                       uint64_t num_contributions,
-                       const Graph& graph) const = 0;
-
-  /// Edges traversed by the gather phase.
-  virtual EdgeDirection gather_direction() const = 0;
-
-  /// Edges traversed by the scatter phase (activation of neighbors).
-  virtual EdgeDirection scatter_direction() const = 0;
-
-  /// True for fixed-iteration, all-active algorithms (PageRank): every
-  /// vertex gathers and synchronizes its value every iteration.
-  virtual bool all_active() const = 0;
-
-  /// Iteration cap (PageRank runs exactly this many; data-driven programs
-  /// stop earlier when no value changes).
-  virtual uint32_t max_iterations() const = 0;
-
-  /// Vertices active in the first iteration (ignored when all_active()).
-  virtual std::vector<VertexId> InitialFrontier(const Graph&) const {
-    return {};
-  }
-
-  /// Whether a value change is significant enough to activate neighbors.
-  virtual bool Changed(double old_value, double new_value) const {
-    return old_value != new_value;
-  }
-
-  /// Kernel-dispatch tag (see ProgramKind). Built-in programs override
-  /// this; the engine falls back to the virtual path for kGeneric and for
-  /// any tag whose dynamic type does not match.
-  virtual ProgramKind kind() const { return ProgramKind::kGeneric; }
-};
-
-/// Forwarding view of a program that reports ProgramKind::kGeneric, pinning
-/// the engine to the virtual fallback kernel. Used by the equivalence tests
-/// and bench_engine_speed to compare the specialized kernels against the
-/// generic path on the same program instance.
-class GenericProgramView final : public VertexProgram {
- public:
-  explicit GenericProgramView(const VertexProgram& inner) : inner_(&inner) {}
-
-  std::string_view name() const override { return inner_->name(); }
-  double InitialValue(VertexId v, const Graph& g) const override {
-    return inner_->InitialValue(v, g);
-  }
-  double GatherNeutral() const override { return inner_->GatherNeutral(); }
-  double GatherContribution(VertexId u, VertexId v, double value_u,
-                            const Graph& g) const override {
-    return inner_->GatherContribution(u, v, value_u, g);
-  }
-  double Combine(double a, double b) const override {
-    return inner_->Combine(a, b);
-  }
-  double Apply(VertexId v, double old_value, double gathered,
-               uint64_t num_contributions, const Graph& g) const override {
-    return inner_->Apply(v, old_value, gathered, num_contributions, g);
-  }
-  EdgeDirection gather_direction() const override {
-    return inner_->gather_direction();
-  }
-  EdgeDirection scatter_direction() const override {
-    return inner_->scatter_direction();
-  }
-  bool all_active() const override { return inner_->all_active(); }
-  uint32_t max_iterations() const override { return inner_->max_iterations(); }
-  std::vector<VertexId> InitialFrontier(const Graph& g) const override {
-    return inner_->InitialFrontier(g);
-  }
-  bool Changed(double old_value, double new_value) const override {
-    return inner_->Changed(old_value, new_value);
-  }
-
- private:
-  const VertexProgram* inner_;
-};
+///
+/// A program states its shape once, as compile-time constants:
+///   - kGatherDirection: edges traversed by the gather phase;
+///   - kScatterDirection: edges traversed by the scatter phase
+///     (activation of neighbors);
+///   - kAllActive: true for fixed-iteration, all-active algorithms
+///     (PageRank) — every vertex gathers and synchronizes its value every
+///     iteration.
+/// and its behaviour through these members:
+///   - InitialValue(v, g): initial vertex value;
+///   - GatherNeutral(): identity element of Combine();
+///   - GatherContribution(u, v, value_u, g): contribution of neighbor `u`
+///     (with current value `value_u`) to the gather of `v` along one edge;
+///   - Combine(a, b): commutative-associative combiner (sum for PageRank,
+///     min for WCC/SSSP);
+///   - Apply(v, old, gathered, num_contributions, g): new value of `v`
+///     from its old value and the combined gather result;
+///     `num_contributions` is the number of gathered edges (0 if none);
+///   - max_iterations(): iteration cap (PageRank runs exactly this many;
+///     data-driven programs stop earlier when no value changes);
+///   - InitialFrontier(g): vertices active in the first iteration
+///     (required only when !kAllActive).
+/// A vertex whose value changes (`!=`) activates its scatter neighbors.
+template <typename P>
+concept VertexProgram =
+    requires(const P& p, VertexId v, double x, uint64_t c, const Graph& g) {
+      { P::kGatherDirection } -> std::convertible_to<EdgeDirection>;
+      { P::kScatterDirection } -> std::convertible_to<EdgeDirection>;
+      { P::kAllActive } -> std::convertible_to<bool>;
+      { p.InitialValue(v, g) } -> std::same_as<double>;
+      { p.GatherNeutral() } -> std::same_as<double>;
+      { p.GatherContribution(v, v, x, g) } -> std::same_as<double>;
+      { p.Combine(x, x) } -> std::same_as<double>;
+      { p.Apply(v, x, x, c, g) } -> std::same_as<double>;
+      { p.max_iterations() } -> std::convertible_to<uint32_t>;
+    } &&
+    (P::kAllActive || requires(const P& p, const Graph& g) {
+      { p.InitialFrontier(g) } -> std::same_as<std::vector<VertexId>>;
+    });
 
 }  // namespace sgp
 

@@ -149,6 +149,22 @@ TEST(EdgeCaseDeathTest, BuilderRejectsOutOfRangeVertex) {
   EXPECT_DEATH(b.AddEdge(0, 5), "SGP_CHECK");
 }
 
+TEST(EdgeCaseDeathTest, SsspRejectsOutOfRangeSource) {
+  // An unchecked source would index the frontier and the CSR offsets past
+  // their ends.
+  const Graph g = testing::MakePath(3);
+  PartitionConfig cfg;
+  cfg.k = 2;
+  const AnalyticsEngine engine(g, CreatePartitioner("ECR")->Run(g, cfg));
+  EXPECT_DEATH(engine.Run(SsspProgram(3)), "SGP_CHECK");
+  EXPECT_DEATH(engine.Run(SsspProgram(7)), "SGP_CHECK");
+
+  const Graph empty = EmptyGraph();
+  const AnalyticsEngine empty_engine(empty,
+                                     CreatePartitioner("ECR")->Run(empty, cfg));
+  EXPECT_DEATH(empty_engine.Run(SsspProgram(0)), "SGP_CHECK");
+}
+
 TEST(EdgeCaseDeathTest, DatasetRejectsUnknownName) {
   EXPECT_DEATH(MakeDataset("nope", 10), "SGP_CHECK");
 }

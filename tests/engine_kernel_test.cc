@@ -1,22 +1,20 @@
-// Kernel-equivalence suite: the compile-time-specialized superstep kernels
-// (engine/kernel.h) must produce byte-identical EngineStats to the generic
-// virtual-dispatch path for every program, graph kind, partitioner and
-// worker-speed profile. GenericProgramView pins a program to
-// the generic path, so the same AnalyticsEngine instance runs both kernels
-// on the same distributed graph.
+// Kernel-vs-oracle suite: AnalyticsEngine::Run (the superstep kernel in
+// engine/kernel.h) must produce byte-identical EngineStats to the plain
+// reference loop in tests/engine_oracle.h for every program, graph kind,
+// partitioner and worker-speed profile. Both run on the engine's own
+// distributed graph.
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
-#include "common/telemetry.h"
 #include "engine/engine.h"
 #include "engine/programs.h"
 #include "graph/datasets.h"
 #include "partition/partitioner.h"
+#include "tests/engine_oracle.h"
 #include "tests/test_util.h"
 
 namespace sgp {
@@ -41,27 +39,29 @@ void ExpectBitsEqual(const std::vector<double>& a,
   }
 }
 
-void ExpectStatsByteIdentical(const EngineStats& s, const EngineStats& g) {
-  EXPECT_EQ(s.iterations, g.iterations);
-  EXPECT_EQ(s.gather_messages, g.gather_messages);
-  EXPECT_EQ(s.sync_messages, g.sync_messages);
-  EXPECT_EQ(s.total_network_bytes, g.total_network_bytes);
-  ExpectBitsEqual(s.compute_seconds_per_worker, g.compute_seconds_per_worker,
-                  "compute_seconds_per_worker");
-  EXPECT_EQ(s.bytes_per_worker, g.bytes_per_worker);
-  EXPECT_PRED_FORMAT2(BitsEqual, s.simulated_seconds, g.simulated_seconds);
-  EXPECT_EQ(s.active_per_iteration, g.active_per_iteration);
-  EXPECT_EQ(s.messages_per_iteration, g.messages_per_iteration);
-  ExpectBitsEqual(s.values, g.values, "values");
+void ExpectStatsByteIdentical(const EngineStats& run,
+                              const EngineStats& ref) {
+  EXPECT_EQ(run.iterations, ref.iterations);
+  EXPECT_EQ(run.gather_messages, ref.gather_messages);
+  EXPECT_EQ(run.sync_messages, ref.sync_messages);
+  EXPECT_EQ(run.total_network_bytes, ref.total_network_bytes);
+  ExpectBitsEqual(run.compute_seconds_per_worker,
+                  ref.compute_seconds_per_worker, "compute_seconds_per_worker");
+  EXPECT_EQ(run.bytes_per_worker, ref.bytes_per_worker);
+  EXPECT_PRED_FORMAT2(BitsEqual, run.simulated_seconds,
+                      ref.simulated_seconds);
+  EXPECT_EQ(run.active_per_iteration, ref.active_per_iteration);
+  EXPECT_EQ(run.messages_per_iteration, ref.messages_per_iteration);
+  ExpectBitsEqual(run.values, ref.values, "values");
 }
 
-std::unique_ptr<VertexProgram> MakeProgram(const std::string& name,
-                                           const Graph& g) {
-  if (name == "PageRank") return std::make_unique<PageRankProgram>(12);
-  if (name == "WCC") return std::make_unique<WccProgram>();
-  VertexId source = 0;
-  while (g.Degree(source) == 0) ++source;
-  return std::make_unique<SsspProgram>(source);
+template <typename Program>
+void ExpectRunMatchesOracle(const AnalyticsEngine& engine,
+                            const EngineCostModel& cost,
+                            const Program& program) {
+  ExpectStatsByteIdentical(
+      engine.Run(program),
+      oracle::RunEngine(engine.distributed_graph(), cost, program));
 }
 
 // program × dataset × partitioner × heterogeneous-speeds.
@@ -69,7 +69,7 @@ using EquivParam = std::tuple<std::string, std::string, std::string, bool>;
 
 class KernelEquivalenceTest : public ::testing::TestWithParam<EquivParam> {};
 
-TEST_P(KernelEquivalenceTest, SpecializedMatchesGenericByteForByte) {
+TEST_P(KernelEquivalenceTest, KernelMatchesOracleByteForByte) {
   const auto& [prog_name, dataset, algo, hetero] = GetParam();
   Graph g = MakeDataset(dataset, 8);
   PartitionConfig cfg;
@@ -84,12 +84,15 @@ TEST_P(KernelEquivalenceTest, SpecializedMatchesGenericByteForByte) {
   }
 
   AnalyticsEngine engine(g, p, cost);
-  auto program = MakeProgram(prog_name, g);
-  GenericProgramView generic(*program);
-
-  EngineStats specialized = engine.Run(*program);
-  EngineStats fallback = engine.Run(generic);
-  ExpectStatsByteIdentical(specialized, fallback);
+  if (prog_name == "PageRank") {
+    ExpectRunMatchesOracle(engine, cost, PageRankProgram(12));
+  } else if (prog_name == "WCC") {
+    ExpectRunMatchesOracle(engine, cost, WccProgram());
+  } else {
+    VertexId source = 0;
+    while (g.Degree(source) == 0) ++source;
+    ExpectRunMatchesOracle(engine, cost, SsspProgram(source));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -114,9 +117,7 @@ TEST(KernelEquivalenceTest, NoAggregationMatches) {
   EngineCostModel cost;
   cost.sender_side_aggregation = false;
   AnalyticsEngine engine(g, p, cost);
-  PageRankProgram pr(8);
-  GenericProgramView generic(pr);
-  ExpectStatsByteIdentical(engine.Run(pr), engine.Run(generic));
+  ExpectRunMatchesOracle(engine, cost, PageRankProgram(8));
 }
 
 TEST(KernelEquivalenceTest, SinglePartitionAndTinyGraphsMatch) {
@@ -125,83 +126,10 @@ TEST(KernelEquivalenceTest, SinglePartitionAndTinyGraphsMatch) {
     Partitioning p = testing::MakeEdgeCutPartitioning(
         g, 1, std::vector<PartitionId>(g.num_vertices(), 0));
     AnalyticsEngine engine(g, p);
-    PageRankProgram pr(5);
-    GenericProgramView generic_pr(pr);
-    ExpectStatsByteIdentical(engine.Run(pr), engine.Run(generic_pr));
-    WccProgram wcc;
-    GenericProgramView generic_wcc(wcc);
-    ExpectStatsByteIdentical(engine.Run(wcc), engine.Run(generic_wcc));
+    ExpectRunMatchesOracle(engine, {}, PageRankProgram(5));
+    ExpectRunMatchesOracle(engine, {}, WccProgram());
+    if (n > 0) ExpectRunMatchesOracle(engine, {}, SsspProgram(n - 1));
   }
-}
-
-// --- Dispatch metering ---
-
-uint64_t CounterValue(MetricsRegistry& reg, const char* name) {
-  for (const MetricSample& m : reg.Snapshot()) {
-    if (m.name == name) return m.counter_value;
-  }
-  return 0;
-}
-
-TEST(KernelDispatchTest, CountersMeterSpecializedAndGenericRuns) {
-  Graph g = testing::MakeCycle(12);
-  Partitioning p =
-      testing::MakeEdgeCutPartitioning(
-          g, 2, std::vector<PartitionId>(g.num_vertices(), 0));
-  AnalyticsEngine engine(g, p);
-  PageRankProgram pr(3);
-  GenericProgramView generic(pr);
-
-  MetricsRegistry local;
-  ScopedMetricsRegistry scoped(&local);
-  engine.Run(pr);       // specialized kernel
-  engine.Run(generic);  // pinned to the virtual path
-  EXPECT_EQ(CounterValue(local, "engine.kernel.specialized"), 1u);
-  EXPECT_EQ(CounterValue(local, "engine.kernel.generic"), 1u);
-}
-
-// A program whose kind() lies about its dynamic type must fall back to the
-// generic path (the dynamic_cast guard) instead of crashing or
-// misinterpreting the object.
-class ImpostorProgram final : public VertexProgram {
- public:
-  std::string_view name() const override { return "Impostor"; }
-  double InitialValue(VertexId, const Graph&) const override { return 1.0; }
-  double GatherNeutral() const override { return 0.0; }
-  double GatherContribution(VertexId, VertexId, double value_u,
-                            const Graph&) const override {
-    return value_u;
-  }
-  double Combine(double a, double b) const override { return a + b; }
-  double Apply(VertexId, double, double gathered, uint64_t,
-               const Graph&) const override {
-    return 0.5 * gathered;
-  }
-  EdgeDirection gather_direction() const override {
-    return EdgeDirection::kIn;
-  }
-  EdgeDirection scatter_direction() const override {
-    return EdgeDirection::kOut;
-  }
-  bool all_active() const override { return true; }
-  uint32_t max_iterations() const override { return 4; }
-  ProgramKind kind() const override { return ProgramKind::kPageRank; }
-};
-
-TEST(KernelDispatchTest, MislabeledKindFallsBackToGenericPath) {
-  Graph g = testing::MakeCycle(10);
-  Partitioning p =
-      testing::MakeEdgeCutPartitioning(
-          g, 2, std::vector<PartitionId>(g.num_vertices(), 0));
-  AnalyticsEngine engine(g, p);
-  ImpostorProgram impostor;
-
-  MetricsRegistry local;
-  ScopedMetricsRegistry scoped(&local);
-  EngineStats stats = engine.Run(impostor);
-  EXPECT_EQ(stats.iterations, 4u);
-  EXPECT_EQ(CounterValue(local, "engine.kernel.specialized"), 0u);
-  EXPECT_EQ(CounterValue(local, "engine.kernel.generic"), 1u);
 }
 
 }  // namespace

@@ -1,13 +1,26 @@
-#include "engine/reference.h"
+#ifndef SGP_TESTS_ENGINE_REFERENCE_H_
+#define SGP_TESTS_ENGINE_REFERENCE_H_
 
+// Single-machine reference implementations of the three workloads, used
+// by tests to validate the invariant that engine results are independent
+// of partitioning. The traversals run BFS over a cursor-indexed vector
+// frontier (each vertex enqueues at most once), so every reference is
+// O(n + m) with no per-step allocation.
+
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/check.h"
+#include "graph/graph.h"
 
 namespace sgp {
 
-std::vector<double> ReferencePageRank(const Graph& graph,
-                                      uint32_t iterations, double damping) {
+/// Synchronous (Jacobi) PageRank; matches the engine's update rule
+/// value = (1 − d) + d · Σ value(u)/outdeg(u) exactly.
+inline std::vector<double> ReferencePageRank(const Graph& graph,
+                                             uint32_t iterations = 20,
+                                             double damping = 0.85) {
   const VertexId n = graph.num_vertices();
   std::vector<double> values(n, 1.0);
   std::vector<double> next(n);
@@ -24,7 +37,9 @@ std::vector<double> ReferencePageRank(const Graph& graph,
   return values;
 }
 
-std::vector<double> ReferenceWcc(const Graph& graph) {
+/// Weakly connected component label of each vertex: the minimum vertex id
+/// reachable when ignoring edge direction.
+inline std::vector<double> ReferenceWcc(const Graph& graph) {
   const VertexId n = graph.num_vertices();
   std::vector<double> label(n, -1.0);
   // FIFO queue as a vector with a read cursor: every vertex enters at
@@ -50,7 +65,10 @@ std::vector<double> ReferenceWcc(const Graph& graph) {
   return label;
 }
 
-std::vector<double> ReferenceSssp(const Graph& graph, VertexId source) {
+/// Unweighted shortest-path distance from `source` along out-edges;
+/// +infinity for unreachable vertices.
+inline std::vector<double> ReferenceSssp(const Graph& graph,
+                                         VertexId source) {
   SGP_CHECK(source < graph.num_vertices());
   const VertexId n = graph.num_vertices();
   std::vector<double> dist(n, std::numeric_limits<double>::infinity());
@@ -70,3 +88,5 @@ std::vector<double> ReferenceSssp(const Graph& graph, VertexId source) {
 }
 
 }  // namespace sgp
+
+#endif  // SGP_TESTS_ENGINE_REFERENCE_H_

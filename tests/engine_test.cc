@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 #include "engine/programs.h"
-#include "engine/reference.h"
 #include "graph/datasets.h"
 #include "partition/partitioner.h"
+#include "tests/engine_reference.h"
 #include "tests/test_util.h"
 
 namespace sgp {

@@ -3,8 +3,8 @@
 #include <limits>
 
 #include <gtest/gtest.h>
-#include "engine/reference.h"
 #include "graph/datasets.h"
+#include "tests/engine_reference.h"
 
 namespace sgp {
 namespace {

@@ -5,9 +5,9 @@
 #include <string>
 
 #include <gtest/gtest.h>
-#include "engine/reference.h"
 #include "graph/datasets.h"
 #include "partition/partitioner.h"
+#include "tests/engine_reference.h"
 #include "tests/test_util.h"
 
 namespace sgp {

@@ -5,12 +5,12 @@
 #include "common/statistics.h"
 #include "engine/engine.h"
 #include "engine/programs.h"
-#include "engine/reference.h"
 #include "graph/datasets.h"
 #include "graphdb/event_sim.h"
 #include "graphdb/workload_aware.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
+#include "tests/engine_reference.h"
 
 namespace sgp {
 namespace {

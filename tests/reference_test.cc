@@ -1,4 +1,4 @@
-#include "engine/reference.h"
+#include "tests/engine_reference.h"
 
 #include <limits>
 
