@@ -37,7 +37,8 @@ class DistributedGraph {
   /// All copies of `v`, one entry per partition where the vertex is
   /// present. The master copy is always the first entry (pinned by
   /// DistributedGraphTest.MasterIsAlwaysFrontReplica); mirrors follow in
-  /// first-touch order of the edge scan.
+  /// first-touch order of v's edges by id, except that the first-touched
+  /// one takes the master's place in that order.
   std::span<const Replica> Replicas(VertexId v) const {
     return {replicas_.data() + offsets_[v],
             replicas_.data() + offsets_[v + 1]};

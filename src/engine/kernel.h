@@ -33,10 +33,18 @@
 //     by an epoch stamp instead of an O(n) std::fill per superstep;
 //     activation order (and thus floating-point accumulation order) is
 //     unchanged.
+//   - lockstep gather: on the source-only path, vertices are ordered by
+//     gather degree once per Run (a counting sort), and each group of four
+//     neighbours in that order is summed together, one row position at a
+//     time, into four independent accumulators until each row ends. Every
+//     vertex still adds its own contributions in its own row order,
+//     starting from GatherNeutral, so each sum is the same chain of
+//     roundings; only the interleaving across vertices changes.
 
 #include <algorithm>
 #include <concepts>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -205,6 +213,37 @@ inline void ForEachNeighbor(const Graph& g, VertexId v, Body&& body) {
   }
 }
 
+// The adjacency row a single-direction gather reads.
+template <EdgeDirection kDir>
+inline std::span<const VertexId> GatherRow(const Graph& g, VertexId v) {
+  static_assert(kDir != EdgeDirection::kBoth,
+                "a two-direction gather reads two rows");
+  if constexpr (kDir == EdgeDirection::kIn) {
+    return g.InNeighbors(v);
+  } else {
+    return g.OutNeighbors(v);
+  }
+}
+
+// Vertices in ascending gather degree, ties by id (one counting sort), so
+// the four rows of a lockstep group have nearly equal lengths.
+template <EdgeDirection kDir>
+std::vector<VertexId> OrderByGatherDegree(const Graph& g) {
+  const VertexId n = g.num_vertices();
+  std::vector<uint64_t> starts;
+  for (VertexId v = 0; v < n; ++v) {
+    const size_t d = GatherRow<kDir>(g, v).size();
+    if (d + 2 > starts.size()) starts.resize(d + 2, 0);
+    ++starts[d + 1];
+  }
+  for (size_t d = 1; d < starts.size(); ++d) starts[d] += starts[d - 1];
+  std::vector<VertexId> order(n);
+  for (VertexId v = 0; v < n; ++v) {
+    order[starts[GatherRow<kDir>(g, v).size()]++] = v;
+  }
+  return order;
+}
+
 // Detects the kSourceOnlyGather marker (see PageRankProgram): true when the
 // program's GatherContribution is a pure function of the source vertex, so
 // the all-active kernel may evaluate it once per source per superstep.
@@ -328,8 +367,10 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
   // zero-out-degree PageRank source) — those slots are never read, so no
   // unhoisted loop would have evaluated them either.
   std::vector<double> hoisted_contrib;
+  std::vector<VertexId> by_degree;
   if constexpr (kAllActive && SourceOnlyGather<Program>) {
     hoisted_contrib.resize(n);
+    by_degree = OrderByGatherDegree<kGatherDir>(g);
   }
 
   const uint32_t max_iterations = program.max_iterations();
@@ -352,15 +393,56 @@ EngineStats RunKernel(const Graph& g, const DistributedGraph& dgraph,
           hoisted_contrib[u] =
               program.GatherContribution(u, u, stats.values[u], g);
         }
-        for (VertexId v = 0; v < n; ++v) {
-          double acc = program.GatherNeutral();
-          uint64_t contributions = 0;
-          ForEachNeighbor<kGatherDir>(g, v, [&](VertexId u) {
-            acc = program.Combine(acc, hoisted_contrib[u]);
-            ++contributions;
-          });
+        // Lockstep gather: each group of four vertices, consecutive in
+        // degree order, sums with four accumulators — all four over the
+        // shortest row, then the longer three, two and one finish theirs —
+        // so four addition chains overlap. The n mod 4 vertices of lowest
+        // degree are summed one at a time first.
+        const double* contrib = hoisted_contrib.data();
+        const VertexId* order = by_degree.data();
+        auto apply = [&](VertexId v, double acc, size_t contributions) {
           new_values[v] =
               program.Apply(v, stats.values[v], acc, contributions, g);
+        };
+        size_t idx = 0;
+        for (; idx < n % 4; ++idx) {
+          const VertexId v = order[idx];
+          const std::span<const VertexId> row = GatherRow<kGatherDir>(g, v);
+          double acc = program.GatherNeutral();
+          for (VertexId u : row) acc = program.Combine(acc, contrib[u]);
+          apply(v, acc, row.size());
+        }
+        for (; idx < n; idx += 4) {
+          const VertexId v0 = order[idx], v1 = order[idx + 1],
+                         v2 = order[idx + 2], v3 = order[idx + 3];
+          const std::span<const VertexId> w0 = GatherRow<kGatherDir>(g, v0);
+          const std::span<const VertexId> w1 = GatherRow<kGatherDir>(g, v1);
+          const std::span<const VertexId> w2 = GatherRow<kGatherDir>(g, v2);
+          const std::span<const VertexId> w3 = GatherRow<kGatherDir>(g, v3);
+          const VertexId *r0 = w0.data(), *r1 = w1.data(), *r2 = w2.data(),
+                         *r3 = w3.data();
+          double a0 = program.GatherNeutral(), a1 = a0, a2 = a0, a3 = a0;
+          size_t i = 0;
+          for (; i < w0.size(); ++i) {
+            a0 = program.Combine(a0, contrib[r0[i]]);
+            a1 = program.Combine(a1, contrib[r1[i]]);
+            a2 = program.Combine(a2, contrib[r2[i]]);
+            a3 = program.Combine(a3, contrib[r3[i]]);
+          }
+          for (; i < w1.size(); ++i) {
+            a1 = program.Combine(a1, contrib[r1[i]]);
+            a2 = program.Combine(a2, contrib[r2[i]]);
+            a3 = program.Combine(a3, contrib[r3[i]]);
+          }
+          for (; i < w2.size(); ++i) {
+            a2 = program.Combine(a2, contrib[r2[i]]);
+            a3 = program.Combine(a3, contrib[r3[i]]);
+          }
+          for (; i < w3.size(); ++i) a3 = program.Combine(a3, contrib[r3[i]]);
+          apply(v0, a0, w0.size());
+          apply(v1, a1, w1.size());
+          apply(v2, a2, w2.size());
+          apply(v3, a3, w3.size());
         }
       } else {
         for (VertexId v = 0; v < n; ++v) {

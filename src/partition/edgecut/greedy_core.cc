@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "common/telemetry.h"
 #include "common/timer.h"
-#include "partition/edgecut/neighbor_gather.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 #include "stream/source.h"
@@ -23,8 +22,6 @@ struct GreedyMetrics {
   Counter* vertices_assigned = nullptr;
   Counter* neighbor_scans = nullptr;
   Counter* capacity_fallbacks = nullptr;
-  Counter* gather_blocks = nullptr;
-  Counter* gather_prefetched = nullptr;
   Histogram* stream_build_wall = nullptr;
   Histogram* score_assign_wall = nullptr;
 
@@ -34,8 +31,6 @@ struct GreedyMetrics {
     neighbor_scans = reg.GetCounter("partition.greedy.neighbor.scans");
     capacity_fallbacks =
         reg.GetCounter("partition.greedy.capacity_fallbacks");
-    gather_blocks = reg.GetCounter("partition.greedy.gather.blocks");
-    gather_prefetched = reg.GetCounter("partition.greedy.gather.prefetched");
     stream_build_wall =
         reg.GetHistogram("partition.greedy.stream_build.wall_seconds",
                          MetricOptions::WallClock());
@@ -48,6 +43,10 @@ struct GreedyMetrics {
     return CurrentRegistryMetrics<GreedyMetrics>();
   }
 };
+
+// Vertices of lookahead for the neighbour-row prefetch: two placements
+// are long enough to cover a DRAM miss on a row.
+constexpr size_t kRowPrefetchAhead = 2;
 
 }  // namespace
 
@@ -66,7 +65,10 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   ScoreCore core(state);
 
   // FENNEL α: the paper's optimum α = m·k^{γ−1}/n^{γ}, which reduces to
-  // √k·m/n^{3/2} at γ = 1.5.
+  // √k·m/n^{3/2} at γ = 1.5. The term row rejects a bad α or γ
+  // (GreedyTermRow::Reset); the restreaming growth factor is checked here,
+  // since a NaN one shows only from the second pass and a zero one still
+  // gives a valid α.
   const double gamma = config.fennel_gamma;
   double alpha = config.fennel_alpha;
   if (alpha == 0.0 && n > 0) {
@@ -74,7 +76,10 @@ Partitioning RunStreamingGreedy(const Graph& graph,
             std::pow(static_cast<double>(k), gamma - 1.0) /
             std::pow(static_cast<double>(n), gamma);
   }
-  const bool gamma_is_three_halves = gamma == 1.5;
+  const double growth = config.restream_alpha_growth;
+  if (objective == Objective::kFennel && passes > 1) {
+    SGP_CHECK(std::isfinite(growth) && growth > 0);
+  }
 
   GreedyMetrics& metrics = GreedyMetrics::Get();
   // Phase 1: ingest setup (the source materializes the arrival order once;
@@ -92,38 +97,41 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   uint64_t local_fallbacks = 0;
 
   std::vector<PartitionId> assignment(n, kInvalidPartition);
-  std::vector<uint32_t> neighbor_counts(k, 0);
-  std::vector<PartitionId> touched;
-  touched.reserve(k);
-  NeighborGather gather;
+  NeighborTally tally(k);
+  auto part_of = [&](VertexId v) { return assignment[v]; };
 
-  score::GreedyObjective score_objective;
+  GreedyObjective score_objective;
   score_objective.ldg = objective == Objective::kLdg;
   score_objective.gamma = gamma;
-  score_objective.sqrt_form = gamma_is_three_halves;
 
   for (uint32_t pass = 0; pass < passes; ++pass) {
     // Re-streaming FENNEL anneals α upward across passes ([34]).
     score_objective.alpha =
-        alpha * std::pow(config.restream_alpha_growth,
-                         static_cast<double>(pass));
+        alpha * std::pow(growth, static_cast<double>(pass));
+    state.InitGreedyTerms(score_objective);
     source.Reset();
     for (auto chunk = source.NextChunk(); !chunk.empty();
          chunk = source.NextChunk()) {
       core.NoteBatch();
-      for (VertexId u : chunk) {
+      for (size_t idx = 0; idx < chunk.size(); ++idx) {
+        // Neighbour rows sit at random offsets of the adjacency, so the row
+        // of the vertex kRowPrefetchAhead positions later is pulled toward
+        // the cache while this one is tallied and placed.
+        if (idx + kRowPrefetchAhead < chunk.size()) {
+          __builtin_prefetch(
+              graph.Neighbors(chunk[idx + kRowPrefetchAhead]).data(), 0, 1);
+        }
+        const VertexId u = chunk[idx];
         // Re-streaming: remove u from its previous partition before
         // re-placing it, so capacities reflect the tentative state.
         if (assignment[u] != kInvalidPartition) {
-          state.RemoveLoad(assignment[u]);
+          state.RemoveLoadUpdatingTerms(assignment[u]);
           assignment[u] = kInvalidPartition;
         }
-        local_neighbor_scans +=
-            gather.Accumulate(graph.Neighbors(u), assignment.data(),
-                              neighbor_counts.data(), touched);
+        local_neighbor_scans += tally.Add(graph.Neighbors(u), part_of);
 
         PartitionId best = core.PickGreedyVertex(
-            neighbor_counts.data(), state.loads().data(), score_objective);
+            tally.counts(), state.greedy_terms(), state.loads().data());
         // All partitions at capacity can only happen transiently in
         // re-streaming passes; fall back to the least-loaded partition.
         if (best == kInvalidPartition) {
@@ -131,11 +139,9 @@ Partitioning RunStreamingGreedy(const Graph& graph,
           best = core.PickLeastLoadedAll();
         }
         assignment[u] = best;
-        state.AddLoad(best);
+        state.AddLoadUpdatingTerms(best);
         ++local_assigned;
-
-        for (PartitionId part : touched) neighbor_counts[part] = 0;
-        touched.clear();
+        tally.Clear();
       }
     }
     // Per-pass flush: restreaming runs surface scan progress after every
@@ -147,8 +153,6 @@ Partitioning RunStreamingGreedy(const Graph& graph,
 
   metrics.vertices_assigned->Increment(local_assigned);
   metrics.capacity_fallbacks->Increment(local_fallbacks);
-  metrics.gather_blocks->Increment(gather.blocks);
-  metrics.gather_prefetched->Increment(gather.prefetched);
 
   Partitioning result;
   result.model = CutModel::kEdgeCut;

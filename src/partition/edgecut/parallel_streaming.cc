@@ -17,27 +17,46 @@ namespace {
 // Worker-interval scratch of the sharded scorers: the combined
 // (published + own delta) loads materialized as a flat array at the start
 // of each worker's interval and updated incrementally per placement, plus
-// (HDRF) the balance row over them, rebuilt at each interval start and
-// grown per placement exactly as the sequential state's. Only the owning
-// worker mutates state between barriers, so the scratch stays exactly
-// equal to CombinedLoad and the row to one computed from it — same
-// integers, same operations — for the whole interval.
+// the row the picks read over them — HDRF's balance row or the LDG/FENNEL
+// term row — rebuilt at each interval start and updated per placement
+// exactly as the sequential state's. Only the owning worker mutates state
+// between barriers, so the scratch stays exactly equal to CombinedLoad and
+// the row to one computed from it — same integers, same operations — for
+// the whole interval.
 struct CombinedLoadScratch {
+  enum class Row { kNone, kBalance, kGreedy };
+
   std::vector<uint64_t> loads;
+  Row row;
   BalanceRow balance;
+  GreedyObjective objective;
+  GreedyTermRow terms;
 
-  explicit CombinedLoadScratch(double lambda) : balance(lambda) {}
+  CombinedLoadScratch(Row row, double lambda,
+                      const GreedyObjective& objective = {})
+      : row(row), balance(lambda), objective(objective) {}
 
-  void Fill(const ShardedPartitionState& shard, uint32_t w, bool hdrf) {
-    const PartitionId k = shard.global().k();
+  void Fill(const ShardedPartitionState& shard, uint32_t w) {
+    const PartitionState& global = shard.global();
+    const PartitionId k = global.k();
     loads.resize(k);
     for (PartitionId p = 0; p < k; ++p) loads[p] = shard.CombinedLoad(w, p);
-    if (hdrf) balance.Reset(k, loads.data(), shard.global().weights().data());
+    if (row == Row::kBalance) {
+      balance.Reset(k, loads.data(), global.weights().data());
+    } else if (row == Row::kGreedy) {
+      terms.Reset(objective, k, loads.data(), global.weights().data(),
+                  global.capacities().data());
+    }
   }
 
-  void AddLoad(const ShardedPartitionState& shard, PartitionId p, bool hdrf) {
+  void AddLoad(const ShardedPartitionState& shard, PartitionId p) {
+    const PartitionState& global = shard.global();
     ++loads[p];
-    if (hdrf) balance.Grow(p, loads[p], shard.global().weights()[p]);
+    if (row == Row::kBalance) {
+      balance.Grow(p, loads[p], global.weights()[p]);
+    } else if (row == Row::kGreedy) {
+      terms.Set(p, loads[p], global.weights()[p], global.capacity(p));
+    }
   }
 };
 
@@ -64,7 +83,6 @@ ParallelStreamResult RunParallelVertexStream(
             std::pow(static_cast<double>(k), gamma - 1.0) /
             std::pow(static_cast<double>(n), gamma);
   }
-  const bool gamma_is_three_halves = gamma == 1.5;
 
   // Round-robin split across ingest workers, pulled through the chunked
   // source (chunk boundaries don't change the sequence).
@@ -85,18 +103,17 @@ ParallelStreamResult RunParallelVertexStream(
   // Worker-local view lookup: own delta shadows the published state.
   std::vector<PartitionId> scratch_view(n, kInvalidPartition);
 
-  score::GreedyObjective objective;
+  GreedyObjective objective;
   objective.ldg = algo == ParallelAlgo::kLdg;
   objective.alpha = alpha;
   objective.gamma = gamma;
-  objective.sqrt_form = gamma_is_three_halves;
 
   ParallelStreamResult result;
   ScoreCore core(shard.global());
-  std::vector<uint32_t> neighbor_counts(k, 0);
-  std::vector<PartitionId> touched;
+  NeighborTally tally(k);
   std::vector<size_t> cursor(s, 0);
-  CombinedLoadScratch comb(config.hdrf_lambda);
+  CombinedLoadScratch comb(CombinedLoadScratch::Row::kGreedy,
+                           config.hdrf_lambda, objective);
 
   bool work_left = true;
   while (work_left) {
@@ -108,26 +125,21 @@ ParallelStreamResult RunParallelVertexStream(
         return scratch_view[v] != kInvalidPartition ? scratch_view[v]
                                                     : published[v];
       };
-      comb.Fill(shard, w, /*hdrf=*/false);
+      comb.Fill(shard, w);
       core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());
       for (size_t i = cursor[w]; i < end; ++i) {
         const VertexId u = substreams[w][i];
-        for (VertexId v : graph.Neighbors(u)) {
-          PartitionId p = view(v);
-          if (p == kInvalidPartition) continue;
-          if (neighbor_counts[p]++ == 0) touched.push_back(p);
-        }
-        PartitionId best = core.PickGreedyVertex(
-            neighbor_counts.data(), comb.loads.data(), objective);
+        tally.Add(graph.Neighbors(u), view);
+        PartitionId best = core.PickGreedyVertex(tally.counts(), comb.terms,
+                                                 comb.loads.data());
         if (best == kInvalidPartition) best = u % k;  // all full (stale)
         deltas[w].emplace_back(u, best);
         scratch_view[u] = best;
         shard.AddWorkerLoad(w, best);
-        comb.AddLoad(shard, best, /*hdrf=*/false);
-        for (PartitionId p : touched) neighbor_counts[p] = 0;
-        touched.clear();
+        comb.AddLoad(shard, best);
+        tally.Clear();
       }
       cursor[w] = end;
       work_left |= cursor[w] < substreams[w].size();
@@ -183,7 +195,7 @@ PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
   const PartitionId best = core.PickHdrf(
       comb.balance.row(), comb.loads.data(), row_u, row_v, theta_u, theta_v);
   shard.AddWorkerLoad(w, best);
-  comb.AddLoad(shard, best, /*hdrf=*/true);
+  comb.AddLoad(shard, best);
   if (!row_u.Test(best)) shard.AddWorkerReplica(w, u, best);
   if (!row_v.Test(best)) shard.AddWorkerReplica(w, v, best);
   return best;
@@ -236,7 +248,7 @@ PartitionId PlacePggSharded(ShardedPartitionState& shard, uint32_t w,
   }
 
   shard.AddWorkerLoad(w, target);
-  comb.AddLoad(shard, target, /*hdrf=*/false);
+  comb.AddLoad(shard, target);
   // Placed degrees update after the decision, as in the sequential code.
   shard.IncrementWorkerDegree(w, u);
   shard.IncrementWorkerDegree(w, v);
@@ -274,7 +286,9 @@ ParallelStreamResult RunParallelEdgeStream(
 
   const bool is_hdrf = algo == ParallelAlgo::kHdrf;
   ScoreCore core(shard.global());
-  CombinedLoadScratch comb(config.hdrf_lambda);
+  CombinedLoadScratch comb(is_hdrf ? CombinedLoadScratch::Row::kBalance
+                                   : CombinedLoadScratch::Row::kNone,
+                           config.hdrf_lambda);
   std::vector<uint64_t> inter_words((static_cast<uint64_t>(k) + 63) / 64, 0);
   std::vector<size_t> cursor(s, 0);
   std::vector<uint64_t> round_placed(s, 0);
@@ -283,7 +297,7 @@ ParallelStreamResult RunParallelEdgeStream(
   while (work_left) {
     work_left = false;
     for (uint32_t w = 0; w < s; ++w) {
-      comb.Fill(shard, w, is_hdrf);
+      comb.Fill(shard, w);
       core.NoteBatch();
       const size_t end = std::min(cursor[w] + options.sync_interval,
                                   substreams[w].size());

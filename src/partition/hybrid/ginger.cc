@@ -5,35 +5,12 @@
 
 #include "common/check.h"
 #include "common/hashing.h"
-#include "common/telemetry.h"
 #include "common/timer.h"
-#include "partition/edgecut/neighbor_gather.h"
 #include "partition/score_core.h"
 #include "partition/state.h"
 #include "stream/source.h"
 
 namespace sgp {
-
-namespace {
-
-// Ginger's phase-1 greedy shares the gather pipeline (and its counters)
-// with the edge-cut family.
-struct GingerMetrics {
-  Counter* gather_blocks = nullptr;
-  Counter* gather_prefetched = nullptr;
-
-  GingerMetrics() = default;
-  explicit GingerMetrics(MetricsRegistry& reg) {
-    gather_blocks = reg.GetCounter("partition.greedy.gather.blocks");
-    gather_prefetched = reg.GetCounter("partition.greedy.gather.prefetched");
-  }
-
-  static GingerMetrics& Get() {
-    return CurrentRegistryMetrics<GingerMetrics>();
-  }
-};
-
-}  // namespace
 
 Partitioning GingerPartitioner::Run(const Graph& graph,
                                     const PartitionConfig& config) const {
@@ -74,10 +51,8 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
   const std::vector<uint64_t>& edge_load = state.secondary_loads();
 
   ScoreCore core(state);
-  std::vector<uint32_t> neighbor_counts(k, 0);
+  NeighborTally tally(k);
   std::vector<double> combined_loads(k, 0.0);
-  std::vector<PartitionId> touched;
-  internal_edgecut::NeighborGather gather;
   const double vertices_per_edge =
       m == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(m);
   // Equation (8) leaves the scaling of the balance term implicit;
@@ -116,8 +91,8 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
         continue;
       }
       // Low-degree: Equation (8) over already-placed neighbors.
-      gather.Accumulate(graph.Neighbors(v), result.vertex_to_partition.data(),
-                        neighbor_counts.data(), touched);
+      tally.Add(graph.Neighbors(v),
+                [&](VertexId u) { return result.vertex_to_partition[u]; });
       // Combined load ½(|Pi_v| + (n/m)|Pi_e|) of Equation (8), passed
       // through FENNEL's marginal-cost power form.
       for (PartitionId i = 0; i < k; ++i) {
@@ -127,9 +102,9 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
              vertices_per_edge * static_cast<double>(edge_load[i])) /
             cap_weights[i];
       }
-      PartitionId best = core.PickGingerVertex(
-          neighbor_counts.data(), combined_loads.data(), combined_capacity,
-          alpha, gamma);
+      PartitionId best =
+          core.PickGingerVertex(tally.counts(), combined_loads.data(),
+                                combined_capacity, alpha, gamma);
       if (best == kInvalidPartition) {
         // Every partition at capacity: least combined load wins.
         best = 0;
@@ -137,8 +112,7 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
           if (combined_loads[i] < combined_loads[best]) best = i;
         }
       }
-      for (PartitionId p : touched) neighbor_counts[p] = 0;
-      touched.clear();
+      tally.Clear();
 
       result.vertex_to_partition[v] = best;
       state.AddLoad(best);
@@ -156,9 +130,6 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
         is_high_degree(edge.dst) ? result.vertex_to_partition[edge.src]
                                  : result.vertex_to_partition[edge.dst];
   }
-  GingerMetrics& metrics = GingerMetrics::Get();
-  metrics.gather_blocks->Increment(gather.blocks);
-  metrics.gather_prefetched->Increment(gather.prefetched);
   state.NoteAuxiliaryBytes(static_cast<uint64_t>(n) * sizeof(PartitionId) +
                            static_cast<uint64_t>(k) * sizeof(uint32_t));
   result.state_bytes = state.SynopsisBytes();

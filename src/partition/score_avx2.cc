@@ -7,20 +7,17 @@
 // bit-identical:
 //   - membership bit → {0.0, 1.0} multiply becomes an AND against an
 //     all-ones mask (x & ~0 == x, x & 0 == +0.0 == 0.0·x for the strictly
-//     positive gains), from cmpeq for the greedy kernels and from a
-//     16-entry nibble table for HDRF,
-//   - u64 loads become doubles via the 2^52 magic-number trick, exact for
-//     values < 2^52 (partition loads are element counts),
+//     positive gains), from a 16-entry nibble table,
 //   - neighbor counts ride signed i32→double lanes, exact below 2^31,
-//   - vdivpd / vsqrtpd are correctly rounded per element.
-// The greedy and Ginger argmaxes run lane-wise with the incumbent-keeping
-// rule (indices ascend within a lane, so full ties keep the lower id),
-// then the four lane winners and the scalar tail merge through the full
-// lexicographic rule (score desc, load asc, index asc) — a plain
-// lane-order reduction would mis-rank equal (score, load) pairs whose
-// indices interleave across lanes. The HDRF argmax takes two passes
-// instead: the max score, then the tie rule over the candidates equal to
-// it in ascending id order, which needs no cross-lane merge.
+//   - vsqrtpd is correctly rounded per element.
+// The HDRF and LDG/FENNEL argmaxes take two passes: the max score, then
+// the tie rule over the candidates equal to it in ascending id order,
+// which needs no cross-lane merge. The Ginger argmax runs lane-wise with
+// the incumbent-keeping rule (indices ascend within a lane, so full ties
+// keep the lower id), then the four lane winners and the scalar tail
+// merge through the full lexicographic rule (score desc, load asc, index
+// asc) — a plain lane-order reduction would mis-rank equal (score, load)
+// pairs whose indices interleave across lanes.
 //
 // This unit calls none of the inline helpers of score_core.h: any
 // COMDAT-inline function it emitted with AVX2 flags could be picked by
@@ -43,13 +40,12 @@ namespace {
 // the canonical tie-break. Used for the cross-lane/tail merges, where the
 // within-lane "keep the incumbent on full ties" shortcut is wrong because
 // lane winners' indices interleave.
-template <typename Load>
 struct LexBest {
   double score = kNegInf;
-  Load load = 0;
+  double load = 0;
   PartitionId index = kInvalidPartition;
 
-  void Merge(double s, Load l, PartitionId i) {
+  void Merge(double s, double l, PartitionId i) {
     if (s > score || (s == score && (l < load || (l == load && i < index)))) {
       score = s;
       load = l;
@@ -81,15 +77,6 @@ inline uint64_t RowWord(const MembershipRow& row, uint64_t w) {
   return row.delta == nullptr ? row.base[w] : row.base[w] | row.delta[w];
 }
 
-// u64 → double, exact for values < 2^52: OR the value into the mantissa
-// of 2^52 and subtract 2^52.
-inline __m256d U64ToDouble(__m256i v) {
-  const __m256i magic_i = _mm256_set1_epi64x(0x4330000000000000LL);
-  const __m256d magic_d = _mm256_set1_pd(4503599627370496.0);  // 2^52
-  return _mm256_sub_pd(
-      _mm256_castsi256_pd(_mm256_or_si256(v, magic_i)), magic_d);
-}
-
 inline __m256d BlendPd(__m256d keep, __m256d take, __m256d mask) {
   return _mm256_blendv_pd(keep, take, mask);
 }
@@ -99,16 +86,88 @@ inline __m256i BlendI64(__m256i keep, __m256i take, __m256d mask) {
       _mm256_castsi256_pd(keep), _mm256_castsi256_pd(take), mask));
 }
 
-// Keep in sync with score::GreedyScore (score_core.h). ScoreCore only
-// routes LDG and sqrt-form FENNEL here.
-inline double GreedyScoreTail(const GreedyObjective& obj, uint32_t count,
-                              double size, double capacity, double weight) {
-  if (obj.ldg) {
-    return static_cast<double>(count) * (1.0 - size / capacity);
+// Horizontal max of four lanes.
+inline double MaxLane(__m256d v) {
+  __m128d max2 = _mm_max_pd(_mm256_castpd256_pd128(v),
+                            _mm256_extractf128_pd(v, 1));
+  max2 = _mm_max_sd(max2, _mm_unpackhi_pd(max2, max2));
+  return _mm_cvtsd_f64(max2);
+}
+
+// Pass 2 of the two-pass picks: the canonical tie rule over the
+// candidates scoring exactly best_score — lighter load, then lower id.
+// They are visited in ascending id order, so a strict compare keeps the
+// lower id. Per 64-candidate block, the lanes equal to best_score are
+// gathered into one bit mask first, so the scan takes no branch per group.
+// Inlined into both picks, as HdrfPick's own second pass was.
+[[gnu::always_inline]] inline PartitionId LightestAtMax(
+    PartitionId k, const double* scores, const uint64_t* loads,
+    double best_score) {
+  PartitionId best = kInvalidPartition;
+  uint64_t best_load = 0;
+  auto consider = [&](PartitionId i) {
+    if (best == kInvalidPartition || loads[i] < best_load) {
+      best = i;
+      best_load = loads[i];
+    }
+  };
+  const PartitionId vec_end = k & ~PartitionId{3};
+  const __m256d v_best = _mm256_set1_pd(best_score);
+  for (PartitionId blk = 0; blk < vec_end; blk += 64) {
+    const PartitionId lim = vec_end < blk + 64 ? vec_end : blk + 64;
+    uint64_t eq = 0;
+    for (PartitionId i = blk; i < lim; i += 4) {
+      const int lanes = _mm256_movemask_pd(
+          _mm256_cmp_pd(_mm256_loadu_pd(scores + i), v_best, _CMP_EQ_OQ));
+      eq |= static_cast<uint64_t>(lanes) << (i - blk);
+    }
+    for (; eq != 0; eq &= eq - 1) {
+      consider(blk + static_cast<PartitionId>(__builtin_ctzll(eq)));
+    }
   }
-  const double eff = size / weight;
-  const double load = std::sqrt(eff);
-  return static_cast<double>(count) - obj.alpha * obj.gamma * load;
+  for (PartitionId i = vec_end; i < k; ++i) {
+    if (scores[i] == best_score) consider(i);
+  }
+  return best;
+}
+
+// Pass 1 of GreedyPick: every score cnt·t[i] (LDG) or cnt − t[i]
+// (FENNEL), plus room[i], into `scores`, and their max seeded from −∞.
+// Two running maxima, one per group of four in a pair, halve the chain of
+// dependent vmaxpd; a max does not depend on the order it is taken in.
+// vmaxpd returns its second operand when either is NaN, so with the
+// running max second a NaN score (possible only from a degenerate α·γ)
+// never becomes the max — as it never wins the batched kernel's strict >.
+template <bool kLdg>
+double GreedyScores(PartitionId k, const uint32_t* neighbor_counts,
+                    const double* terms, const double* room, double* scores) {
+  auto score4 = [&](PartitionId i) {
+    const __m256d cnt = _mm256_cvtepi32_pd(_mm_loadu_si128(
+        reinterpret_cast<const __m128i*>(neighbor_counts + i)));
+    const __m256d t = _mm256_loadu_pd(terms + i);
+    const __m256d base =
+        kLdg ? _mm256_mul_pd(cnt, t) : _mm256_sub_pd(cnt, t);
+    const __m256d sc = _mm256_add_pd(base, _mm256_loadu_pd(room + i));
+    _mm256_storeu_pd(scores + i, sc);
+    return sc;
+  };
+  const PartitionId vec_end = k & ~PartitionId{3};
+  __m256d max_a = _mm256_set1_pd(kNegInf);
+  __m256d max_b = max_a;
+  PartitionId i = 0;
+  for (; i + 8 <= vec_end; i += 8) {
+    max_a = _mm256_max_pd(score4(i), max_a);
+    max_b = _mm256_max_pd(score4(i + 4), max_b);
+  }
+  if (i < vec_end) max_a = _mm256_max_pd(score4(i), max_a);
+  double best_score = MaxLane(_mm256_max_pd(max_a, max_b));
+  for (i = vec_end; i < k; ++i) {
+    // Keep in sync with GreedyPickBatched's per-candidate score.
+    const double cnt = static_cast<double>(neighbor_counts[i]);
+    scores[i] = (kLdg ? cnt * terms[i] : cnt - terms[i]) + room[i];
+    if (scores[i] > best_score) best_score = scores[i];
+  }
+  return best_score;
 }
 
 }  // namespace
@@ -161,10 +220,7 @@ PartitionId HdrfPick(PartitionId k, const double* balance,
       max4 = _mm256_max_pd(max4, sc);
     }
   }
-  __m128d max2 = _mm_max_pd(_mm256_castpd256_pd128(max4),
-                            _mm256_extractf128_pd(max4, 1));
-  max2 = _mm_max_sd(max2, _mm_unpackhi_pd(max2, max2));
-  double best_score = _mm_cvtsd_f64(max2);
+  double best_score = MaxLane(max4);
   for (PartitionId i = vec_end; i < k; ++i) {
     // Keep in sync with HdrfPickBatched's per-candidate score.
     const uint64_t wu = RowWord(u_row, i >> 6);
@@ -176,109 +232,19 @@ PartitionId HdrfPick(PartitionId k, const double* balance,
     if (scores[i] > best_score) best_score = scores[i];
   }
 
-  // Pass 2: the canonical tie rule over the candidates scoring exactly
-  // best_score — lighter load, then lower id. They are visited in
-  // ascending id order, so a strict compare keeps the lower id.
-  PartitionId best = kInvalidPartition;
-  uint64_t best_load = 0;
-  auto consider = [&](PartitionId i) {
-    if (best == kInvalidPartition || loads[i] < best_load) {
-      best = i;
-      best_load = loads[i];
-    }
-  };
-  // Per 64-candidate block, the lanes equal to best_score are gathered
-  // into one bit mask first, so the scan takes no branch per group.
-  const __m256d v_best = _mm256_set1_pd(best_score);
-  for (PartitionId blk = 0; blk < vec_end; blk += 64) {
-    const PartitionId lim = vec_end < blk + 64 ? vec_end : blk + 64;
-    uint64_t eq = 0;
-    for (PartitionId i = blk; i < lim; i += 4) {
-      const int lanes = _mm256_movemask_pd(
-          _mm256_cmp_pd(_mm256_loadu_pd(scores + i), v_best, _CMP_EQ_OQ));
-      eq |= static_cast<uint64_t>(lanes) << (i - blk);
-    }
-    for (; eq != 0; eq &= eq - 1) {
-      consider(blk + static_cast<PartitionId>(__builtin_ctzll(eq)));
-    }
-  }
-  for (PartitionId i = vec_end; i < k; ++i) {
-    if (scores[i] == best_score) consider(i);
-  }
-  return best;
+  // Pass 2: the tie rule over the candidates scoring exactly best_score.
+  return LightestAtMax(k, scores, loads, best_score);
 }
 
 PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const uint64_t* loads, const double* weights,
-                       const double* capacity, const GreedyObjective& obj) {
-  const double ag = obj.alpha * obj.gamma;
-  const __m256d v_one = _mm256_set1_pd(1.0);
-  const __m256d v_neg_inf = _mm256_set1_pd(kNegInf);
-  const __m256d v_ag = _mm256_set1_pd(ag);
-  const __m256i v_four = _mm256_set1_epi64x(4);
-  const __m256i lane_off = _mm256_setr_epi64x(0, 1, 2, 3);
-
-  __m256d best_sc = _mm256_set1_pd(kNegInf);
-  __m256i best_ld = _mm256_setzero_si256();
-  __m256i best_ix = _mm256_setzero_si256();
-  __m256i cur_ix = lane_off;
-
-  const PartitionId vec_end = k & ~PartitionId{3};
-  PartitionId i = 0;
-  for (; i < vec_end; i += 4) {
-    const __m256i ld = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(loads + i));
-    const __m256d size = U64ToDouble(ld);
-    const __m256d cap = _mm256_loadu_pd(capacity + i);
-    const __m256d cnt = _mm256_cvtepi32_pd(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(neighbor_counts + i)));
-    __m256d sc;
-    if (obj.ldg) {
-      // count · (1 − size/capacity)
-      sc = _mm256_mul_pd(cnt,
-                         _mm256_sub_pd(v_one, _mm256_div_pd(size, cap)));
-    } else {
-      // count − (αγ)·√(size/weight)
-      const __m256d wgt = _mm256_loadu_pd(weights + i);
-      sc = _mm256_sub_pd(
-          cnt, _mm256_mul_pd(v_ag,
-                             _mm256_sqrt_pd(_mm256_div_pd(size, wgt))));
-    }
-    const __m256d over =
-        _mm256_cmp_pd(_mm256_add_pd(size, v_one), cap, _CMP_GT_OQ);
-    sc = BlendPd(sc, v_neg_inf, over);
-    const __m256d gt = _mm256_cmp_pd(sc, best_sc, _CMP_GT_OQ);
-    const __m256d eq = _mm256_cmp_pd(sc, best_sc, _CMP_EQ_OQ);
-    const __m256d lighter =
-        _mm256_castsi256_pd(_mm256_cmpgt_epi64(best_ld, ld));
-    const __m256d take = _mm256_or_pd(gt, _mm256_and_pd(eq, lighter));
-    best_sc = BlendPd(best_sc, sc, take);
-    best_ld = BlendI64(best_ld, ld, take);
-    best_ix = BlendI64(best_ix, cur_ix, take);
-    cur_ix = _mm256_add_epi64(cur_ix, v_four);
-  }
-
-  LexBest<uint64_t> best;
-  if (vec_end > 0) {
-    alignas(32) double lane_sc[4];
-    alignas(32) uint64_t lane_ld[4];
-    alignas(32) uint64_t lane_ix[4];
-    _mm256_store_pd(lane_sc, best_sc);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ld), best_ld);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_ix), best_ix);
-    for (int l = 0; l < 4; ++l) {
-      best.Merge(lane_sc[l], lane_ld[l],
-               static_cast<PartitionId>(lane_ix[l]));
-    }
-  }
-  for (; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    const double sc =
-        GreedyScoreTail(obj, neighbor_counts[i], size, capacity[i],
-                        weights[i]);
-    best.Merge(size + 1.0 > capacity[i] ? kNegInf : sc, loads[i], i);
-  }
-  return best.score == kNegInf ? kInvalidPartition : best.index;
+                       const double* terms, const double* room,
+                       const uint64_t* loads, bool ldg, double* scores) {
+  const double best_score =
+      ldg ? GreedyScores<true>(k, neighbor_counts, terms, room, scores)
+          : GreedyScores<false>(k, neighbor_counts, terms, room, scores);
+  // Every partition full: no score rose above −∞.
+  if (best_score == kNegInf) return kInvalidPartition;
+  return LightestAtMax(k, scores, loads, best_score);
 }
 
 PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
@@ -316,7 +282,7 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
     cur_ix = _mm256_add_epi64(cur_ix, v_four);
   }
 
-  LexBest<double> best;
+  LexBest best;
   if (vec_end > 0) {
     alignas(32) double lane_sc[4];
     alignas(32) double lane_ld[4];
@@ -357,8 +323,8 @@ PartitionId HdrfPick(PartitionId, const double*, const uint64_t*,
   return kInvalidPartition;
 }
 
-PartitionId GreedyPick(PartitionId, const uint32_t*, const uint64_t*,
-                       const double*, const double*, const GreedyObjective&) {
+PartitionId GreedyPick(PartitionId, const uint32_t*, const double*,
+                       const double*, const uint64_t*, bool, double*) {
   SGP_CHECK(false);
   return kInvalidPartition;
 }

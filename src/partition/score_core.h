@@ -23,9 +23,10 @@ namespace sgp {
 /// algorithm hand-rolling its own copy over `partition/state`.
 ///
 /// Layering: PartitionState (flat SoA synopsis: loads, the HDRF balance
-/// row, capacities, degrees, replica sets) → ScoreCore (candidate scoring +
-/// argmax with the canonical tie-break: equal score → lighter load →
-/// lower id) → partitioner (stream order, gather, placement recording).
+/// row, the LDG/FENNEL term row, capacities, degrees, replica sets) →
+/// ScoreCore (candidate scoring + argmax with the canonical tie-break:
+/// equal score → lighter load → lower id) → partitioner (stream order,
+/// neighbour tally, placement recording).
 ///
 /// One production path per kernel: a portable batched kernel (SoA loops,
 /// replica membership read one 64-candidate word at a time from the bit
@@ -107,47 +108,27 @@ inline PartitionId HdrfPickBatched(PartitionId k, const double* balance,
   return best;
 }
 
-/// Objective of the streaming greedy vertex placement (LDG Equation 4,
-/// FENNEL Equation 5).
-struct GreedyObjective {
-  bool ldg = true;
-  double alpha = 0.0;     // FENNEL α (per pass, restreaming anneals it)
-  double gamma = 1.5;     // FENNEL γ
-  bool sqrt_form = true;  // γ == 1.5 → sqrt instead of pow
-};
-
-inline double GreedyScore(const GreedyObjective& obj, uint32_t count,
-                          double size, double capacity, double weight) {
-  if (obj.ldg) {
-    return static_cast<double>(count) * (1.0 - size / capacity);
-  }
-  // Effective load: raw size scaled by inverse capacity, so a twice-as-big
-  // machine looks half as loaded.
-  const double eff = size / weight;
-  const double load =
-      obj.sqrt_form ? std::sqrt(eff) : std::pow(eff, obj.gamma - 1.0);
-  return static_cast<double>(count) - obj.alpha * obj.gamma * load;
-}
-
-/// Batched LDG/FENNEL pick: phase 1 materializes every candidate score
-/// into `scores` with capacity violations masked to −inf (branch-free,
-/// auto-vectorizable over the SoA arrays); phase 2 is the argmax with the
-/// canonical tie-break. A masked −inf can never win (> is strict and the
-/// tie-break needs loads[i] < best_load, which starts at 0 with unsigned
-/// loads), so selection matches a hard capacity skip exactly;
-/// kInvalidPartition when every partition is at capacity.
+/// Batched LDG/FENNEL pick over the memoised term row (GreedyTermRow,
+/// partition/state.h): phase 1 materializes every candidate score,
+/// cnt·t[i] (LDG) or cnt − t[i] (FENNEL), plus room[i], which is 0 or −∞
+/// for a full partition; phase 2 is the argmax with the canonical
+/// tie-break. A −∞ can never win (> is strict and the tie-break needs
+/// loads[i] < best_load, which starts at 0 with unsigned loads), so
+/// selection matches a hard capacity skip exactly; kInvalidPartition when
+/// every partition is at capacity.
 inline PartitionId GreedyPickBatched(PartitionId k,
                                      const uint32_t* neighbor_counts,
-                                     const uint64_t* loads,
-                                     const double* weights,
-                                     const double* capacity,
-                                     const GreedyObjective& obj,
+                                     const double* terms, const double* room,
+                                     const uint64_t* loads, bool ldg,
                                      double* scores) {
-  for (PartitionId i = 0; i < k; ++i) {
-    const double size = static_cast<double>(loads[i]);
-    const double sc =
-        GreedyScore(obj, neighbor_counts[i], size, capacity[i], weights[i]);
-    scores[i] = size + 1.0 > capacity[i] ? kNegInf : sc;
+  if (ldg) {
+    for (PartitionId i = 0; i < k; ++i) {
+      scores[i] = static_cast<double>(neighbor_counts[i]) * terms[i] + room[i];
+    }
+  } else {
+    for (PartitionId i = 0; i < k; ++i) {
+      scores[i] = static_cast<double>(neighbor_counts[i]) - terms[i] + room[i];
+    }
   }
   PartitionId best = kInvalidPartition;
   double best_score = kNegInf;
@@ -278,13 +259,12 @@ inline void IntersectRows(PartitionId k, MembershipRow a, MembershipRow b,
 }
 
 // AVX2 kernels (score_avx2.cc) for the picks where they measured a win:
-// HDRF/cluster, LDG/FENNEL (sqrt form) and Ginger. Each returns the same
-// selection as its batched kernel above — and HdrfPick the same bitset
-// hits — because every floating-point operation keeps the batched
-// kernel's order (the unit is built with -mavx2 only plus
-// -ffp-contract=off) and every argmax applies the full canonical rule.
-// Preconditions (hold for every caller): partition loads < 2^52,
-// neighbor counts < 2^31, and no NaN balance term (BalanceRow rejects a
+// HDRF/cluster, LDG/FENNEL and Ginger. Each returns the same selection as
+// its batched kernel above — and HdrfPick the same bitset hits — because
+// every floating-point operation keeps the batched kernel's order (the
+// unit is built with -mavx2 only plus -ffp-contract=off) and every argmax
+// applies the full canonical rule. Preconditions (hold for every caller):
+// neighbor counts < 2^31 and no NaN balance term (BalanceRow rejects a
 // NaN λ). On hosts or toolchains without AVX2, Available() is false and
 // ScoreCore never calls the kernels.
 namespace avx2 {
@@ -298,10 +278,10 @@ PartitionId HdrfPick(PartitionId k, const double* balance,
                      MembershipRow v_row, double theta_u, double theta_v,
                      double* scores, uint64_t* bitset_hits);
 
-/// LDG or sqrt-form FENNEL only (pow-form FENNEL stays batched).
+/// Two passes over `scores` (k doubles of scratch), as HdrfPick.
 PartitionId GreedyPick(PartitionId k, const uint32_t* neighbor_counts,
-                       const uint64_t* loads, const double* weights,
-                       const double* capacity, const GreedyObjective& obj);
+                       const double* terms, const double* room,
+                       const uint64_t* loads, bool ldg, double* scores);
 
 PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
                        const double* combined_loads, double combined_capacity,
@@ -310,6 +290,50 @@ PartitionId GingerPick(PartitionId k, const uint32_t* neighbor_counts,
 }  // namespace avx2
 
 }  // namespace score
+
+/// |P_i ∩ N(u)| for the vertex-greedy picks (LDG, FENNEL, restreaming,
+/// their parallel drivers and Ginger's phase 1), tallied without a branch
+/// per neighbour: an unplaced neighbour counts into a sentinel slot k, and
+/// every slot's first touch is appended to a list
+/// (touched[nt] = p; nt += count[p] == 0), so Clear() resets only the
+/// min(deg, k + 1) slots the vertex touched, never all k.
+class NeighborTally {
+ public:
+  explicit NeighborTally(PartitionId k)
+      : k_(k), counts_(static_cast<size_t>(k) + 1, 0),
+        touched_(static_cast<size_t>(k) + 2) {}
+
+  /// Counts each of `nbrs` into the slot of its partition `part_of(v)`,
+  /// kInvalidPartition (unplaced) into slot k. Returns nbrs.size().
+  template <typename PartOf>
+  uint64_t Add(std::span<const VertexId> nbrs, PartOf&& part_of) {
+    uint32_t* counts = counts_.data();
+    PartitionId* touched = touched_.data();
+    size_t nt = num_touched_;
+    for (VertexId v : nbrs) {
+      const PartitionId p = std::min<PartitionId>(part_of(v), k_);
+      touched[nt] = p;
+      nt += counts[p] == 0;
+      ++counts[p];
+    }
+    num_touched_ = nt;
+    return nbrs.size();
+  }
+
+  /// Neighbours per partition; entries [0, k) are what the picks read.
+  const uint32_t* counts() const { return counts_.data(); }
+
+  void Clear() {
+    for (size_t j = 0; j < num_touched_; ++j) counts_[touched_[j]] = 0;
+    num_touched_ = 0;
+  }
+
+ private:
+  PartitionId k_;
+  std::vector<uint32_t> counts_;      // k + 1 slots, the last for unplaced
+  std::vector<PartitionId> touched_;  // first touches, + 1 spare write slot
+  size_t num_touched_ = 0;
+};
 
 /// Edges of lookahead in the chunked scoring loops: while edge i is being
 /// scored, the degree entries and bit-matrix rows of edge i+8 are pulled
@@ -479,23 +503,23 @@ class ScoreCore {
 
   // ---------------------------------------------------------------------
   // Vertex-greedy family (LDG / FENNEL / re-streaming): the caller
-  // gathers |P ∩ N(u)| into a dense scratch and the core performs the
-  // k-way pick against `loads` (the state's own, or a sharded driver's
-  // combined view) and the state's weights and capacities.
-  // kInvalidPartition when every partition is at capacity.
+  // tallies |P ∩ N(u)| (NeighborTally) and the core performs the k-way
+  // pick against `loads` (the state's own, or a sharded driver's combined
+  // view) and the term row kept over them. kInvalidPartition when every
+  // partition is at capacity.
   // ---------------------------------------------------------------------
   PartitionId PickGreedyVertex(const uint32_t* neighbor_counts,
-                               const uint64_t* loads,
-                               const score::GreedyObjective& objective) {
-    stats_.candidates += state_.k();
-    if (avx2_ && (objective.ldg || objective.sqrt_form)) {
-      return score::avx2::GreedyPick(state_.k(), neighbor_counts, loads,
-                                     state_.weights().data(),
-                                     state_.capacities().data(), objective);
+                               const GreedyTermRow& terms,
+                               const uint64_t* loads) {
+    const PartitionId k = state_.k();
+    stats_.candidates += k;
+    if (avx2_) {
+      return score::avx2::GreedyPick(k, neighbor_counts, terms.terms(),
+                                     terms.room(), loads, terms.ldg(),
+                                     scores_.data());
     }
-    return score::GreedyPickBatched(state_.k(), neighbor_counts, loads,
-                                    state_.weights().data(),
-                                    state_.capacities().data(), objective,
+    return score::GreedyPickBatched(k, neighbor_counts, terms.terms(),
+                                    terms.room(), loads, terms.ldg(),
                                     scores_.data());
   }
 

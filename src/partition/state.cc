@@ -141,6 +141,30 @@ void PartitionState::InitEffectiveLoads() {
   balance_.Reset(k_, loads_.data(), weights_.data());
 }
 
+void GreedyTermRow::Reset(const GreedyObjective& objective, PartitionId k,
+                          const uint64_t* loads, const double* weights,
+                          const double* capacities) {
+  ldg_ = objective.ldg;
+  if (!ldg_) {
+    SGP_CHECK(std::isfinite(objective.gamma) && objective.gamma >= 1.0);
+    SGP_CHECK(std::isfinite(objective.alpha) && objective.alpha >= 0.0);
+  }
+  gamma_ = objective.gamma;
+  sqrt_form_ = gamma_ == 1.5;
+  alpha_gamma_ = objective.alpha * objective.gamma;
+  terms_.resize(k);
+  room_.resize(k);
+  for (PartitionId i = 0; i < k; ++i) {
+    Set(i, loads[i], weights[i], capacities[i]);
+  }
+}
+
+void PartitionState::InitGreedyTerms(const GreedyObjective& objective) {
+  SGP_CHECK(capacity_.size() == k_);
+  greedy_terms_.Reset(objective, k_, loads_.data(), weights_.data(),
+                      capacity_.data());
+}
+
 void PartitionState::InitSecondaryLoads() { secondary_.assign(k_, 0); }
 
 void PartitionState::InitDegreeTable(VertexId num_vertices) {

@@ -1,7 +1,9 @@
 #ifndef SGP_PARTITION_STATE_H_
 #define SGP_PARTITION_STATE_H_
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -84,6 +86,64 @@ class BalanceRow {
   PartitionId at_min_ = 0;  // partitions whose effective load is min_
 };
 
+/// Objective of the streaming greedy vertex placement (LDG Equation 4,
+/// FENNEL Equation 5).
+struct GreedyObjective {
+  bool ldg = true;
+  double alpha = 0.0;  // FENNEL α (per pass, restreaming anneals it)
+  double gamma = 1.5;  // FENNEL γ
+};
+
+/// The load side of the LDG and FENNEL scores kept as state, so the
+/// greedy pick scores candidate i with one operation on its neighbour
+/// count: cnt·t[i] for LDG, with t[i] = 1 − size/C_i, and cnt − t[i] for
+/// FENNEL, with t[i] = αγ·(size/w_i)^{γ−1} (a square root at γ = 1.5).
+/// room[i] is 0 while partition i can take one more vertex and −∞ once
+/// size + 1 > C_i; the pick adds it to the score, so a full partition can
+/// never win.
+///
+/// A placement or a removal changes one load, so only that entry is
+/// rewritten; a new α (one per restreaming pass) or a refilled load view
+/// rewrites the row. Every entry comes from the same IEEE operations, in
+/// the same order, as the per-candidate score it replaces, so the picks
+/// are bit-identical to scoring from the loads.
+class GreedyTermRow {
+ public:
+  /// Rebuilds every entry from `loads`. For FENNEL, rejects a γ that is
+  /// not finite and ≥ 1 and an α that is not finite and ≥ 0: a NaN or an
+  /// infinite term turns every score into least-loaded placement.
+  void Reset(const GreedyObjective& objective, PartitionId k,
+             const uint64_t* loads, const double* weights,
+             const double* capacities);
+
+  /// Partition p's load is now `load`.
+  void Set(PartitionId p, uint64_t load, double weight, double capacity) {
+    const double size = static_cast<double>(load);
+    if (ldg_) {
+      terms_[p] = 1.0 - size / capacity;
+    } else {
+      const double eff = size / weight;
+      terms_[p] = alpha_gamma_ * (sqrt_form_ ? std::sqrt(eff)
+                                             : std::pow(eff, gamma_ - 1.0));
+    }
+    room_[p] = size + 1.0 > capacity
+                   ? -std::numeric_limits<double>::infinity()
+                   : 0.0;
+  }
+
+  bool ldg() const { return ldg_; }
+  const double* terms() const { return terms_.data(); }
+  const double* room() const { return room_.data(); }
+
+ private:
+  bool ldg_ = true;
+  bool sqrt_form_ = true;  // γ == 1.5 → sqrt instead of pow
+  double gamma_ = 1.5;
+  double alpha_gamma_ = 0;  // α·γ, the product the scores multiply by
+  std::vector<double> terms_;
+  std::vector<double> room_;
+};
+
 /// Shared partition-state core: the O(n + k) synopsis every streaming
 /// partitioner maintains (Section 2). One PartitionState owns the
 /// per-partition loads, the mean-1 normalized capacity weights of
@@ -150,6 +210,22 @@ class PartitionState {
   }
 
   // ---------------------------------------------------------------------
+  // Incrementally maintained LDG/FENNEL term row (the greedy vertex picks
+  // read all k terms per vertex, so each is recomputed only when its load
+  // moves). Needs the capacities.
+  // ---------------------------------------------------------------------
+  void InitGreedyTerms(const GreedyObjective& objective);
+  const GreedyTermRow& greedy_terms() const { return greedy_terms_; }
+  void AddLoadUpdatingTerms(PartitionId p) {
+    ++loads_[p];
+    greedy_terms_.Set(p, loads_[p], weights_[p], capacity_[p]);
+  }
+  void RemoveLoadUpdatingTerms(PartitionId p) {
+    --loads_[p];
+    greedy_terms_.Set(p, loads_[p], weights_[p], capacity_[p]);
+  }
+
+  // ---------------------------------------------------------------------
   // Secondary loads (Ginger balances vertex and edge load jointly).
   // ---------------------------------------------------------------------
   void InitSecondaryLoads();
@@ -200,6 +276,7 @@ class PartitionState {
   std::vector<uint64_t> loads_;
   std::vector<double> capacity_;
   BalanceRow balance_;
+  GreedyTermRow greedy_terms_;
   std::vector<uint64_t> secondary_;
   std::vector<uint32_t> degree_;
   bool degree_enabled_ = false;

@@ -191,6 +191,58 @@ TEST(EdgeCaseDeathTest, HdrfLambdaMustBeFiniteAndNonNegative) {
   }
 }
 
+TEST(EdgeCaseDeathTest, FennelParametersMustBeValid) {
+  // A NaN γ or an infinite α used to turn FENNEL quietly into
+  // least-loaded placement. The term row rejects a γ that is not finite
+  // and ≥ 1 and an α that is not finite and ≥ 0 (α = 0 derives it) for
+  // every code that scores with it; restreaming FENNEL also rejects an
+  // α growth factor that is not finite and > 0.
+  const Graph g = testing::MakeCycle(6);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Bad {
+    double gamma = 1.5;
+    double alpha = 0.0;
+  };
+  for (const Bad& bad : {Bad{nan, 0.0}, Bad{inf, 0.0}, Bad{0.5, 0.0},
+                         Bad{1.5, nan}, Bad{1.5, inf}, Bad{1.5, -5.0}}) {
+    PartitionConfig cfg;
+    cfg.k = 4;
+    cfg.fennel_gamma = bad.gamma;
+    cfg.fennel_alpha = bad.alpha;
+    for (const char* algo : {"FNL", "RFNL"}) {
+      EXPECT_DEATH(CreatePartitioner(algo)->Run(g, cfg), "SGP_CHECK")
+          << algo << " gamma=" << bad.gamma << " alpha=" << bad.alpha;
+    }
+    EXPECT_DEATH(RunParallelStreaming(g, cfg, ParallelStreamOptions{},
+                                      ParallelAlgo::kFennel),
+                 "SGP_CHECK")
+        << "PAR-FNL gamma=" << bad.gamma << " alpha=" << bad.alpha;
+  }
+  for (double growth : {nan, inf, 0.0, -1.0}) {
+    PartitionConfig cfg;
+    cfg.k = 4;
+    cfg.restream_alpha_growth = growth;
+    EXPECT_DEATH(CreatePartitioner("RFNL")->Run(g, cfg), "SGP_CHECK")
+        << "RFNL growth=" << growth;
+  }
+}
+
+TEST(EdgeCaseTest, FennelAcceptsBoundaryParameters) {
+  // γ = 1 (a flat load penalty) and an explicit α = 0 (derive it) are
+  // valid, and LDG ignores FENNEL's parameters altogether.
+  const Graph g = testing::MakeCycle(6);
+  PartitionConfig cfg;
+  cfg.k = 2;
+  cfg.fennel_gamma = 1.0;
+  EXPECT_EQ(CreatePartitioner("FNL")->Run(g, cfg).vertex_to_partition.size(),
+            6u);
+  cfg.fennel_gamma = std::numeric_limits<double>::quiet_NaN();
+  cfg.restream_alpha_growth = -1.0;
+  EXPECT_EQ(CreatePartitioner("RLDG")->Run(g, cfg).vertex_to_partition.size(),
+            6u);
+}
+
 TEST(EdgeCaseTest, MetricsOnSelfContainedPartition) {
   // All vertices and edges on one partition of many.
   Graph g = testing::MakeCycle(6);

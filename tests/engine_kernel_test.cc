@@ -10,6 +10,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include "common/random.h"
 #include "engine/engine.h"
 #include "engine/programs.h"
 #include "graph/datasets.h"
@@ -129,6 +130,55 @@ TEST(KernelEquivalenceTest, SinglePartitionAndTinyGraphsMatch) {
     ExpectRunMatchesOracle(engine, {}, PageRankProgram(5));
     ExpectRunMatchesOracle(engine, {}, WccProgram());
     if (n > 0) ExpectRunMatchesOracle(engine, {}, SsspProgram(n - 1));
+  }
+}
+
+// The lockstep gather sums groups of four vertices, consecutive in
+// in-degree order, together until each row ends, and the n mod 4 vertices
+// of lowest degree one at a time. Degree buckets of 1–9 vertices (groups
+// with equal and with unequal row lengths, every remainder) and graphs
+// with fewer than four vertices must still match the oracle bit for bit.
+TEST(KernelEquivalenceTest, LockstepGatherRemaindersMatch) {
+  Rng rng(17);
+  for (bool directed : {true, false}) {
+    // Bucket sizes per in-degree 0, 1, 2, ...: the first graphs have
+    // fewer than four vertices in all.
+    for (const std::vector<VertexId>& bucket_sizes :
+         std::vector<std::vector<VertexId>>{{1},
+                                            {1, 1},
+                                            {0, 2, 1},
+                                            {3, 5, 6, 7, 4, 1, 2},
+                                            {2, 9, 4, 3, 1, 8}}) {
+      std::vector<uint32_t> in_degree;
+      for (size_t d = 0; d < bucket_sizes.size(); ++d) {
+        in_degree.insert(in_degree.end(), bucket_sizes[d],
+                         static_cast<uint32_t>(d));
+      }
+      const VertexId n = static_cast<VertexId>(in_degree.size());
+      GraphBuilder builder(n, directed);
+      for (VertexId v = 0; v < n; ++v) {
+        // In-edges from distinct other vertices; an undirected graph
+        // gains degree from its neighbours' edges as well.
+        for (uint32_t i = 0; i < in_degree[v]; ++i) {
+          builder.AddEdge((v + 1 + i) % n, v);
+        }
+      }
+      const Graph g = std::move(builder).Finalize();
+      for (PartitionId k : {1u, 3u}) {
+        std::vector<PartitionId> map(n);
+        for (PartitionId& p : map) {
+          p = static_cast<PartitionId>(rng.UniformInt(k));
+        }
+        const Partitioning p = testing::MakeEdgeCutPartitioning(g, k, map);
+        EngineCostModel cost;
+        if (k == 3) cost.worker_speeds = {1.0, 0.7, 2.0};
+        AnalyticsEngine engine(g, p, cost);
+        SCOPED_TRACE(::testing::Message()
+                     << (directed ? "directed" : "undirected") << " n=" << n
+                     << " k=" << k);
+        ExpectRunMatchesOracle(engine, cost, PageRankProgram(7));
+      }
+    }
   }
 }
 

@@ -347,6 +347,91 @@ TEST(BalanceRowTest, MatchesFreshSweepAfterEveryPlacement) {
   }
 }
 
+// The greedy objectives the term row serves: LDG, and FENNEL at γ = 1
+// (a flat penalty), 1.5 (the square-root form) and 2 (the pow form).
+std::vector<GreedyObjective> GreedyObjectives(double alpha) {
+  std::vector<GreedyObjective> out;
+  out.push_back({/*ldg=*/true, alpha, 1.5});
+  for (double gamma : {1.0, 1.5, 2.0}) {
+    out.push_back({/*ldg=*/false, alpha, gamma});
+  }
+  return out;
+}
+
+std::string ObjectiveName(const GreedyObjective& obj) {
+  return obj.ldg ? "LDG" : "FNL(gamma=" + std::to_string(obj.gamma) + ")";
+}
+
+// The greedy term row against scores recomputed from scratch
+// (oracle::GreedyScore) after every placement and removal: LDG and FENNEL
+// at γ ∈ {1, 1.5, 2}, homogeneous and heterogeneous weights, and
+// capacities small enough that partitions fill up and pass them.
+TEST(GreedyTermRowTest, MatchesFreshScoresAfterEveryLoadChange) {
+  for (PartitionId k : {1u, 2u, 3u, 5u, 64u, 65u, 257u}) {
+    for (bool hetero : {false, true}) {
+      for (const GreedyObjective& obj : GreedyObjectives(0.7)) {
+        PartitionConfig cfg;
+        cfg.k = k;
+        if (hetero) {
+          cfg.capacity_weights.resize(k);
+          for (PartitionId i = 0; i < k; ++i) {
+            cfg.capacity_weights[i] = 1.0 + 0.5 * (i % 4);
+          }
+        }
+        PartitionState state(cfg);
+        // C_i = max(1, 2·w_i): a partition is full after two or three
+        // placements, and random placements carry many past it.
+        state.InitCapacities(2 * static_cast<uint64_t>(k), 1.0);
+        state.InitGreedyTerms(obj);
+        std::mt19937_64 rng(k * 13 + (hetero ? 1 : 0));
+        const std::string cell = "k=" + std::to_string(k) +
+                                 (hetero ? " hetero " : " uniform ") +
+                                 ObjectiveName(obj);
+
+        uint64_t full_seen = 0;
+        auto check = [&](int step) {
+          const GreedyTermRow& row = state.greedy_terms();
+          for (PartitionId i = 0; i < k; ++i) {
+            const double size = static_cast<double>(state.load(i));
+            const double cap = state.capacity(i);
+            const bool full = size + 1.0 > cap;
+            full_seen += full;
+            ASSERT_EQ(row.room()[i], full ? score::kNegInf : 0.0)
+                << cell << " step=" << step << " i=" << i;
+            for (uint32_t count : {0u, 1u, 5u}) {
+              const double want =
+                  full ? score::kNegInf
+                       : oracle::GreedyScore(obj, count, size, cap,
+                                             state.weights()[i]);
+              const double c = static_cast<double>(count);
+              const double got =
+                  (obj.ldg ? c * row.terms()[i] : c - row.terms()[i]) +
+                  row.room()[i];
+              ASSERT_EQ(got, want) << cell << " step=" << step << " i=" << i
+                                   << " count=" << count;
+            }
+          }
+        };
+
+        check(-1);
+        const int steps = 6 * static_cast<int>(k) + 64;
+        for (int step = 0; step < steps; ++step) {
+          const PartitionId p = static_cast<PartitionId>(rng() % k);
+          // Two placements for each removal, so loads climb past C_i.
+          if (rng() % 3 == 0 && state.load(p) > 0) {
+            state.RemoveLoadUpdatingTerms(p);
+          } else {
+            state.AddLoadUpdatingTerms(p);
+          }
+          check(step);
+          if (HasFatalFailure()) return;
+        }
+        EXPECT_GT(full_seen, 0u) << cell;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Kernel differential suite: every production kernel against its oracle
 // on seeded random inputs at k below one AVX2 lane group, around one and
@@ -540,37 +625,49 @@ TEST(ScoreKernelTest, GreedyKernelsMatchOracle) {
     for (int trial = 0; trial < kTrials; ++trial) {
       const bool hetero = trial % 2 == 1;
       const CapacityCase cap_case = CaseOf(trial);
+      // Every sixth trial gives every candidate the same count and load
+      // (on homogeneous weights), so score and load both tie everywhere
+      // and the lowest id must win.
+      const bool all_tie = trial % 6 == 0 && cap_case != CapacityCase::kAllFull;
+      const uint32_t tie_count = rng() % 4;
+      const uint64_t tie_load = rng() % 6;
       for (PartitionId i = 0; i < k; ++i) {
-        counts[i] = rng() % 4;  // small range forces score ties
-        loads[i] = rng() % 6;
-        weights[i] = hetero ? 1.0 + 0.5 * static_cast<double>(rng() % 3) : 1;
-        capacity[i] = CapacityFor(cap_case, loads[i], rng);
+        counts[i] = all_tie ? tie_count : rng() % 4;  // small: score ties
+        loads[i] = all_tie ? tie_load : rng() % 6;
+        weights[i] = hetero && !all_tie
+                         ? 1.0 + 0.5 * static_cast<double>(rng() % 3)
+                         : 1;
+        capacity[i] = all_tie ? static_cast<double>(tie_load) + 2.0
+                              : CapacityFor(cap_case, loads[i], rng);
       }
-      // LDG, sqrt-form FENNEL (γ = 1.5) and pow-form FENNEL (γ = 2).
-      for (int form = 0; form < 3; ++form) {
-        score::GreedyObjective obj;
-        obj.ldg = form == 0;
-        obj.alpha = 1.25;
-        obj.gamma = form == 2 ? 2.0 : 1.5;
-        obj.sqrt_form = form != 2;
+      for (const GreedyObjective& obj : GreedyObjectives(1.25)) {
+        // The kernels read the row the production state keeps; the
+        // oracle scores every candidate from its load.
+        GreedyTermRow terms;
+        terms.Reset(obj, k, loads.data(), weights.data(), capacity.data());
         const PartitionId want = oracle::GreedyPickScalar(
             k, counts.data(), loads.data(), weights.data(), capacity.data(),
             obj);
+        const std::string cell = "k=" + std::to_string(k) + " trial=" +
+                                 std::to_string(trial) + " " +
+                                 ObjectiveName(obj);
         if (cap_case == CapacityCase::kAllFull) {
-          ASSERT_EQ(want, kInvalidPartition);
+          ASSERT_EQ(want, kInvalidPartition) << cell;
         }
-        EXPECT_EQ(score::GreedyPickBatched(k, counts.data(), loads.data(),
-                                           weights.data(), capacity.data(),
-                                           obj, scores.data()),
+        if (all_tie) {
+          ASSERT_EQ(want, 0u) << cell;
+        }
+        EXPECT_EQ(score::GreedyPickBatched(k, counts.data(), terms.terms(),
+                                           terms.room(), loads.data(),
+                                           terms.ldg(), scores.data()),
                   want)
-            << "batched k=" << k << " trial=" << trial << " form=" << form;
-        // Pow-form FENNEL has no AVX2 kernel; ScoreCore keeps it batched.
-        if (score::avx2::Available() && obj.sqrt_form) {
-          EXPECT_EQ(score::avx2::GreedyPick(k, counts.data(), loads.data(),
-                                            weights.data(), capacity.data(),
-                                            obj),
+            << "batched " << cell;
+        if (score::avx2::Available()) {
+          EXPECT_EQ(score::avx2::GreedyPick(k, counts.data(), terms.terms(),
+                                            terms.room(), loads.data(),
+                                            terms.ldg(), scores.data()),
                     want)
-              << "avx2 k=" << k << " trial=" << trial << " form=" << form;
+              << "avx2 " << cell;
         }
       }
     }

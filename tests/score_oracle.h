@@ -152,6 +152,22 @@ inline PartitionId PickPggScalar(const PartitionState& state, VertexId u,
   return LeastLoadedAmong(state, all);
 }
 
+/// LDG (Equation 4) or FENNEL (Equation 5) score of a candidate holding
+/// `count` neighbours and `size` vertices, recomputed from scratch: the
+/// definition the memoised GreedyTermRow must reproduce bit for bit.
+inline double GreedyScore(const GreedyObjective& obj, uint32_t count,
+                          double size, double capacity, double weight) {
+  if (obj.ldg) {
+    return static_cast<double>(count) * (1.0 - size / capacity);
+  }
+  // Effective load: raw size scaled by inverse capacity, so a twice-as-big
+  // machine looks half as loaded.
+  const double eff = size / weight;
+  const double load =
+      obj.gamma == 1.5 ? std::sqrt(eff) : std::pow(eff, obj.gamma - 1.0);
+  return static_cast<double>(count) - obj.alpha * obj.gamma * load;
+}
+
 /// LDG/FENNEL pick with a hard capacity skip, argmax, ties toward the
 /// smaller partition. kInvalidPartition when every partition is full.
 inline PartitionId GreedyPickScalar(PartitionId k,
@@ -159,15 +175,15 @@ inline PartitionId GreedyPickScalar(PartitionId k,
                                     const uint64_t* loads,
                                     const double* weights,
                                     const double* capacity,
-                                    const score::GreedyObjective& obj) {
+                                    const GreedyObjective& obj) {
   PartitionId best = kInvalidPartition;
   double best_score = score::kNegInf;
   uint64_t best_load = 0;
   for (PartitionId i = 0; i < k; ++i) {
     const double size = static_cast<double>(loads[i]);
     if (size + 1.0 > capacity[i]) continue;  // hard balance constraint
-    const double sc = score::GreedyScore(obj, neighbor_counts[i], size,
-                                         capacity[i], weights[i]);
+    const double sc =
+        GreedyScore(obj, neighbor_counts[i], size, capacity[i], weights[i]);
     if (sc > best_score) {
       best_score = sc;
       best = i;
