@@ -1,7 +1,8 @@
 // Deterministic partitioning fingerprints: one FNV-1a line per
 // (algorithm, dataset, k, seed, order, capacity profile) cell, plus the
 // parallel-ingest driver at several worker counts and HDRF, 2PS and HEP
-// at the non-default balance weights λ = 0 and λ = 4. Two builds of this
+// at the non-default balance weights λ = 0 and λ = 4, and the restreaming
+// codes under a tight balance cap. Two builds of this
 // repository must print byte-identical output — scripts/check.sh diffs a
 // portable build against a -march=native one (and the PR workflow diffs
 // refactors against the previous HEAD) to prove every scoring change is
@@ -146,6 +147,29 @@ int main(int argc, char** argv) {
                           Fingerprint(p));
             }
           }
+        }
+      }
+    }
+  }
+  // Restreaming under a tight balance cap: from the second pass on, each
+  // vertex is taken out of its partition before it is re-placed
+  // (PartitionState::RemoveLoadUpdatingTerms). With caps of 1.0 or 1.02
+  // times the mean load the partitions run full, so the old partition's
+  // refreshed term and room decide where the vertex goes.
+  for (const std::string& dataset : datasets) {
+    const Graph g = MakeDataset(dataset, scale);
+    for (const char* algo : {"RLDG", "RFNL"}) {
+      for (PartitionId k : {8u, 32u}) {
+        for (double slack : {1.0, 1.02}) {
+          PartitionConfig cfg;
+          cfg.k = k;
+          cfg.seed = 42;
+          cfg.balance_slack = slack;
+          cfg.restream_passes = 8;
+          Partitioning p = CreatePartitioner(algo)->Run(g, cfg);
+          std::printf("%s %s k=%u seed=42 random plain slack=%g passes=8 "
+                      "%016" PRIx64 "\n",
+                      dataset.c_str(), algo, k, slack, Fingerprint(p));
         }
       }
     }

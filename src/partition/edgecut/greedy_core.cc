@@ -159,7 +159,7 @@ Partitioning RunStreamingGreedy(const Graph& graph,
   result.k = k;
   state.NoteAuxiliaryBytes(
       static_cast<uint64_t>(n) * sizeof(PartitionId) +  // assignment
-      static_cast<uint64_t>(k) * sizeof(uint32_t));     // neighbor_counts
+      tally.MemoryBytes() + core.MemoryBytes());
   result.state_bytes = state.SynopsisBytes();
   result.vertex_to_partition = std::move(assignment);
   DeriveEdgePlacement(graph, &result);

@@ -161,7 +161,8 @@ ParallelStreamResult RunParallelVertexStream(
   result.partitioning.vertex_to_partition = std::move(published);
   DeriveEdgePlacement(graph, &result.partitioning);
   shard.global().NoteAuxiliaryBytes(
-      static_cast<uint64_t>(n) * 2 * sizeof(PartitionId));  // view arrays
+      static_cast<uint64_t>(n) * 2 * sizeof(PartitionId) +  // view arrays
+      tally.MemoryBytes() + core.MemoryBytes() + comb.terms.MemoryBytes());
   result.partitioning.state_bytes = shard.SynopsisBytes();
   result.partitioning.partitioning_seconds = timer.ElapsedSeconds();
   return result;
@@ -193,7 +194,7 @@ PartitionId PlaceHdrfSharded(ShardedPartitionState& shard, uint32_t w,
   const score::MembershipRow row_v{shard.GlobalReplicaRow(v),
                                    shard.DeltaReplicaRow(w, v)};
   const PartitionId best = core.PickHdrf(
-      comb.balance.row(), comb.loads.data(), row_u, row_v, theta_u, theta_v);
+      comb.balance, comb.loads.data(), row_u, row_v, theta_u, theta_v);
   shard.AddWorkerLoad(w, best);
   comb.AddLoad(shard, best);
   if (!row_u.Test(best)) shard.AddWorkerReplica(w, u, best);

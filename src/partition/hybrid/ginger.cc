@@ -131,7 +131,7 @@ Partitioning GingerPartitioner::Run(const Graph& graph,
                                  : result.vertex_to_partition[edge.dst];
   }
   state.NoteAuxiliaryBytes(static_cast<uint64_t>(n) * sizeof(PartitionId) +
-                           static_cast<uint64_t>(k) * sizeof(uint32_t));
+                           tally.MemoryBytes() + core.MemoryBytes());
   result.state_bytes = state.SynopsisBytes();
   result.partitioning_seconds = timer.ElapsedSeconds();
   return result;

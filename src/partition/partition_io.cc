@@ -1,29 +1,118 @@
 #include "partition/partition_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
-#include "common/text_writer.h"
 #include "partition/metrics.h"
 
 namespace sgp {
 
+namespace {
+
+// Writes the "v <id> <p>" / "e <id> <p>" records of a partition file into
+// 64 KiB blocks. The ids count up from 0, so their digits live in a
+// decimal counter bumped in place, and the " <p>\n" tail of each
+// partition below kTailTable comes from a table built once; a larger
+// partition id (a file may be written from any vector, even one holding
+// kInvalidPartition) is formatted on the spot. Lines are assembled with
+// fixed-size copies that may run past the line end: the block keeps
+// kSlack bytes beyond its flush mark for them, and the next line
+// overwrites the excess. The bytes equal std::ostream's operator<< output
+// for the same values.
+class RecordWriter {
+ public:
+  RecordWriter(std::ostream& out, PartitionId k)
+      : out_(out),
+        buffer_(std::make_unique_for_overwrite<char[]>(kBlock + kSlack)),
+        table_size_(std::min<PartitionId>(k, kTailTable)),
+        tails_(static_cast<size_t>(table_size_) * kTailStride),
+        tail_len_(table_size_) {
+    for (PartitionId p = 0; p < table_size_; ++p) {
+      char* t = tails_.data() + static_cast<size_t>(p) * kTailStride;
+      t[0] = ' ';
+      char* end = std::to_chars(t + 1, t + kTailStride, p).ptr;
+      *end++ = '\n';
+      tail_len_[p] = static_cast<uint8_t>(end - t);
+    }
+  }
+  ~RecordWriter() { Flush(); }
+
+  // One record per entry of `parts`, ids 0, 1, 2, ...
+  void Records(char kind, const std::vector<PartitionId>& parts) {
+    char digits[kDigitSpan] = {'0'};
+    size_t num_digits = 1;
+    for (PartitionId part : parts) {
+      if (size_ > kBlock) Flush();
+      char* p = buffer_.get() + size_;
+      p[0] = kind;
+      p[1] = ' ';
+      std::memcpy(p + 2, digits, kDigitSpan);
+      p += 2 + num_digits;
+      if (part < table_size_) {
+        std::memcpy(p, tails_.data() + static_cast<size_t>(part) * kTailStride,
+                    kTailStride);
+        p += tail_len_[part];
+      } else {
+        *p++ = ' ';
+        p = std::to_chars(p, p + 10, part).ptr;
+        *p++ = '\n';
+      }
+      size_ = static_cast<size_t>(p - buffer_.get());
+      // id + 1: trailing 9s become 0s; all 9s grow a leading 1.
+      size_t i = num_digits;
+      while (i > 0 && digits[i - 1] == '9') digits[--i] = '0';
+      if (i > 0) {
+        ++digits[i - 1];
+      } else {
+        digits[0] = '1';
+        digits[num_digits++] = '0';
+      }
+    }
+  }
+
+  void Flush() {
+    out_.write(buffer_.get(), static_cast<std::streamsize>(size_));
+    size_ = 0;
+  }
+
+ private:
+  static constexpr size_t kBlock = size_t{1} << 16;
+  static constexpr size_t kDigitSpan = 24;  // ≥ 20 digits of a 64-bit id
+  static constexpr size_t kTailStride = 16;  // " " + ≤ 10 digits + "\n"
+  static constexpr PartitionId kTailTable = PartitionId{1} << 16;
+  // Longest over-copied line: kind, space, the digit span, a tail.
+  static constexpr size_t kSlack = 2 + kDigitSpan + kTailStride;
+
+  std::ostream& out_;
+  std::unique_ptr<char[]> buffer_;
+  size_t size_ = 0;
+  PartitionId table_size_;
+  std::vector<char> tails_;
+  std::vector<uint8_t> tail_len_;
+};
+
+}  // namespace
+
 void WritePartitioning(const Partitioning& partitioning, std::ostream& out) {
-  BlockTextWriter writer(out);
-  writer << "sgp-partitioning v1\n";
-  writer << "model " << CutModelName(partitioning.model) << " k "
-         << partitioning.k << " vertices "
-         << partitioning.vertex_to_partition.size() << " edges "
-         << partitioning.edge_to_partition.size() << '\n';
-  for (size_t v = 0; v < partitioning.vertex_to_partition.size(); ++v) {
-    writer << "v " << v << ' ' << partitioning.vertex_to_partition[v] << '\n';
-  }
-  for (size_t e = 0; e < partitioning.edge_to_partition.size(); ++e) {
-    writer << "e " << e << ' ' << partitioning.edge_to_partition[e] << '\n';
-  }
+  const std::string header =
+      "sgp-partitioning v1\nmodel " +
+      std::string(CutModelName(partitioning.model)) + " k " +
+      std::to_string(partitioning.k) + " vertices " +
+      std::to_string(partitioning.vertex_to_partition.size()) + " edges " +
+      std::to_string(partitioning.edge_to_partition.size()) + "\n";
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  RecordWriter writer(out, partitioning.k);
+  writer.Records('v', partitioning.vertex_to_partition);
+  writer.Records('e', partitioning.edge_to_partition);
 }
 
 void WritePartitioningFile(const Partitioning& partitioning,

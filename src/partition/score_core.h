@@ -67,6 +67,60 @@ struct MembershipRow {
   bool Test(PartitionId p) const { return (Word(p >> 6) >> (p & 63)) & 1u; }
 };
 
+/// Largest |A(u) ∪ A(v)| for which ScoreCore::PickHdrf picks through
+/// HdrfPickSparse instead of sweeping all k candidates.
+inline constexpr int kSparseUnionMax = 2;
+
+/// Smallest k for which ScoreCore::PickHdrf tries the sparse pick: at
+/// k = 8 the AVX2 sweep is two groups of four candidates, no dearer than
+/// the sparse test and pick, and a path that flips from edge to edge
+/// costs a mispredicted branch.
+inline constexpr PartitionId kSparseMinK = 16;
+
+/// The partition HdrfPickSparse scores besides A(u) ∪ A(v): the lowest-id
+/// partition of `min_mask` (BalanceRow::unit_min_mask) outside the union,
+/// or kInvalidPartition when the union holds more than kSparseUnionMax
+/// partitions or covers the whole mask. Counts at most
+/// kSparseUnionMax + 1 members per word, with no branch per bit.
+inline PartitionId SparseOutside(PartitionId k, const uint64_t* min_mask,
+                                 MembershipRow u_row, MembershipRow v_row) {
+  int union_size = 0;
+  PartitionId outside = kInvalidPartition;
+  for (PartitionId blk = 0; blk < k; blk += 64) {
+    const PartitionId lim = std::min<PartitionId>(k, blk + 64);
+    const uint64_t mask = lim - blk == 64
+                              ? ~uint64_t{0}
+                              : (uint64_t{1} << (lim - blk)) - 1;
+    const uint64_t members =
+        (u_row.Word(blk >> 6) | v_row.Word(blk >> 6)) & mask;
+    uint64_t bits = members;
+    for (int j = 0; j <= kSparseUnionMax; ++j, bits &= bits - 1) {
+      union_size += bits != 0;
+    }
+    const uint64_t free = min_mask[blk >> 6] & ~members;
+    if (outside == kInvalidPartition && free != 0) {
+      outside = blk + static_cast<PartitionId>(std::countr_zero(free));
+    }
+  }
+  return union_size <= kSparseUnionMax ? outside : kInvalidPartition;
+}
+
+/// Exact HDRF pick over A(u) ∪ A(v) (the set bits of either membership
+/// row, at most kSparseUnionMax of them) plus `outside`, the lowest-id
+/// partition at the minimum load outside the union (SparseOutside), for
+/// unit weights. Outside the union every score is the balance term
+/// alone, which does not increase with the load, and equal scores go to
+/// the lighter load, then the lower id; so no partition outside the union
+/// beats `outside`, and scoring the union plus `outside` with the sweep's
+/// operations (g = bu·gain_u + bv·gain_v, then g + b[i]) and its tie rule
+/// returns the sweep's selection. Adds |A(u)| + |A(v)| to `*bitset_hits`,
+/// as the kernels do.
+PartitionId HdrfPickSparse(PartitionId k, const double* balance,
+                           const uint64_t* loads, MembershipRow u_row,
+                           MembershipRow v_row, double theta_u,
+                           double theta_v, PartitionId outside,
+                           uint64_t* bitset_hits);
+
 /// Batched HDRF candidate evaluation: one membership word per endpoint
 /// per 64-candidate block, branch-free g-term plus the memoised balance
 /// term `balance[i]` (BalanceRow, partition/state.h), argmax with the
@@ -328,6 +382,12 @@ class NeighborTally {
     num_touched_ = 0;
   }
 
+  /// Bytes of the count slots and the first-touch list.
+  uint64_t MemoryBytes() const {
+    return counts_.capacity() * sizeof(uint32_t) +
+           touched_.capacity() * sizeof(PartitionId);
+  }
+
  private:
   PartitionId k_;
   std::vector<uint32_t> counts_;      // k + 1 slots, the last for unplaced
@@ -355,31 +415,53 @@ class ScoreCore {
 
   ScoreCoreStats& stats() { return stats_; }
 
+  /// Bytes of the scratch rows (candidate scores, intersection words).
+  uint64_t MemoryBytes() const {
+    return scores_.capacity() * sizeof(double) +
+           inter_words_.capacity() * sizeof(uint64_t);
+  }
+
   /// Marks one batch of stream elements entering the scorer (callers that
   /// drive per-element picks, e.g. the vertex-greedy gather loop, call it
   /// once per source chunk).
   void NoteBatch() { ++stats_.batches; }
 
   /// HDRF-shaped k-way pick (Equation 7 g-term + normalized λ balance
-  /// term) over a caller-provided balance row and raw loads — the state's
-  /// own or a sharded driver's combined view — and membership rows.
-  /// The balance term has the normalized form of the HDRF paper,
-  /// λ · (maxsize − |Pi|)/(ε + maxsize − minsize), memoised per partition
-  /// by BalanceRow. Equation (7) of the survey abbreviates it as
+  /// term) over a caller-provided balance row and the raw loads it was
+  /// built from — the state's own or a sharded driver's combined view —
+  /// and membership rows. The balance term has the normalized form of the
+  /// HDRF paper, λ · (maxsize − |Pi|)/(ε + maxsize − minsize), memoised per
+  /// partition by BalanceRow. Equation (7) of the survey abbreviates it as
   /// λ(1 − |e(Pi)|/C); the normalized form is what keeps the algorithm
   /// balanced under adversarial (BFS) orders.
-  PartitionId PickHdrf(const double* balance, const uint64_t* loads,
+  ///
+  /// Two paths, one selection: the kernel sweeps all k candidates, unless
+  /// k ≥ kSparseMinK, every weight is 1, |A(u) ∪ A(v)| ≤ kSparseUnionMax
+  /// and some minimum-load partition lies outside the union
+  /// (SparseOutside); then HdrfPickSparse scores only the union and the
+  /// lowest-id such partition. Either way the pick counts k candidates
+  /// and |A(u)| + |A(v)| bitset hits.
+  PartitionId PickHdrf(const BalanceRow& balance, const uint64_t* loads,
                        score::MembershipRow u_row, score::MembershipRow v_row,
                        double theta_u, double theta_v) {
     const PartitionId k = state_.k();
     stats_.candidates += k;
+    if (k >= score::kSparseMinK && balance.unit_min_mask() != nullptr) {
+      const PartitionId outside =
+          score::SparseOutside(k, balance.unit_min_mask(), u_row, v_row);
+      if (outside != kInvalidPartition) {
+        return score::HdrfPickSparse(k, balance.row(), loads, u_row, v_row,
+                                     theta_u, theta_v, outside,
+                                     &stats_.bitset_hits);
+      }
+    }
     if (avx2_) {
-      return score::avx2::HdrfPick(k, balance, loads, u_row, v_row, theta_u,
-                                   theta_v, scores_.data(),
+      return score::avx2::HdrfPick(k, balance.row(), loads, u_row, v_row,
+                                   theta_u, theta_v, scores_.data(),
                                    &stats_.bitset_hits);
     }
-    return score::HdrfPickBatched(k, balance, loads, u_row, v_row, theta_u,
-                                  theta_v, &stats_.bitset_hits);
+    return score::HdrfPickBatched(k, balance.row(), loads, u_row, v_row,
+                                  theta_u, theta_v, &stats_.bitset_hits);
   }
 
   // ---------------------------------------------------------------------
@@ -396,7 +478,7 @@ class ScoreCore {
                       uint64_t& degree_hits, PlaceFn&& place) {
     ++stats_.batches;
     ReplicaState& replicas = state_.replicas();
-    const double* balance = state_.balance().row();
+    const BalanceRow& balance = state_.balance();
     const uint64_t* loads = state_.loads().data();
     // Every endpoint of the chunk is covered (callers EnsureVertex the
     // whole chunk up front), so degree entries and bit-matrix rows are

@@ -93,10 +93,13 @@ void BalanceRow::Reset(PartitionId k, const uint64_t* loads,
   SGP_CHECK(std::isfinite(lambda_) && lambda_ >= 0);
   effective_.resize(k);
   row_.resize(k);
+  min_mask_.resize((static_cast<size_t>(k) + 63) / 64);
   max_ = 0;
+  unit_weights_ = true;
   for (PartitionId i = 0; i < k; ++i) {
     effective_[i] = static_cast<double>(loads[i]) / weights[i];
     max_ = std::max(max_, effective_[i]);
+    unit_weights_ = unit_weights_ && weights[i] == 1.0;
   }
   RescanMin();
   Refresh(0);
@@ -112,6 +115,14 @@ void BalanceRow::RescanMin() {
     } else if (eff == min_) {
       ++at_min_;
     }
+  }
+  const size_t k = effective_.size();
+  for (size_t blk = 0; blk < k; blk += 64) {
+    uint64_t bits = 0;
+    for (size_t i = blk; i < std::min(k, blk + 64); ++i) {
+      bits |= uint64_t{effective_[i] == min_} << (i - blk);
+    }
+    min_mask_[blk >> 6] = bits;
   }
 }
 
@@ -187,7 +198,8 @@ void PartitionState::EnsureVertex(VertexId v) {
 uint64_t PartitionState::SynopsisBytes() const {
   uint64_t bytes = VectorBytes(weights_) + VectorBytes(loads_) +
                    VectorBytes(capacity_) + balance_.MemoryBytes() +
-                   VectorBytes(secondary_) + VectorBytes(degree_);
+                   greedy_terms_.MemoryBytes() + VectorBytes(secondary_) +
+                   VectorBytes(degree_);
   if (replicas_enabled_) bytes += replicas_.SynopsisBytes();
   return bytes + aux_bytes_;
 }

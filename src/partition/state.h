@@ -28,6 +28,11 @@ namespace sgp {
 /// value comes from the same IEEE operations, in the same order, as a
 /// fresh sweep over all k partitions would use, so the row is
 /// bit-identical to one recomputed from scratch.
+///
+/// A k-bit mask marks the partitions at the min: a partition leaves it
+/// when its load grows off the min, and the rescan rebuilds it. The HDRF
+/// pick reads it to find the best partition outside A(u) ∪ A(v) without
+/// a sweep (score::SparseOutside, partition/score_core.h).
 class BalanceRow {
  public:
   explicit BalanceRow(double lambda) : lambda_(lambda) {}
@@ -47,9 +52,12 @@ class BalanceRow {
       max_ = eff;
       moved = true;
     }
-    if (old == min_ && eff != min_ && --at_min_ == 0) {
-      RescanMin();
-      moved = true;
+    if (old == min_ && eff != min_) {
+      min_mask_[p >> 6] &= ~(uint64_t{1} << (p & 63));
+      if (--at_min_ == 0) {
+        RescanMin();
+        moved = true;
+      }
     }
     if (moved) {
       Refresh(p);
@@ -66,9 +74,19 @@ class BalanceRow {
   double spread() const { return spread_; }
   bool enabled() const { return !row_.empty(); }
 
-  /// Bytes of the effective-load and balance rows.
+  /// The k-bit mask of the partitions at the min (ceil(k/64) words, bits
+  /// past k zero) when every weight is 1, else null. Only then is the
+  /// effective load the raw load that the picks' tie rule compares, so
+  /// only then may the sparse pick choose outside the replica union from
+  /// the mask.
+  const uint64_t* unit_min_mask() const {
+    return unit_weights_ ? min_mask_.data() : nullptr;
+  }
+
+  /// Bytes of the effective-load and balance rows and the min mask.
   uint64_t MemoryBytes() const {
-    return (effective_.capacity() + row_.capacity()) * sizeof(double);
+    return (effective_.capacity() + row_.capacity()) * sizeof(double) +
+           min_mask_.capacity() * sizeof(uint64_t);
   }
 
  private:
@@ -80,6 +98,8 @@ class BalanceRow {
   double lambda_;
   std::vector<double> effective_;
   std::vector<double> row_;
+  std::vector<uint64_t> min_mask_;  // bit i: effective_[i] == min_
+  bool unit_weights_ = false;
   double max_ = 0;
   double min_ = 0;
   double spread_ = 1;
@@ -134,6 +154,11 @@ class GreedyTermRow {
   bool ldg() const { return ldg_; }
   const double* terms() const { return terms_.data(); }
   const double* room() const { return room_.data(); }
+
+  /// Bytes of the term and room rows.
+  uint64_t MemoryBytes() const {
+    return (terms_.capacity() + room_.capacity()) * sizeof(double);
+  }
 
  private:
   bool ldg_ = true;

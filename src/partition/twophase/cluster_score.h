@@ -56,7 +56,7 @@ class ClusterScorer {
     ReplicaState& replicas = state_.replicas();
     const uint64_t* loads = state_.loads().data();
     PartitionId best = core_.PickHdrf(
-        state_.balance().row(), loads, {replicas.RowWords(u), RowFor(home_u)},
+        state_.balance(), loads, {replicas.RowWords(u), RowFor(home_u)},
         {replicas.RowWords(v), RowFor(home_v)}, theta_u, theta_v);
     if (!state_.HasRoom(best)) {
       best = score::LeastLoadedWithRoom(k, loads, state_.weights().data(),

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "partition/edgecut/parallel_streaming.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
 #include "tests/test_util.h"
@@ -144,6 +145,47 @@ TEST(SynopsisTest, StreamingUsesFractionOfOfflineMemory) {
   EXPECT_LT(ldg.state_bytes * 5, mts.state_bytes);
   EXPECT_LT(fnl.state_bytes * 5, mts.state_bytes);
   EXPECT_LT(ldg.partitioning_seconds, mts.partitioning_seconds);
+}
+
+// The vertex-greedy codes keep k-sized state beyond the loads, weights
+// and capacities: the LDG/FENNEL term row (2k doubles), the neighbour
+// tally (k + 1 counts and k + 2 first-touch slots) and the scorer's
+// k-double score scratch. Their state_bytes must grow by at least all of
+// those bytes per added partition, plus one delta-load row per worker for
+// the parallel drivers.
+TEST(SynopsisTest, GreedyStateBytesCountKSizedScoringState) {
+  Graph g = MakeDataset("twitter", 9);
+  const PartitionId k_small = 8, k_large = 264;
+  const uint64_t synopsis = 2 * sizeof(uint64_t) + sizeof(double);  // loads,
+                                                 // weights, capacities
+  const uint64_t scoring = 2 * sizeof(double) +    // term row
+                           2 * sizeof(uint32_t) +  // tally
+                           sizeof(double);         // score scratch
+  const uint64_t added = k_large - k_small;
+  for (const char* algo : {"LDG", "FNL", "RLDG", "RFNL"}) {
+    uint64_t bytes[2];
+    for (int i = 0; i < 2; ++i) {
+      PartitionConfig cfg;
+      cfg.k = i == 0 ? k_small : k_large;
+      bytes[i] = CreatePartitioner(algo)->Run(g, cfg).state_bytes;
+    }
+    EXPECT_GE(bytes[1] - bytes[0], added * (synopsis + scoring)) << algo;
+  }
+  const uint32_t workers = 2;
+  for (ParallelAlgo algo : {ParallelAlgo::kLdg, ParallelAlgo::kFennel}) {
+    uint64_t bytes[2];
+    for (int i = 0; i < 2; ++i) {
+      PartitionConfig cfg;
+      cfg.k = i == 0 ? k_small : k_large;
+      ParallelStreamOptions options;
+      options.num_streams = workers;
+      bytes[i] =
+          RunParallelStreaming(g, cfg, options, algo).partitioning.state_bytes;
+    }
+    EXPECT_GE(bytes[1] - bytes[0],
+              added * (synopsis + workers * sizeof(uint64_t) + scoring))
+        << ParallelAlgoName(algo);
+  }
 }
 
 TEST(EdgeCutStreamOrderTest, QualityIsOrderSensitiveButValid) {

@@ -1,8 +1,11 @@
 #include "partition/partition_io.h"
 
+#include <random>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
+#include "common/text_writer.h"
 #include "graph/datasets.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
@@ -37,6 +40,64 @@ TEST(PartitionIoTest, RoundTripVertexCutAndHybrid) {
     EXPECT_EQ(reloaded.model, original.model) << algo;
     EXPECT_EQ(reloaded.edge_to_partition, original.edge_to_partition)
         << algo;
+  }
+}
+
+// The field-by-field writer loop WritePartitioning replaced: the oracle
+// of its byte output.
+std::string OracleWrite(const Partitioning& partitioning) {
+  std::ostringstream out;
+  {
+    BlockTextWriter writer(out);
+    writer << "sgp-partitioning v1\n";
+    writer << "model " << CutModelName(partitioning.model) << " k "
+           << partitioning.k << " vertices "
+           << partitioning.vertex_to_partition.size() << " edges "
+           << partitioning.edge_to_partition.size() << '\n';
+    for (size_t v = 0; v < partitioning.vertex_to_partition.size(); ++v) {
+      writer << "v " << v << ' ' << partitioning.vertex_to_partition[v]
+             << '\n';
+    }
+    for (size_t e = 0; e < partitioning.edge_to_partition.size(); ++e) {
+      writer << "e " << e << ' ' << partitioning.edge_to_partition[e] << '\n';
+    }
+  }
+  return out.str();
+}
+
+// Record counts that end on and just past every digit-count boundary of
+// the id counter, partition ids from the per-partition tail table, past
+// it (k above the table) and out of range (k itself and
+// kInvalidPartition), and files longer than one 64 KiB write block.
+TEST(PartitionIoTest, WriterMatchesFieldByFieldOracle) {
+  std::mt19937_64 rng(3);
+  for (PartitionId k : {1u, 10u, 1000u, 100000u}) {
+    for (size_t n : {0u, 1u, 9u, 10u, 11u, 99u, 100u, 101u, 999u, 1000u,
+                     1001u, 9999u, 10000u, 10001u, 100001u}) {
+      Partitioning p;
+      p.model = n % 2 == 0 ? CutModel::kEdgeCut : CutModel::kVertexCut;
+      p.k = k;
+      auto fill = [&](std::vector<PartitionId>& parts, size_t count) {
+        parts.resize(count);
+        for (PartitionId& part : parts) {
+          switch (rng() % 16) {
+            case 0:
+              part = kInvalidPartition;
+              break;
+            case 1:
+              part = k;
+              break;
+            default:
+              part = static_cast<PartitionId>(rng() % k);
+          }
+        }
+      };
+      fill(p.vertex_to_partition, n);
+      fill(p.edge_to_partition, n + 7);
+      std::ostringstream out;
+      WritePartitioning(p, out);
+      ASSERT_EQ(out.str(), OracleWrite(p)) << "k=" << k << " n=" << n;
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 #include "common/dense_bitset.h"
+#include "common/telemetry.h"
 #include "graph/datasets.h"
 #include "partition/edgecut/parallel_streaming.h"
 #include "partition/partitioner.h"
@@ -330,6 +331,22 @@ TEST(BalanceRowTest, MatchesFreshSweepAfterEveryPlacement) {
           ASSERT_EQ(std::memcmp(got, want, sizeof(got)), 0)
               << cell << " step=" << step << " max " << got[0] << "/"
               << want[0] << " min " << got[1] << "/" << want[1];
+          // The min mask exists only for unit weights.
+          const std::vector<double>& weights = state.weights();
+          if (std::any_of(weights.begin(), weights.end(),
+                          [](double x) { return x != 1.0; })) {
+            ASSERT_EQ(b.unit_min_mask(), nullptr) << cell;
+            return;
+          }
+          ASSERT_NE(b.unit_min_mask(), nullptr) << cell;
+          for (PartitionId w = 0; w < (k + 63) / 64; ++w) {
+            uint64_t want_word = 0;
+            for (PartitionId i = w * 64; i < std::min(k, w * 64 + 64); ++i) {
+              if (eff[i] == min_load) want_word |= uint64_t{1} << (i & 63);
+            }
+            ASSERT_EQ(b.unit_min_mask()[w], want_word)
+                << cell << " step=" << step << " word=" << w;
+          }
         };
 
         check(-1);
@@ -539,6 +556,26 @@ HdrfCase HdrfCaseOf(int trial) {
   }
 }
 
+// ScoreCore::PickHdrf over a caller's balance row, on the kernel the CPU
+// selects: the production pick, sparse path and fallbacks included.
+// `*hits` gets the bitset hits it counted.
+PartitionId CorePickHdrf(PartitionId k, const BalanceRow& balance,
+                         const uint64_t* loads, score::MembershipRow u_row,
+                         score::MembershipRow v_row, double theta_u,
+                         double theta_v, uint64_t* hits) {
+  MetricsRegistry scratch;
+  ScopedMetricsRegistry scoped(&scratch);
+  PartitionConfig cfg;
+  cfg.k = k;
+  PartitionState state(cfg);
+  ScoreCore core(state);
+  const PartitionId best =
+      core.PickHdrf(balance, loads, u_row, v_row, theta_u, theta_v);
+  EXPECT_EQ(core.stats().candidates, k);
+  *hits = core.stats().bitset_hits;
+  return best;
+}
+
 TEST(ScoreKernelTest, HdrfKernelsMatchOracle) {
   std::mt19937_64 rng(13);
   for (PartitionId k : kKernelKs) {
@@ -611,9 +648,174 @@ TEST(ScoreKernelTest, HdrfKernelsMatchOracle) {
               << "avx2 " << cell;
           EXPECT_EQ(hits, want_hits) << "avx2 " << cell;
         }
+        EXPECT_EQ(CorePickHdrf(k, balance, loads.data(), ru.Row(), rv.Row(),
+                               theta_u, theta_v, &hits),
+                  want)
+            << "core " << cell;
+        EXPECT_EQ(hits, want_hits) << "core " << cell;
       }
     }
   }
+}
+
+// The sparse HDRF pick (score::HdrfPickSparse) against the oracle sweep
+// on random states whose union A(u) ∪ A(v) holds 0..kSparseUnionMax
+// partitions, or one more, which must not take the sparse path. Members
+// come from base rows, from cluster-home delta rows, or from both. Loads
+// in a narrow range tie the balance terms; λ = 0 ties every score outside
+// the union, and λ = 1e17 makes b[i] absorb the g-term, so union members
+// and outside partitions tie on score too. Two shapes must fall back to
+// the sweep: every minimum-load partition inside the union, and non-unit
+// weights, whose effective loads order the partitions against their raw
+// loads (eff = 1/load), so the raw-load tie rule at λ = 0 disagrees with
+// the minimum-effective-load candidate. The test (SparseOutside), the
+// sparse pick and ScoreCore::PickHdrf, which joins them to the kernels,
+// are each checked.
+TEST(ScoreKernelTest, HdrfSparsePickMatchesSweep) {
+  enum class Shape { kSparse, kMinInsideUnion, kNonUnitWeights };
+  std::mt19937_64 rng(29);
+  uint64_t sparse_picks = 0;
+  for (PartitionId k : {1u, 3u, 64u, 65u, 128u, 257u}) {
+    const PartitionId words = (k + 63) / 64;
+    std::vector<uint64_t> loads(k);
+    std::vector<double> weights(k);
+    for (int trial = 0; trial < 240; ++trial) {
+      const Shape shape = trial % 4 == 2   ? Shape::kMinInsideUnion
+                          : trial % 4 == 3 ? Shape::kNonUnitWeights
+                                           : Shape::kSparse;
+      // Up to one member more than the sparse pick takes, for every shape.
+      const PartitionId union_size = std::min<PartitionId>(
+          k,
+          static_cast<PartitionId>(trial / 4 % (score::kSparseUnionMax + 2)));
+      // Distinct union members, each a replica of u, of v or of both,
+      // from the base row, the delta row or both.
+      std::vector<uint64_t> base_u(words, 0), delta_u(words, 0);
+      std::vector<uint64_t> base_v(words, 0), delta_v(words, 0);
+      std::vector<bool> in_u(k, false), in_v(k, false), member(k, false);
+      auto set = [](std::vector<uint64_t>& row, PartitionId p) {
+        row[p >> 6] |= uint64_t{1} << (p & 63);
+      };
+      for (PartitionId m = 0; m < union_size;) {
+        const PartitionId p = static_cast<PartitionId>(rng() % k);
+        if (member[p]) continue;
+        member[p] = true;
+        ++m;
+        const uint64_t side = rng() % 3;  // u, v or both
+        for (bool is_u : {true, false}) {
+          if (side == (is_u ? 1u : 0u)) continue;
+          const uint64_t from = rng() % 3;  // base, delta or both
+          if (from != 1) set(is_u ? base_u : base_v, p);
+          if (from != 0) set(is_u ? delta_u : delta_v, p);
+          (is_u ? in_u : in_v)[p] = true;
+        }
+      }
+      const bool with_delta = trial % 3 != 0;
+      if (!with_delta) {
+        // No delta rows: fold their bits into the base rows.
+        for (PartitionId w = 0; w < words; ++w) {
+          base_u[w] |= delta_u[w];
+          base_v[w] |= delta_v[w];
+        }
+      }
+      const score::MembershipRow row_u{base_u.data(),
+                                       with_delta ? delta_u.data() : nullptr};
+      const score::MembershipRow row_v{base_v.data(),
+                                       with_delta ? delta_v.data() : nullptr};
+
+      for (PartitionId i = 0; i < k; ++i) {
+        loads[i] = 1 + rng() % 3;
+        weights[i] = 1.0;
+      }
+      if (shape == Shape::kSparse && union_size < k) {
+        // At least one minimum-load partition outside the union; members
+        // and other outside partitions may share its load.
+        PartitionId p;
+        do {
+          p = static_cast<PartitionId>(rng() % k);
+        } while (member[p]);
+        loads[p] = 0;
+        for (PartitionId i = 0; i < k; ++i) {
+          if (rng() % (member[i] ? 2 : 4) == 0) loads[i] = 0;
+        }
+      } else if (shape == Shape::kMinInsideUnion && union_size > 0) {
+        // Every minimum-load partition is a union member: the first one
+        // and, at random, the others.
+        bool first = true;
+        for (PartitionId i = 0; i < k; ++i) {
+          if (member[i] && (first || rng() % 2 == 0)) loads[i] = 0;
+          first = first && !member[i];
+        }
+      } else if (shape == Shape::kNonUnitWeights) {
+        for (PartitionId i = 0; i < k; ++i) {
+          weights[i] = static_cast<double>(loads[i] * loads[i]);
+        }
+      }
+      const double du = 1.0 + static_cast<double>(rng() % 5);
+      const double dv = 1.0 + static_cast<double>(rng() % 5);
+      const double theta_u = du / (du + dv);
+      const double theta_v = 1.0 - theta_u;
+
+      for (double lambda : {0.0, 1.1, 1e6, 1e17}) {
+        BalanceRow balance(lambda);
+        balance.Reset(k, loads.data(), weights.data());
+        const std::vector<double>& effective = balance.effective();
+        double max_load, spread;
+        oracle::EffectiveSpread(effective.data(), k, &max_load, &spread);
+        uint64_t want_hits = 0;
+        const PartitionId want = oracle::HdrfPickScalar(
+            k, effective.data(), loads.data(),
+            [&](PartitionId i) { return bool(in_u[i]); },
+            [&](PartitionId i) { return bool(in_v[i]); }, theta_u, theta_v,
+            lambda, max_load, spread, &want_hits);
+        // The lowest-id minimum-load partition outside the union, if any.
+        const uint64_t min_load = *std::min_element(loads.begin(), loads.end());
+        PartitionId outside = kInvalidPartition;
+        for (PartitionId i = 0; i < k && outside == kInvalidPartition; ++i) {
+          if (!member[i] && loads[i] == min_load) outside = i;
+        }
+        const bool unit_weights =
+            std::all_of(weights.begin(), weights.end(),
+                        [](double w) { return w == 1.0; });
+        const bool small = union_size <= score::kSparseUnionMax;
+        const bool sparse =
+            unit_weights && small && outside != kInvalidPartition;
+        const std::string cell =
+            "k=" + std::to_string(k) + " trial=" + std::to_string(trial) +
+            " union=" + std::to_string(union_size) +
+            " lambda=" + std::to_string(lambda);
+        ASSERT_EQ(unit_weights, balance.unit_min_mask() != nullptr) << cell;
+        if (shape != Shape::kNonUnitWeights) {
+          ASSERT_EQ((shape == Shape::kMinInsideUnion && union_size > 0) ||
+                        union_size == k,
+                    outside == kInvalidPartition)
+              << cell;
+        }
+        if (unit_weights) {
+          EXPECT_EQ(score::SparseOutside(k, balance.unit_min_mask(), row_u,
+                                         row_v),
+                    small ? outside : kInvalidPartition)
+              << "outside " << cell;
+        }
+        if (sparse) {
+          ++sparse_picks;
+          uint64_t hits = 0;
+          EXPECT_EQ(score::HdrfPickSparse(k, balance.row(), loads.data(),
+                                          row_u, row_v, theta_u, theta_v,
+                                          outside, &hits),
+                    want)
+              << "sparse " << cell;
+          EXPECT_EQ(hits, want_hits) << "sparse " << cell;
+        }
+        uint64_t hits = 0;
+        EXPECT_EQ(CorePickHdrf(k, balance, loads.data(), row_u, row_v, theta_u,
+                               theta_v, &hits),
+                  want)
+            << "core " << cell;
+        EXPECT_EQ(hits, want_hits) << "core " << cell;
+      }
+    }
+  }
+  EXPECT_GT(sparse_picks, 0u);
 }
 
 TEST(ScoreKernelTest, GreedyKernelsMatchOracle) {
