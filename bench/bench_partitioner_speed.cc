@@ -8,6 +8,12 @@
 // where |A(u) ∪ A(v)| holds at most two partitions on most edges, so
 // ScoreCore::PickHdrf scores those instead of sweeping all k.
 //
+// Each cell times Partitioner::Run whole, as partition_tool runs it, so
+// a vertex-cut cell includes its master tally: the MasterTracker that
+// HDRF's stream body fills chunk by chunk, and DeriveMasterPlacement,
+// over the same tracker, for PGG. For HDRF the tally runs on the
+// tracker's own thread while the scorer places edges.
+//
 // Also keeps the Section 4.1 memory claim visible: streaming partitioners
 // hold only an O(n + k) synopsis (state_KB column), a fraction of what the
 // offline multilevel baseline needs for its coarsening hierarchy.

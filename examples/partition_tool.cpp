@@ -16,7 +16,8 @@
 //
 // Options:
 //   --directed            treat the input as a directed graph (in-memory)
-//   --order <o>           stream order: natural|random|bfs|dfs (in-memory)
+//   --order <o>           stream order: natural|random|bfs|dfs (in-memory
+//                         only; a file streams in its own line order)
 //   --chunk-size <n>      elements per ingest chunk (both modes)
 //   --seed <s>            RNG/hash seed
 //   --slack <b>           balance slack β ≥ 1.0, finite (default 1.05)
@@ -54,6 +55,8 @@ void PrintUsage() {
          "options: [--directed] [--order o] [--chunk-size n] [--seed s]\n"
          "         [--slack b] [--output file] [--metrics-out file]\n"
          "         [--trace-out file]\n"
+         "--order natural|random|bfs|dfs applies to the in-memory form only;\n"
+         "--input-edgelist streams the file in its own line order.\n"
          "algorithms (from the registry):\n"
       << sgp::PartitionerHelpText();
 }
@@ -75,9 +78,7 @@ int main(int argc, char** argv) {
   const std::string stream_path =
       flags.TakeString("--input-edgelist").value_or("");
   const bool directed = flags.TakeBool("--directed");
-  if (auto order = flags.TakeString("--order")) {
-    config.order = ParseStreamOrder(*order);
-  }
+  const std::optional<std::string> order_text = flags.TakeString("--order");
   const uint64_t chunk_size = flags.TakeUint64("--chunk-size").value_or(0);
   config.seed = flags.TakeUint64("--seed").value_or(config.seed);
   config.balance_slack =
@@ -90,6 +91,20 @@ int main(int argc, char** argv) {
   if (!flags.ok()) {
     std::cerr << "error: " << flags.error() << "\n";
     return 1;
+  }
+  if (order_text) {
+    if (!stream_path.empty()) {
+      std::cerr << "error: --order does not apply to --input-edgelist; a "
+                   "file streams in its own line order\n";
+      return 1;
+    }
+    const std::optional<StreamOrder> order = ParseStreamOrder(*order_text);
+    if (!order) {
+      std::cerr << "error: unknown --order '" << *order_text
+                << "'; valid orders: natural, random, bfs, dfs\n";
+      return 1;
+    }
+    config.order = *order;
   }
   // β < 1 caps every partition below its fair share, which the balance
   // rule cannot meet; NaN or ∞ would disable the cap altogether.

@@ -625,37 +625,6 @@ std::string MetricsRegistry::ExportJson(const ExportOptions& options) const {
   return out;
 }
 
-std::string MetricsRegistry::ExportCsv(const ExportOptions& options) const {
-  std::string out =
-      "name,kind,wall_time,value,count,sum,min,max,mean,p50,p90,p99,p999\n";
-  for (const MetricSample& s : Snapshot(options)) {
-    out += s.name;
-    out += ',';
-    out += KindName(s.kind);
-    out += ',';
-    out += s.wall_time ? '1' : '0';
-    out += ',';
-    if (s.kind == MetricKind::kCounter) {
-      out += std::to_string(s.counter_value);
-    } else if (s.kind == MetricKind::kGauge) {
-      out += FormatJsonDouble(s.gauge_value);
-    } else {
-      out += '0';
-    }
-    out += ',' + std::to_string(s.count);
-    out += ',' + FormatJsonDouble(s.sum);
-    out += ',' + FormatJsonDouble(s.min);
-    out += ',' + FormatJsonDouble(s.max);
-    out += ',' + FormatJsonDouble(s.mean);
-    out += ',' + FormatJsonDouble(s.p50);
-    out += ',' + FormatJsonDouble(s.p90);
-    out += ',' + FormatJsonDouble(s.p99);
-    out += ',' + FormatJsonDouble(s.p999);
-    out += '\n';
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // minijson
 // ---------------------------------------------------------------------------

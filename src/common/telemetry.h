@@ -383,9 +383,6 @@ class MetricsRegistry {
   /// round-trippable form.
   std::string ExportJson(const ExportOptions& options = {}) const;
 
-  /// CSV with a fixed header; one row per metric.
-  std::string ExportCsv(const ExportOptions& options = {}) const;
-
  private:
   struct Entry {
     MetricKind kind;

@@ -16,11 +16,12 @@
 namespace sgp {
 
 /// Streaming master derivation: per-vertex (partition, incident edge
-/// count) tallies, exactly the accounting DeriveMasterPlacement does on a
-/// materialized graph. The winner rule (max count, ties toward the lower
+/// count) tallies. The winner rule (max count, ties toward the lower
 /// partition id) is order-independent, so streaming arrival order yields
-/// the same masters. Shared by every vertex-cut RunOnSource override
-/// (single-pass ingest and the two-phase family alike).
+/// the same masters. The one master tally of the vertex-cut codes: the
+/// stream bodies of VCR, DBH, HDRF, 2PS and HEP note each chunk as they
+/// place it, and DeriveMasterPlacement feeds it a materialized graph's
+/// edges.
 ///
 /// Pipeline: NoteChunk() copies a chunk's endpoints and targets into one
 /// of kQueueSlots queue buffers and returns; a tally thread, started by
@@ -72,8 +73,8 @@ class MasterTracker {
                  std::span<const PartitionId> targets);
 
   /// Masters for [0, n): most incident edges, ties toward the lower
-  /// partition id; ids with no edges are hashed like
-  /// DeriveMasterPlacement. Joins the tally thread first.
+  /// partition id; ids with no edges are hashed. Joins the tally thread
+  /// first.
   std::vector<PartitionId> Derive(VertexId n, PartitionId k);
 
   /// Allocated bytes of both tally arrays and the queue buffers. Joins the

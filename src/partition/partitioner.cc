@@ -158,11 +158,7 @@ StreamRunResult Partitioner::RunOnSource(EdgeStreamSource& source,
     max_bound = std::max({max_bound, e.src + 1, e.dst + 1});
     edges.push_back(e);
   });
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   GraphBuilder builder(max_bound, /*directed=*/false);
   for (const StreamEdge& e : edges) builder.AddEdge(e.src, e.dst);
   edges.clear();

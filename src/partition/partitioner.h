@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -13,10 +14,12 @@
 namespace sgp {
 
 /// Result of running a partitioner straight off an edge stream (no
-/// materialized Graph). edge_to_partition is indexed by arrival position;
-/// vertex_to_partition covers [0, num_vertices) with masters derived
-/// exactly like DeriveMasterPlacement (most incident edges, ties toward
-/// the lower partition id; never-seen ids hashed).
+/// materialized Graph). edge_to_partition is indexed by StreamEdge::id:
+/// the dense EdgeId for an in-memory source in any order, the arrival
+/// position for file sources. vertex_to_partition covers
+/// [0, num_vertices) with masters derived exactly like
+/// DeriveMasterPlacement (most incident edges, ties toward the lower
+/// partition id; never-seen ids hashed).
 struct StreamRunResult {
   Partitioning partitioning;
 
@@ -32,7 +35,29 @@ struct StreamRunResult {
   /// diagnostic and the partial results are meaningless.
   bool ok = true;
   std::string error;
+
+  /// A failed run carrying `error`.
+  static StreamRunResult Failed(std::string error) {
+    StreamRunResult out;
+    out.ok = false;
+    out.error = std::move(error);
+    return out;
+  }
 };
+
+/// Records `target` at assign[id], growing `assign` as ids arrive: how the
+/// stream bodies fill StreamRunResult::edge_to_partition. A file streams
+/// ids in arrival order, so each edge is one push_back; an in-memory
+/// replay grows the vector only when a new largest id arrives.
+inline void AssignById(std::vector<PartitionId>& assign, EdgeId id,
+                       PartitionId target) {
+  if (id < assign.size()) {
+    assign[id] = target;
+    return;
+  }
+  assign.resize(static_cast<size_t>(id), kInvalidPartition);
+  assign.push_back(target);
+}
 
 /// Interface implemented by every partitioning algorithm. Implementations
 /// are stateless: all per-run state lives inside Run(), so a single

@@ -1,9 +1,11 @@
 #include "partition/partitioning.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "common/check.h"
-#include "common/hashing.h"
+#include "partition/master_tracker.h"
 
 namespace sgp {
 
@@ -29,40 +31,22 @@ void DeriveEdgePlacement(const Graph& graph, Partitioning* p) {
 
 void DeriveMasterPlacement(const Graph& graph, Partitioning* p) {
   SGP_CHECK(p->edge_to_partition.size() == graph.num_edges());
-  const VertexId n = graph.num_vertices();
-  const PartitionId k = p->k;
-  // Count incident edges per (vertex, partition) sparsely; replica sets are
-  // small (bounded by k), so linear scans of the per-vertex lists are fine.
-  std::vector<std::vector<std::pair<PartitionId, uint32_t>>> counts(n);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    PartitionId part = p->edge_to_partition[e];
-    for (VertexId v : {graph.edges()[e].src, graph.edges()[e].dst}) {
-      auto& vec = counts[v];
-      auto it = std::find_if(vec.begin(), vec.end(),
-                             [part](const auto& pr) { return pr.first == part; });
-      if (it == vec.end()) {
-        vec.emplace_back(part, 1u);
-      } else {
-        ++it->second;
-      }
+  // The stream codes' tally, fed the graph's edges one queue buffer at a
+  // time; the copy is the only per-edge work on this thread.
+  const EdgeId m = graph.num_edges();
+  MasterTracker masters(graph.num_vertices());
+  std::vector<StreamEdge> block;
+  for (EdgeId begin = 0; begin < m; begin += MasterTracker::kBufferNotes) {
+    const EdgeId len = std::min<EdgeId>(MasterTracker::kBufferNotes, m - begin);
+    block.resize(len);
+    for (EdgeId i = 0; i < len; ++i) {
+      const Edge& edge = graph.edges()[begin + i];
+      block[i] = StreamEdge{begin + i, edge.src, edge.dst};
     }
+    masters.NoteChunk(block,
+                      std::span(p->edge_to_partition).subspan(begin, len));
   }
-  p->vertex_to_partition.assign(n, kInvalidPartition);
-  for (VertexId u = 0; u < n; ++u) {
-    if (counts[u].empty()) {
-      p->vertex_to_partition[u] =
-          static_cast<PartitionId>(HashU64(u) % k);
-      continue;
-    }
-    auto best = counts[u].front();
-    for (const auto& pr : counts[u]) {
-      if (pr.second > best.second ||
-          (pr.second == best.second && pr.first < best.first)) {
-        best = pr;
-      }
-    }
-    p->vertex_to_partition[u] = best.first;
-  }
+  p->vertex_to_partition = masters.Derive(graph.num_vertices(), p->k);
 }
 
 ReplicaSets ComputeReplicaSets(const Graph& graph, const Partitioning& p) {

@@ -111,7 +111,8 @@ void DeriveEdgePlacement(const Graph& graph, Partitioning* p);
 
 /// Fills `p->vertex_to_partition` from `p->edge_to_partition`: each vertex's
 /// master is its replica with the most incident edges (ties toward the
-/// lower partition id); vertices without edges are hashed.
+/// lower partition id); vertices without edges are hashed. The tally is
+/// the MasterTracker the stream codes fill while they place edges.
 void DeriveMasterPlacement(const Graph& graph, Partitioning* p);
 
 /// Replica sets A(u): the sorted set of partitions holding a copy of each

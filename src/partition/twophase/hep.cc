@@ -75,22 +75,13 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
     ++total_edges;
   });
   metrics.pass1_wall->Record(pass1.ElapsedSeconds());
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   if (!source.SupportsRewind()) {
-    out.ok = false;
-    out.error = "HEP requires a rewindable source (degree pre-pass)";
-    return out;
+    return StreamRunResult::Failed(
+        "HEP requires a rewindable source (degree pre-pass)");
   }
   source.Rewind();
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
 
   // ---- Pass 2: split at the hybrid threshold. Low-degree edges stream
   // through the exact-degree HDRF scorer immediately; hub-hub edges are
@@ -109,10 +100,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
   MasterTracker masters(n);
   auto record = [&](const StreamEdge& e, PartitionId target) {
-    if (e.id >= assign.size()) {
-      assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
-    }
-    assign[e.id] = target;
+    AssignById(assign, e.id, target);
     ++out.num_edges;
   };
 
@@ -143,11 +131,7 @@ StreamRunResult RunHep(EdgeStreamSource& source, const PartitionConfig& config,
     }
     masters.NoteChunk(streamed_edges, streamed_targets);
   }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   const uint64_t streamed = out.num_edges;
 
   // ---- In-memory hub core, NE-style: hubs in decreasing degree order

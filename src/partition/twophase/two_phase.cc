@@ -65,22 +65,13 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
   Timer pass1;
   ClusteringResult clusters = StreamClusters(source, config);
   metrics.pass1_wall->Record(pass1.ElapsedSeconds());
-  if (!clusters.ok) {
-    out.ok = false;
-    out.error = clusters.error;
-    return out;
-  }
+  if (!clusters.ok) return StreamRunResult::Failed(clusters.error);
   if (!source.SupportsRewind()) {
-    out.ok = false;
-    out.error = "2PS requires a rewindable source (two passes)";
-    return out;
+    return StreamRunResult::Failed(
+        "2PS requires a rewindable source (two passes)");
   }
   source.Rewind();
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
 
   // ---- Pass 2: cluster-aware HDRF over the identical sequence.
   Timer pass2;
@@ -114,20 +105,13 @@ StreamRunResult RunTwoPhase(EdgeStreamSource& source,
       const PartitionId target =
           scorer.Place(e.src, e.dst, home_of(e.src), home_of(e.dst), theta_u,
                        theta_v);
-      if (e.id >= assign.size()) {
-        assign.resize(static_cast<size_t>(e.id) + 1, kInvalidPartition);
-      }
-      assign[e.id] = target;
+      AssignById(assign, e.id, target);
       targets.push_back(target);
     }
     masters.NoteChunk(chunk, targets);
     out.num_edges += chunk.size();
   }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   metrics.pass2_wall->Record(pass2.ElapsedSeconds());
 
   out.num_vertices = n;

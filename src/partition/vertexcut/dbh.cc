@@ -1,6 +1,7 @@
 #include "partition/vertexcut/dbh.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/hashing.h"
@@ -11,35 +12,17 @@
 
 namespace sgp {
 
-Partitioning DbhPartitioner::Run(const Graph& graph,
-                                 const PartitionConfig& config) const {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-  Partitioning result;
-  result.model = CutModel::kVertexCut;
-  result.k = config.k;
-  result.edge_to_partition.resize(graph.num_edges());
-  PartitionState state(config);
-  const CapacityAwareHasher hasher(state);
-  for (EdgeId e = 0; e < graph.num_edges(); ++e) {
-    const Edge& edge = graph.edges()[e];
-    VertexId pivot = graph.Degree(edge.src) <= graph.Degree(edge.dst)
-                         ? edge.src
-                         : edge.dst;
-    result.edge_to_partition[e] =
-        hasher.Pick(HashU64Seeded(pivot, config.seed));
-  }
-  // O(k) synopsis: capacity weights for the hasher, nothing per edge.
-  result.state_bytes = state.SynopsisBytes();
-  DeriveMasterPlacement(graph, &result);
-  result.partitioning_seconds = timer.ElapsedSeconds();
-  return result;
-}
+namespace {
 
-StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
-                                            const PartitionConfig& config) const {
+// Both entry points run this body over the degree table the caller built:
+// the graph's de-duplicated |N(u)| on the graph path, stream occurrence
+// counts after RunOnSource's pre-pass. The table spans the id space, so
+// it also fixes the vertex space of the masters. `timer` started before
+// the table was built, so partitioning_seconds covers it.
+StreamRunResult RunDbh(EdgeStreamSource& source, const PartitionConfig& config,
+                       const std::vector<uint32_t>& degree,
+                       const Timer& timer) {
   SGP_CHECK(config.k > 0);
-  Timer timer;
   StreamRunResult out;
   out.partitioning.model = CutModel::kVertexCut;
   out.partitioning.k = config.k;
@@ -47,6 +30,55 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
   const CapacityAwareHasher hasher(state);
   ScoreCore core(state);
 
+  const VertexId n = static_cast<VertexId>(degree.size());
+  MasterTracker masters(n);
+  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
+  std::vector<PartitionId> targets;  // the chunk's, in arrival order
+  for (auto chunk = source.NextChunk(); !chunk.empty();
+       chunk = source.NextChunk()) {
+    core.NoteBatch();
+    targets.clear();
+    for (const StreamEdge& e : chunk) {
+      const VertexId pivot = degree[e.src] <= degree[e.dst] ? e.src : e.dst;
+      const PartitionId target =
+          hasher.Pick(HashU64Seeded(pivot, config.seed));
+      AssignById(assign, e.id, target);
+      targets.push_back(target);
+    }
+    masters.NoteChunk(chunk, targets);
+    out.num_edges += chunk.size();
+  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
+  out.num_vertices = n;
+  out.partitioning.vertex_to_partition = masters.Derive(n, config.k);
+  state.NoteAuxiliaryBytes(masters.SynopsisBytes() +
+                           degree.capacity() * sizeof(uint32_t));
+  out.partitioning.state_bytes = state.SynopsisBytes();
+  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
+  return out;
+}
+
+}  // namespace
+
+Partitioning DbhPartitioner::Run(const Graph& graph,
+                                 const PartitionConfig& config) const {
+  Timer timer;
+  std::vector<uint32_t> degree(graph.num_vertices());
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    degree[u] = graph.Degree(u);
+  }
+  InMemoryEdgeSource source(graph, config.order, config.seed,
+                            config.ingest_chunk_size);
+  StreamRunResult run = RunDbh(source, config, degree, timer);
+  SGP_CHECK(run.ok);
+  SGP_CHECK(run.partitioning.edge_to_partition.size() == graph.num_edges());
+  return std::move(run.partitioning);
+}
+
+StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
+                                            const PartitionConfig& config) const {
+  SGP_CHECK(config.k > 0);
+  Timer timer;
   // Degree pre-pass: stream occurrence counts stand in for degrees (equal
   // to graph degrees on duplicate-free undirected inputs).
   std::vector<uint32_t> stream_degree;
@@ -58,45 +90,13 @@ StreamRunResult DbhPartitioner::RunOnSource(EdgeStreamSource& source,
     ++stream_degree[e.src];
     ++stream_degree[e.dst];
   });
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   if (!source.SupportsRewind()) {
-    out.ok = false;
-    out.error = "DBH requires a rewindable source (degree pre-pass)";
-    return out;
+    return StreamRunResult::Failed(
+        "DBH requires a rewindable source (degree pre-pass)");
   }
   source.Rewind();
-
-  // The pre-pass saw every id: the degree table spans the id space.
-  const VertexId max_bound = static_cast<VertexId>(stream_degree.size());
-  MasterTracker masters(max_bound);
-  std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.NoteBatch();
-    for (const StreamEdge& e : chunk) {
-      VertexId pivot =
-          stream_degree[e.src] <= stream_degree[e.dst] ? e.src : e.dst;
-      assign.push_back(hasher.Pick(HashU64Seeded(pivot, config.seed)));
-    }
-    masters.NoteChunk(chunk, std::span(assign).last(chunk.size()));
-    out.num_edges += chunk.size();
-  }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
-  out.num_vertices = max_bound;
-  out.partitioning.vertex_to_partition = masters.Derive(max_bound, config.k);
-  state.NoteAuxiliaryBytes(masters.SynopsisBytes() +
-                           stream_degree.capacity() * sizeof(uint32_t));
-  out.partitioning.state_bytes = state.SynopsisBytes();
-  out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
-  return out;
+  return RunDbh(source, config, stream_degree, timer);
 }
 
 }  // namespace sgp

@@ -19,7 +19,8 @@ class DbhPartitioner final : public Partitioner {
 
   /// Graph-free ingest: a degree-counting pre-pass (stream occurrence
   /// counts stand in for degrees), then a rewind and the hashing pass.
-  /// Reports a regular error when the source cannot rewind.
+  /// Reports a regular error when the source cannot rewind. Run skips the
+  /// pre-pass: it hands the same stream body the graph's degrees.
   StreamRunResult RunOnSource(EdgeStreamSource& source,
                               const PartitionConfig& config) const override;
 };

@@ -15,8 +15,8 @@ class HashVertexCutPartitioner final : public Partitioner {
   Partitioning Run(const Graph& graph,
                    const PartitionConfig& config) const override;
 
-  /// Graph-free single-pass ingest: O(n + k) synopsis, identical
-  /// assignments to Run on a duplicate-free in-memory replay.
+  /// Graph-free single-pass ingest: O(n + k) synopsis. Run replays the
+  /// graph through the same stream body.
   StreamRunResult RunOnSource(EdgeStreamSource& source,
                               const PartitionConfig& config) const override;
 };

@@ -1,6 +1,7 @@
 #include "partition/vertexcut/hdrf.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/telemetry.h"
@@ -32,48 +33,11 @@ struct HdrfMetrics {
   static HdrfMetrics& Get() { return CurrentRegistryMetrics<HdrfMetrics>(); }
 };
 
-}  // namespace
-
-Partitioning HdrfPartitioner::Run(const Graph& graph,
-                                  const PartitionConfig& config) const {
-  SGP_CHECK(config.k > 0);
-  Timer timer;
-
-  Partitioning result;
-  result.model = CutModel::kVertexCut;
-  result.k = config.k;
-  result.edge_to_partition.resize(graph.num_edges());
-
-  HdrfMetrics& metrics = HdrfMetrics::Get();
-  ScopedTimer assign_timer(metrics.assign_wall);
-
-  PartitionState state(config);
-  state.InitDegreeTable(graph.num_vertices());
-  state.InitEffectiveLoads();
-  state.InitReplicas(graph.num_vertices());
-  ScoreCore core(state);
-
-  InMemoryEdgeSource source(graph, config.order, config.seed,
-                            config.ingest_chunk_size);
-  uint64_t degree_hits = 0;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    core.PlaceHdrfChunk(chunk, degree_hits,
-                        [&](const StreamEdge& edge, PartitionId target) {
-                          result.edge_to_partition[edge.id] = target;
-                        });
-  }
-  metrics.edges_assigned->Increment(graph.num_edges());
-  metrics.degree_table_hits->Increment(degree_hits);
-
-  result.state_bytes = state.SynopsisBytes();
-  DeriveMasterPlacement(graph, &result);
-  result.partitioning_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
-StreamRunResult HdrfPartitioner::RunOnSource(
-    EdgeStreamSource& source, const PartitionConfig& config) const {
+// Both entry points run this body; `min_vertices` carries the graph
+// path's full vertex space (isolated vertices included), 0 for
+// discover-from-stream.
+StreamRunResult RunHdrf(EdgeStreamSource& source, const PartitionConfig& config,
+                        VertexId min_vertices) {
   SGP_CHECK(config.k > 0);
   Timer timer;
   StreamRunResult out;
@@ -84,13 +48,14 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   ScopedTimer assign_timer(metrics.assign_wall);
 
   PartitionState state(config);
-  state.InitDegreeTable(0);
+  state.InitDegreeTable(min_vertices);
   state.InitEffectiveLoads();
-  state.InitReplicas(0);
+  state.InitReplicas(min_vertices);
   ScoreCore core(state);
-  MasterTracker masters;
+  MasterTracker masters(min_vertices);
   std::vector<PartitionId>& assign = out.partitioning.edge_to_partition;
-  VertexId max_bound = 0;
+  std::vector<PartitionId> targets;  // the chunk's, in arrival order
+  VertexId max_bound = min_vertices;
   uint64_t degree_hits = 0;
   for (auto chunk = source.NextChunk(); !chunk.empty();
        chunk = source.NextChunk()) {
@@ -99,18 +64,16 @@ StreamRunResult HdrfPartitioner::RunOnSource(
     const VertexId hi = MaxEndpoint(chunk);
     state.EnsureVertex(hi);
     max_bound = std::max(max_bound, hi + 1);
+    targets.clear();
     core.PlaceHdrfChunk(chunk, degree_hits,
-                        [&](const StreamEdge&, PartitionId target) {
-                          assign.push_back(target);
+                        [&](const StreamEdge& e, PartitionId target) {
+                          AssignById(assign, e.id, target);
+                          targets.push_back(target);
                         });
-    masters.NoteChunk(chunk, std::span(assign).last(chunk.size()));
+    masters.NoteChunk(chunk, targets);
     out.num_edges += chunk.size();
   }
-  if (!source.ok()) {
-    out.ok = false;
-    out.error = source.error();
-    return out;
-  }
+  if (!source.ok()) return StreamRunResult::Failed(source.error());
   metrics.edges_assigned->Increment(out.num_edges);
   metrics.degree_table_hits->Increment(degree_hits);
 
@@ -120,6 +83,23 @@ StreamRunResult HdrfPartitioner::RunOnSource(
   out.partitioning.state_bytes = state.SynopsisBytes();
   out.partitioning.partitioning_seconds = timer.ElapsedSeconds();
   return out;
+}
+
+}  // namespace
+
+Partitioning HdrfPartitioner::Run(const Graph& graph,
+                                  const PartitionConfig& config) const {
+  InMemoryEdgeSource source(graph, config.order, config.seed,
+                            config.ingest_chunk_size);
+  StreamRunResult run = RunHdrf(source, config, graph.num_vertices());
+  SGP_CHECK(run.ok);
+  SGP_CHECK(run.partitioning.edge_to_partition.size() == graph.num_edges());
+  return std::move(run.partitioning);
+}
+
+StreamRunResult HdrfPartitioner::RunOnSource(
+    EdgeStreamSource& source, const PartitionConfig& config) const {
+  return RunHdrf(source, config, 0);
 }
 
 }  // namespace sgp

@@ -18,8 +18,9 @@ class HdrfPartitioner final : public Partitioner {
   Partitioning Run(const Graph& graph,
                    const PartitionConfig& config) const override;
 
-  /// Graph-free single-pass ingest over the shared partition state,
-  /// identical assignments to Run on a duplicate-free in-memory replay.
+  /// Graph-free single-pass ingest over the shared partition state. Run
+  /// replays the graph through the same stream body, so an in-memory
+  /// source in config.order reproduces Run exactly.
   StreamRunResult RunOnSource(EdgeStreamSource& source,
                               const PartitionConfig& config) const override;
 };

@@ -4,7 +4,6 @@
 #include <deque>
 #include <numeric>
 
-#include "common/check.h"
 #include "common/random.h"
 #include "common/telemetry.h"
 
@@ -91,13 +90,12 @@ std::vector<VertexId> TraversalOrder(const Graph& graph, bool depth_first,
 
 }  // namespace
 
-StreamOrder ParseStreamOrder(std::string_view name) {
+std::optional<StreamOrder> ParseStreamOrder(std::string_view name) {
   if (name == "natural") return StreamOrder::kNatural;
   if (name == "random") return StreamOrder::kRandom;
   if (name == "bfs") return StreamOrder::kBfs;
   if (name == "dfs") return StreamOrder::kDfs;
-  SGP_CHECK(false && "unknown stream order");
-  return StreamOrder::kNatural;
+  return std::nullopt;
 }
 
 std::string_view StreamOrderName(StreamOrder order) {

@@ -2,6 +2,7 @@
 #define SGP_STREAM_STREAM_H_
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -20,8 +21,9 @@ enum class StreamOrder {
   kDfs,
 };
 
-/// Parses "natural" / "random" / "bfs" / "dfs".
-StreamOrder ParseStreamOrder(std::string_view name);
+/// Parses "natural" / "random" / "bfs" / "dfs"; nullopt for any other
+/// name.
+std::optional<StreamOrder> ParseStreamOrder(std::string_view name);
 
 /// Human-readable name of `order`.
 std::string_view StreamOrderName(StreamOrder order);

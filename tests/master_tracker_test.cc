@@ -2,7 +2,7 @@
 // (partition/master_tracker.h): the flat inline-plus-overflow layout,
 // folded chunk by chunk on the tally thread, must derive exactly the
 // masters of the straightforward vector-of-vectors tally it replaced,
-// which lives on below as the oracle.
+// which lives on in tests/master_oracle.h as the oracle.
 #include <algorithm>
 #include <cstdint>
 #include <random>
@@ -14,48 +14,12 @@
 #include "common/types.h"
 #include "partition/master_tracker.h"
 #include "stream/source.h"
+#include "tests/master_oracle.h"
 
 namespace sgp {
 namespace {
 
-// The oracle: one heap vector of (partition, count) pairs per vertex and a
-// linear find per note.
-class ReferenceMasterTracker {
- public:
-  void Note(VertexId v, PartitionId part) {
-    if (v >= counts_.size()) counts_.resize(static_cast<size_t>(v) + 1);
-    auto& vec = counts_[v];
-    auto it = std::find_if(vec.begin(), vec.end(),
-                           [part](const auto& pr) { return pr.first == part; });
-    if (it == vec.end()) {
-      vec.emplace_back(part, 1u);
-    } else {
-      ++it->second;
-    }
-  }
-
-  std::vector<PartitionId> Derive(VertexId n, PartitionId k) const {
-    std::vector<PartitionId> masters(n, kInvalidPartition);
-    for (VertexId u = 0; u < n; ++u) {
-      if (u >= counts_.size() || counts_[u].empty()) {
-        masters[u] = static_cast<PartitionId>(HashU64(u) % k);
-        continue;
-      }
-      auto best = counts_[u].front();
-      for (const auto& pr : counts_[u]) {
-        if (pr.second > best.second ||
-            (pr.second == best.second && pr.first < best.first)) {
-          best = pr;
-        }
-      }
-      masters[u] = best.first;
-    }
-    return masters;
-  }
-
- private:
-  std::vector<std::vector<std::pair<PartitionId, uint32_t>>> counts_;
-};
+using oracle::ReferenceMasterTracker;
 
 // One edge noted on both endpoints. The vertex-level cases below use
 // self-loops {v, v, p}: they note v twice, which doubles every count of v

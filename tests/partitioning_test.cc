@@ -1,6 +1,13 @@
 #include "partition/partitioning.h"
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+#include "graph/datasets.h"
+#include "tests/master_oracle.h"
 #include "tests/test_util.h"
 
 namespace sgp {
@@ -31,6 +38,39 @@ TEST(DeriveMasterPlacementTest, IsolatedVertexGetsHashedMaster) {
   Graph g = MakeGraph(3, /*directed=*/false, {{0, 1}});
   Partitioning p = testing::MakeVertexCutPartitioning(g, 4, {0});
   EXPECT_LT(p.vertex_to_partition[2], 4u);
+}
+
+// DeriveMasterPlacement against the vector-of-vectors oracle on random
+// placements: directed twitter has reciprocal edge pairs (two edges
+// between the same endpoints), the road copy has isolated vertices above
+// every edge's ids. Half the placements draw from at most four
+// partitions, so counts tie well above 1.
+TEST(DeriveMasterPlacementTest, MatchesVectorOfVectorsOracle) {
+  const Graph road = MakeDataset("usaroad", 10);
+  GraphBuilder builder(road.num_vertices() + 37, /*directed=*/false);
+  for (const Edge& e : road.edges()) builder.AddEdge(e.src, e.dst);
+  const Graph graphs[] = {MakeDataset("twitter", 10),
+                          std::move(builder).Finalize()};
+  ASSERT_TRUE(graphs[0].directed());
+  std::mt19937_64 rng(20);
+  for (const Graph& g : graphs) {
+    for (PartitionId k : {1u, 3u, 64u, 257u}) {
+      for (PartitionId draw_from : {k, std::min<PartitionId>(k, 4)}) {
+        std::vector<PartitionId> edge_map(g.num_edges());
+        for (PartitionId& p : edge_map) p = rng() % draw_from;
+        oracle::ReferenceMasterTracker reference;
+        for (EdgeId e = 0; e < g.num_edges(); ++e) {
+          reference.Note(g.edges()[e].src, edge_map[e]);
+          reference.Note(g.edges()[e].dst, edge_map[e]);
+        }
+        const Partitioning p =
+            testing::MakeVertexCutPartitioning(g, k, edge_map);
+        EXPECT_EQ(p.vertex_to_partition, reference.Derive(g.num_vertices(), k))
+            << "n=" << g.num_vertices() << " k=" << k
+            << " draw_from=" << draw_from;
+      }
+    }
+  }
 }
 
 TEST(ReplicaSetsTest, SpansPartitionsOfIncidentEdges) {

@@ -58,29 +58,42 @@ INSTANTIATE_TEST_SUITE_P(AllPartitioners, SourceEquivalenceTest,
 // Graph-free streaming codes checked against their materialized twins.
 const char* const kIngestCodes[] = {"VCR", "DBH", "HDRF"};
 
-// Stream ingest over an in-memory natural-order source reproduces the
-// materialized partitioner exactly (assignments and masters). Undirected
-// dataset: on directed graphs stream occurrence counts diverge from the
-// de-duplicated Degree() wherever reciprocal edge pairs exist, and the
-// documented DBH equivalence only covers duplicate-free undirected input.
+// Stream ingest over an in-memory source reproduces the materialized
+// partitioner exactly (assignments and masters) in every stream order:
+// each code runs one stream body, which records placements by
+// StreamEdge::id, and Run replays the graph through it in config.order.
+// Undirected datasets: on directed graphs stream occurrence counts diverge
+// from the de-duplicated Degree() wherever reciprocal edge pairs exist,
+// and the documented DBH equivalence only covers duplicate-free
+// undirected input. ldbc keeps HDRF's BFS and DFS cells meaningful: on
+// usaroad those orders put every edge in one partition, where any layout
+// of edge_to_partition compares equal.
 TEST(StreamIngestTest, MatchesMaterializedPartitioner) {
-  Graph g = MakeDataset("usaroad", 10);
-  for (const char* code : kIngestCodes) {
-    PartitionConfig cfg;
-    cfg.k = 4;
-    cfg.seed = 42;
-    cfg.order = StreamOrder::kNatural;  // the only order a disk stream has
-    InMemoryEdgeSource source(g, StreamOrder::kNatural, cfg.seed);
-    StreamRunResult r = CreatePartitioner(code)->RunOnSource(source, cfg);
-    ASSERT_TRUE(r.ok) << code << ": " << r.error;
-    EXPECT_EQ(r.num_edges, g.num_edges());
-    EXPECT_EQ(r.num_vertices, g.num_vertices());
-    Partitioning twin = CreatePartitioner(code)->Run(g, cfg);
-    EXPECT_EQ(r.partitioning.edge_to_partition, twin.edge_to_partition)
-        << code;
-    EXPECT_EQ(r.partitioning.vertex_to_partition, twin.vertex_to_partition)
-        << code;
-    EXPECT_GT(r.partitioning.state_bytes, 0u) << code;
+  for (const char* dataset : {"usaroad", "ldbc"}) {
+    const Graph g = MakeDataset(dataset, 10);
+    for (StreamOrder order : {StreamOrder::kNatural, StreamOrder::kRandom,
+                              StreamOrder::kBfs, StreamOrder::kDfs}) {
+      for (const char* code : {"VCR", "DBH", "HDRF", "2PS", "HEP"}) {
+        PartitionConfig cfg;
+        cfg.k = 4;
+        cfg.seed = 42;
+        cfg.order = order;
+        const std::string cell = std::string(dataset) + " " + code + " " +
+                                 std::string(StreamOrderName(order));
+        InMemoryEdgeSource source(g, order, cfg.seed);
+        StreamRunResult r = CreatePartitioner(code)->RunOnSource(source, cfg);
+        ASSERT_TRUE(r.ok) << cell << ": " << r.error;
+        EXPECT_EQ(r.num_edges, g.num_edges()) << cell;
+        EXPECT_EQ(r.num_vertices, g.num_vertices()) << cell;
+        Partitioning twin = CreatePartitioner(code)->Run(g, cfg);
+        EXPECT_EQ(r.partitioning.edge_to_partition, twin.edge_to_partition)
+            << cell;
+        EXPECT_EQ(r.partitioning.vertex_to_partition,
+                  twin.vertex_to_partition)
+            << cell;
+        EXPECT_GT(r.partitioning.state_bytes, 0u) << cell;
+      }
+    }
   }
 }
 

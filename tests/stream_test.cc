@@ -107,6 +107,8 @@ TEST(StreamOrderTest, ParseAndNameRoundTrip) {
                         StreamOrder::kBfs, StreamOrder::kDfs}) {
     EXPECT_EQ(ParseStreamOrder(StreamOrderName(o)), o);
   }
+  EXPECT_EQ(ParseStreamOrder("bogus"), std::nullopt);
+  EXPECT_EQ(ParseStreamOrder("BFS"), std::nullopt);
 }
 
 }  // namespace

@@ -324,7 +324,6 @@ TEST(MetricsRegistryTest, ExportJsonIsDeterministic) {
   auto r1 = build();
   auto r2 = build();
   EXPECT_EQ(r1->ExportJson(), r2->ExportJson());
-  EXPECT_EQ(r1->ExportCsv(), r2->ExportCsv());
 }
 
 TEST(MetricsRegistryTest, JsonRoundTripsThroughParser) {
@@ -413,8 +412,6 @@ TEST(MetricsRegistryTest, RoundTripsDocumentsWithTracesAndP999) {
   EXPECT_GT(parsed[0].p999, 0.0);
   EXPECT_GE(parsed[0].p999, parsed[0].p99);
   EXPECT_NE(reg.ExportJson(opt).find("\"p999\":"), std::string::npos);
-  // CSV grows the p999 column too.
-  EXPECT_NE(reg.ExportCsv().find(",p999"), std::string::npos);
 }
 
 TEST(MetricsRegistryTest, GlobalRegistryHasLibraryInstrumentation) {
