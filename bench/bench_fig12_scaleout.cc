@@ -2,8 +2,8 @@
 // traversals on LDBC SNB over 4 to 32 workers — beyond ~16 workers the
 // added communication outweighs the added capacity.
 //
-// Runs on the experiment-grid runner (export SGP_THREADS to parallelize
-// the cells); the printed table is reconstructed from the grid records.
+// Runs on the experiment-grid runner; the printed table is reconstructed
+// from the grid records.
 #include <iostream>
 #include <map>
 #include <utility>
@@ -32,9 +32,7 @@ int main() {
   // WorkloadConfig{}.seed and SimConfig{}.seed.
   spec.workload_seed = 7;
   spec.sim_seed = 123;
-  GridOptions options;
-  options.threads = bench::ThreadsFromEnv();
-  const auto records = RunOnlineGrid(spec, options);
+  const auto records = RunOnlineGrid(spec);
 
   std::map<std::pair<std::string, PartitionId>, double> qps_by_cell;
   for (const OnlineRunRecord& r : records) {

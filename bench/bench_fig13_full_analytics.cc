@@ -2,8 +2,8 @@
 // of all three workloads on all three graphs over all cluster sizes.
 // (Reduced default scale: this is the largest sweep in the suite.)
 //
-// Runs on the experiment-grid runner (export SGP_THREADS to parallelize
-// the cells); the printed tables are reconstructed from the grid records.
+// Runs on the experiment-grid runner; the printed tables are reconstructed
+// from the grid records.
 #include <iostream>
 #include <map>
 #include <string>
@@ -28,9 +28,7 @@ int main() {
   spec.cluster_sizes = cluster_sizes;
   spec.workloads = {"pagerank", "wcc", "sssp"};
   spec.scale = scale;
-  GridOptions options;
-  options.threads = bench::ThreadsFromEnv();
-  const auto records = RunOfflineGrid(spec, options);
+  const auto records = RunOfflineGrid(spec);
 
   std::map<std::tuple<std::string, std::string, std::string, PartitionId>,
            double>

@@ -1,8 +1,8 @@
 // Figure 14: aggregate 1-hop throughput on the real-world graph analogues
 // (USA-Road, Twitter, UK2007-05) on 16 workers under medium and high load.
 //
-// Runs on the experiment-grid runner (export SGP_THREADS to parallelize
-// the cells); the printed tables are reconstructed from the grid records.
+// Runs on the experiment-grid runner; the printed tables are reconstructed
+// from the grid records.
 #include <iostream>
 #include <map>
 #include <string>
@@ -33,9 +33,7 @@ int main() {
   // WorkloadConfig{}.seed and SimConfig{}.seed.
   spec.workload_seed = 7;
   spec.sim_seed = 123;
-  GridOptions options;
-  options.threads = bench::ThreadsFromEnv();
-  const auto records = RunOnlineGrid(spec, options);
+  const auto records = RunOnlineGrid(spec);
 
   std::map<std::tuple<std::string, std::string, uint32_t>, double>
       qps_by_cell;

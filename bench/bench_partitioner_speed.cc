@@ -153,16 +153,15 @@ int main() {
                                1)});
   }
   table.Print(std::cout);
-  // How far HDRF's cost still grows with k on twitter: the target is
-  // within 1.5× of k=8 at k=128. Wall-clock only, so the deterministic
-  // export is unchanged.
+  // How far HDRF's cost still grows with k on twitter. Wall-clock only,
+  // so the deterministic export is unchanged.
   const double hdrf_ratio = hdrf_k8 > 0 ? hdrf_k128 / hdrf_k8 : 0;
   MetricsRegistry::Global()
       .GetGauge("partitioner_speed.HDRF.k128_over_k8.wall",
                 MetricOptions::WallClock())
       ->Set(hdrf_ratio);
   std::cout << "\nHDRF ns/edge on twitter, k=128 over k=8: "
-            << FormatDouble(hdrf_ratio, 2) << "x (target <= 1.5x)\n";
+            << FormatDouble(hdrf_ratio, 2) << "x\n";
   std::cout
       << "\nns/edge is the median of " << kReps
       << " rounds over all cells.\n"

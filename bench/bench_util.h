@@ -25,17 +25,6 @@ inline uint32_t ScaleFromEnv(uint32_t default_scale = 13) {
   return static_cast<uint32_t>(v);
 }
 
-/// Grid worker threads for the bench harnesses: export SGP_THREADS to run
-/// experiment-grid cells in parallel (0 = one per hardware thread). The
-/// printed tables are identical for every value — only wall time changes.
-inline uint32_t ThreadsFromEnv(uint32_t default_threads = 1) {
-  const char* env = std::getenv("SGP_THREADS");
-  if (env == nullptr) return default_threads;
-  int v = std::atoi(env);
-  if (v < 0 || v > 1024) return default_threads;
-  return static_cast<uint32_t>(v);
-}
-
 /// The paper's Table 2 algorithm roster for offline analytics, extended
 /// with the two-phase / clustering families (2PS, HEP, NE).
 inline std::vector<std::string> OfflineAlgos() {
@@ -66,10 +55,6 @@ inline void PrintBanner(const char* experiment, const char* description,
 /// path written, or "" on I/O failure (reported on stderr, never fatal).
 inline std::string WriteBenchJson(const char* bench_name, uint32_t scale) {
   const MetricsRegistry& reg = MetricsRegistry::Global();
-  ExportOptions deterministic;
-  deterministic.filter = MetricFilter::kDeterministicOnly;
-  ExportOptions wall;
-  wall.filter = MetricFilter::kWallTimeOnly;
 
   std::string json;
   json += "{\"schema\":\"sgp.bench.v1\",\"bench\":\"";
@@ -77,9 +62,10 @@ inline std::string WriteBenchJson(const char* bench_name, uint32_t scale) {
   json += "\",\"scale\":";
   json += std::to_string(scale);
   json += ",\"metrics\":";
-  json += SerializeMetricsArrayJson(reg.Snapshot(deterministic));
+  json +=
+      SerializeMetricsArrayJson(reg.Snapshot(MetricFilter::kDeterministicOnly));
   json += ",\"wall_time_metrics\":";
-  json += SerializeMetricsArrayJson(reg.Snapshot(wall));
+  json += SerializeMetricsArrayJson(reg.Snapshot(MetricFilter::kWallTimeOnly));
   json += "}\n";
 
   std::string path = std::string("BENCH_") + bench_name + ".json";

@@ -7,8 +7,7 @@
 //   advisor online <latency|throughput> [high-load]
 //   advisor classify <edge-list-file> [directed]
 // Every mode accepts --metrics-out <file> to dump the telemetry registry
-// as JSON, and --trace-out <file> to dump it with the trace buffer
-// included (ExportOptions::include_traces).
+// as JSON.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -29,8 +28,7 @@ int Usage() {
          "  advisor analytics <low-degree|heavy-tailed|power-law>\n"
          "  advisor online <latency|throughput> [high-load]\n"
          "  advisor classify <edge-list-file> [directed]\n"
-         "  (any mode also takes --metrics-out <file> and --trace-out "
-         "<file>)\n"
+         "  (any mode also takes --metrics-out <file>)\n"
          "recommendations draw from these algorithms:";
   for (const std::string& name : sgp::PartitionerNames()) {
     std::cerr << ' ' << name;
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
   sgp::FlagParser flags(argc, argv);
   const std::string metrics_out =
       flags.TakeString("--metrics-out").value_or("");
-  const std::string trace_out = flags.TakeString("--trace-out").value_or("");
   const std::vector<std::string> args = flags.TakePositional();
   if (!flags.ok()) {
     std::cerr << "error: " << flags.error() << "\n";
@@ -69,17 +66,6 @@ int main(int argc, char** argv) {
     }
     out << sgp::MetricsRegistry::Global().ExportJson();
     std::cout << "metrics written to " << metrics_out << "\n";
-  }
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "error: cannot write " << trace_out << "\n";
-      return 1;
-    }
-    sgp::ExportOptions options;
-    options.include_traces = true;
-    out << sgp::MetricsRegistry::Global().ExportJson(options);
-    std::cout << "metrics+traces written to " << trace_out << "\n";
   }
   return status;
 }

@@ -2,10 +2,8 @@
 // (plotting, regression tracking). A reduced grid by default; pass
 // "--full" for the paper's complete parameter space (slower).
 //
-// Usage: export_results [--full] [--threads n] [output-prefix]
-// Writes <prefix>_offline.csv and <prefix>_online.csv. --threads n runs
-// grid cells on n worker threads (0 = one per hardware thread); the
-// records — and therefore the CSV bytes — are identical for every n.
+// Usage: export_results [--full] [output-prefix]
+// Writes <prefix>_offline.csv and <prefix>_online.csv.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -19,16 +17,14 @@ int main(int argc, char** argv) {
   using namespace sgp;
   FlagParser flags(argc, argv);
   const bool full = flags.TakeBool("--full");
-  GridOptions options;
-  options.threads =
-      static_cast<uint32_t>(flags.TakeUint64("--threads").value_or(1));
   std::string prefix = "sgp_results";
   std::vector<std::string> positional = flags.TakePositional();
   if (!flags.ok() || positional.size() > 1) {
-    std::cerr << (flags.ok() ? "usage: export_results [--full] [--threads n]"
-                               " [output-prefix]"
-                             : flags.error())
-              << "\n";
+    if (flags.ok()) {
+      std::cerr << "usage: export_results [--full] [output-prefix]\n";
+    } else {
+      std::cerr << "error: " << flags.error() << "\n";
+    }
     return 1;
   }
   if (!positional.empty()) prefix = positional[0];
@@ -44,22 +40,21 @@ int main(int argc, char** argv) {
     online.queries_per_run = 8000;
   }
 
-  GridRunner runner(options);
   std::cout << "running offline grid ("
             << offline.datasets.size() *
                    (offline.algorithms.empty()
                         ? PartitionerNames().size()
                         : offline.algorithms.size()) *
                    offline.cluster_sizes.size() * offline.workloads.size()
-            << " cells, " << runner.threads() << " thread(s))...\n";
-  auto offline_records = runner.Run(offline);
+            << " cells)...\n";
+  auto offline_records = RunOfflineGrid(offline);
   std::ofstream offline_out(prefix + "_offline.csv");
   WriteOfflineCsv(offline_records, offline_out);
   std::cout << "wrote " << offline_records.size() << " rows to " << prefix
             << "_offline.csv\n";
 
   std::cout << "running online grid...\n";
-  auto online_records = runner.Run(online);
+  auto online_records = RunOnlineGrid(online);
   std::ofstream online_out(prefix + "_online.csv");
   WriteOnlineCsv(online_records, online_out);
   std::cout << "wrote " << online_records.size() << " rows to " << prefix

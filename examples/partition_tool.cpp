@@ -23,7 +23,6 @@
 //   --slack <b>           balance slack β ≥ 1.0, finite (default 1.05)
 //   --output <file>       write "vertex partition" lines
 //   --metrics-out <file>  dump the telemetry registry as JSON
-//   --trace-out <file>    dump the registry with traces included
 //
 // The first output line names the scoring kernels the CPU selected
 // (avx2 or portable); both produce identical partitionings.
@@ -54,7 +53,6 @@ void PrintUsage() {
          "[options]\n"
          "options: [--directed] [--order o] [--chunk-size n] [--seed s]\n"
          "         [--slack b] [--output file] [--metrics-out file]\n"
-         "         [--trace-out file]\n"
          "--order natural|random|bfs|dfs applies to the in-memory form only;\n"
          "--input-edgelist streams the file in its own line order.\n"
          "algorithms (from the registry):\n"
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
   const std::string output = flags.TakeString("--output").value_or("");
   const std::string metrics_out =
       flags.TakeString("--metrics-out").value_or("");
-  const std::string trace_out = flags.TakeString("--trace-out").value_or("");
   std::vector<std::string> positional = flags.TakePositional();
   if (!flags.ok()) {
     std::cerr << "error: " << flags.error() << "\n";
@@ -253,17 +250,6 @@ int main(int argc, char** argv) {
     }
     out << MetricsRegistry::Global().ExportJson();
     std::cout << "metrics written to " << metrics_out << "\n";
-  }
-  if (!trace_out.empty()) {
-    std::ofstream out(trace_out);
-    if (!out) {
-      std::cerr << "error: cannot write " << trace_out << "\n";
-      return 1;
-    }
-    ExportOptions options;
-    options.include_traces = true;
-    out << MetricsRegistry::Global().ExportJson(options);
-    std::cout << "metrics+traces written to " << trace_out << "\n";
   }
   return 0;
 }

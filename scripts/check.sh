@@ -126,33 +126,28 @@ python3 scripts/bench_diff.py \
   "$JSON_DIR/BENCH_fig2_replication.json"
 echo "check.sh: bench goldens match"
 
-# ThreadSanitizer pass over the concurrent subsystems: the worker pool,
-# the sharded ingest path, the parallel grid runner (its determinism
-# tests drive 4 worker threads through the memoized caches and the
-# per-cell registry merge), and the edge-list pipeline (the file source's
-# reader thread and the master tracker's tally thread). TSan is
-# incompatible with ASan, so it gets its own build tree; only the
-# concurrency suites need rebuilding.
+# ThreadSanitizer pass over the concurrent subsystems: the sharded ingest
+# path and the edge-list pipeline (the file source's reader thread and the
+# master tracker's tally thread). TSan is incompatible with ASan, so it
+# gets its own build tree; only the concurrency suites need rebuilding.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSGP_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target thread_pool_test parallel_streaming_test grid_test \
-  score_core_test twophase_test source_equivalence_test \
-  edge_list_scanner_test master_tracker_test vertexcut_test
+  --target parallel_streaming_test score_core_test twophase_test \
+  source_equivalence_test edge_list_scanner_test master_tracker_test \
+  vertexcut_test
 
 export TSAN_OPTIONS="halt_on_error=1"
-"$TSAN_DIR/tests/thread_pool_test"
 "$TSAN_DIR/tests/parallel_streaming_test"
-"$TSAN_DIR/tests/grid_test" --gtest_filter='GridRunnerTest.*'
 # The sharded-scoring equivalence tests drive multi-worker ingest through
 # the batched bit-index path (global rows read while delta rows mutate
 # between barriers); TSan keeps that interval discipline honest.
 "$TSAN_DIR/tests/score_core_test"
-# The two-phase partitioners run inside the parallel grid runner (each
-# cell a worker thread sharing the memoized dataset cache); their suite
-# under TSan keeps the per-run state honestly run-local.
+# The two-phase partitioners (2PS, HEP) fold their master tallies on the
+# tracker's tally thread; their suite under TSan keeps the per-run state
+# honestly run-local.
 "$TSAN_DIR/tests/twophase_test"
 # The file source parses on a reader thread into a ring of chunk slots,
 # and every vertex-cut RunOnSource folds its master tallies on a tally

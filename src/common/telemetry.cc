@@ -1,10 +1,9 @@
 #include "common/telemetry.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 
 #include "common/check.h"
 
@@ -152,141 +151,6 @@ std::vector<std::pair<uint32_t, uint64_t>> Histogram::NonZeroBuckets() const {
 }
 
 // ---------------------------------------------------------------------------
-// TraceBuffer
-// ---------------------------------------------------------------------------
-
-TraceBuffer::TraceBuffer(size_t capacity) : capacity_(capacity) {}
-
-TraceBuffer::TraceBuffer(const TraceBuffer& other) {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  events_ = other.events_;
-  capacity_ = other.capacity_;
-  dropped_ = other.dropped_;
-  next_id_ = other.next_id_;
-}
-
-TraceBuffer& TraceBuffer::operator=(const TraceBuffer& other) {
-  if (this == &other) return *this;
-  std::scoped_lock lock(mu_, other.mu_);
-  events_ = other.events_;
-  capacity_ = other.capacity_;
-  dropped_ = other.dropped_;
-  next_id_ = other.next_id_;
-  return *this;
-}
-
-TraceBuffer::TraceBuffer(TraceBuffer&& other) noexcept {
-  std::lock_guard<std::mutex> lock(other.mu_);
-  events_ = std::move(other.events_);
-  capacity_ = other.capacity_;
-  dropped_ = other.dropped_;
-  next_id_ = other.next_id_;
-  other.events_.clear();
-  other.dropped_ = 0;
-  other.next_id_ = 0;
-}
-
-TraceBuffer& TraceBuffer::operator=(TraceBuffer&& other) noexcept {
-  if (this == &other) return *this;
-  std::scoped_lock lock(mu_, other.mu_);
-  events_ = std::move(other.events_);
-  capacity_ = other.capacity_;
-  dropped_ = other.dropped_;
-  next_id_ = other.next_id_;
-  other.events_.clear();
-  other.dropped_ = 0;
-  other.next_id_ = 0;
-  return *this;
-}
-
-bool TraceBuffer::Append(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() >= capacity_) {
-    ++dropped_;
-    return false;
-  }
-  events_.push_back(std::move(event));
-  return true;
-}
-
-uint32_t TraceBuffer::NextId() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_id_++;
-}
-
-double TraceBuffer::NowSeconds() const { return epoch_.ElapsedSeconds(); }
-
-size_t TraceBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_.size();
-}
-
-size_t TraceBuffer::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_;
-}
-
-void TraceBuffer::set_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_ = capacity;
-}
-
-uint64_t TraceBuffer::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-void TraceBuffer::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-  dropped_ = 0;
-  next_id_ = 0;
-  epoch_.Reset();
-}
-
-std::vector<TraceEvent> TraceBuffer::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-// ---------------------------------------------------------------------------
-// Span
-// ---------------------------------------------------------------------------
-
-namespace {
-
-thread_local std::vector<uint32_t> t_span_stack;
-
-}  // namespace
-
-Span::Span(TraceBuffer* buffer, std::string name)
-    : buffer_(buffer), name_(std::move(name)) {
-  if (buffer_ == nullptr) return;
-  start_ = buffer_->NowSeconds();
-  id_ = buffer_->NextId();
-  parent_ = t_span_stack.empty() ? TraceEvent::kNoParent : t_span_stack.back();
-  depth_ = static_cast<uint32_t>(t_span_stack.size());
-  t_span_stack.push_back(id_);
-}
-
-Span::~Span() {
-  if (buffer_ == nullptr) return;
-  t_span_stack.pop_back();
-  TraceEvent event;
-  event.name = std::move(name_);
-  event.start = start_;
-  event.end = buffer_->NowSeconds();
-  event.id = id_;
-  event.parent = parent_;
-  event.depth = depth_;
-  buffer_->Append(std::move(event));
-}
-
-uint32_t Span::CurrentDepth() {
-  return static_cast<uint32_t>(t_span_stack.size());
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
@@ -385,11 +249,6 @@ void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
         break;
     }
   }
-  // Trace events keep their producer-side ids; consumers treat id/parent
-  // as meaningful only within one producing registry.
-  for (TraceEvent& event : other.traces_.Snapshot()) {
-    traces_.Append(std::move(event));
-  }
 }
 
 void MetricsRegistry::Reset() {
@@ -407,19 +266,18 @@ void MetricsRegistry::Reset() {
         break;
     }
   }
-  traces_.Clear();
 }
 
 std::vector<MetricSample> MetricsRegistry::Snapshot(
-    const ExportOptions& options) const {
+    MetricFilter filter) const {
   std::vector<MetricSample> out;
   std::lock_guard<std::mutex> lock(mu_);
   out.reserve(metrics_.size());
   for (const auto& [name, entry] : metrics_) {
-    if (options.filter == MetricFilter::kDeterministicOnly && entry.wall_time) {
+    if (filter == MetricFilter::kDeterministicOnly && entry.wall_time) {
       continue;
     }
-    if (options.filter == MetricFilter::kWallTimeOnly && !entry.wall_time) {
+    if (filter == MetricFilter::kWallTimeOnly && !entry.wall_time) {
       continue;
     }
     MetricSample sample;
@@ -581,344 +439,9 @@ std::string SerializeMetricsArrayJson(
   return out;
 }
 
-namespace {
-
-std::string SerializeTracesJson(const std::vector<TraceEvent>& events) {
-  std::string out = "[";
-  char buf[96];
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    if (i > 0) out += ",\n ";
-    out += "{\"name\":";
-    AppendJsonEscaped(e.name, &out);
-    out += ",\"start\":" + FormatJsonDouble(e.start);
-    out += ",\"end\":" + FormatJsonDouble(e.end);
-    std::snprintf(buf, sizeof(buf),
-                  ",\"id\":%u,\"parent\":%u,\"depth\":%u,\"args\":[", e.id,
-                  e.parent, e.depth);
-    out += buf;
-    for (size_t a = 0; a < e.args.size(); ++a) {
-      if (a > 0) out.push_back(',');
-      std::snprintf(buf, sizeof(buf), "%llu",
-                    static_cast<unsigned long long>(e.args[a]));
-      out += buf;
-    }
-    out += "]}";
-  }
-  out += "]";
-  return out;
-}
-
-}  // namespace
-
-std::string MetricsRegistry::ExportJson(const ExportOptions& options) const {
-  std::string out = "{\"schema\":\"sgp.metrics.v1\",\"metrics\":";
-  out += SerializeMetricsArrayJson(Snapshot(options));
-  if (options.include_traces) {
-    out += ",\"traces\":";
-    out += SerializeTracesJson(traces_.Snapshot());
-    // Appends rejected at capacity: without this a capped long-run trace
-    // silently looks complete.
-    out += ",\"dropped_traces\":" + std::to_string(traces_.dropped());
-  }
-  out += "}";
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// minijson
-// ---------------------------------------------------------------------------
-
-namespace minijson {
-
-namespace {
-
-struct Parser {
-  std::string_view text;
-  size_t pos = 0;
-
-  void SkipWs() {
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == '\n' ||
-            text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool Literal(std::string_view lit) {
-    if (text.substr(pos, lit.size()) != lit) return false;
-    pos += lit.size();
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (pos >= text.size() || text[pos] != '"') return false;
-    ++pos;
-    out->clear();
-    while (pos < text.size()) {
-      char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        char e = text[pos++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case '/':
-            out->push_back('/');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'b':
-            out->push_back('\b');
-            break;
-          case 'f':
-            out->push_back('\f');
-            break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            // Pass the escape through verbatim; the exporters only emit
-            // \u00XX control escapes and tests compare parsed numbers.
-            out->append("\\u");
-            out->append(text.substr(pos, 4));
-            pos += 4;
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    return false;
-  }
-
-  bool ParseValue(Value* out) {
-    SkipWs();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == 'n') {
-      out->type = Value::Type::kNull;
-      return Literal("null");
-    }
-    if (c == 't') {
-      out->type = Value::Type::kBool;
-      out->boolean = true;
-      return Literal("true");
-    }
-    if (c == 'f') {
-      out->type = Value::Type::kBool;
-      out->boolean = false;
-      return Literal("false");
-    }
-    if (c == '"') {
-      out->type = Value::Type::kString;
-      return ParseString(&out->string);
-    }
-    if (c == '[') {
-      ++pos;
-      out->type = Value::Type::kArray;
-      SkipWs();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        Value element;
-        if (!ParseValue(&element)) return false;
-        out->array.push_back(std::move(element));
-        SkipWs();
-        if (pos >= text.size()) return false;
-        if (text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (text[pos] == ']') {
-          ++pos;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '{') {
-      ++pos;
-      out->type = Value::Type::kObject;
-      SkipWs();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        SkipWs();
-        std::string key;
-        if (!ParseString(&key)) return false;
-        SkipWs();
-        if (pos >= text.size() || text[pos] != ':') return false;
-        ++pos;
-        Value value;
-        if (!ParseValue(&value)) return false;
-        out->object.emplace_back(std::move(key), std::move(value));
-        SkipWs();
-        if (pos >= text.size()) return false;
-        if (text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (text[pos] == '}') {
-          ++pos;
-          return true;
-        }
-        return false;
-      }
-    }
-    // Number.
-    const size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      ++pos;
-    }
-    if (pos == start) return false;
-    std::string num(text.substr(start, pos - start));
-    char* end = nullptr;
-    out->type = Value::Type::kNumber;
-    out->number = std::strtod(num.c_str(), &end);
-    return end != nullptr && *end == '\0';
-  }
-};
-
-}  // namespace
-
-const Value* Value::Find(std::string_view key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-bool Parse(std::string_view text, Value* out) {
-  Parser parser{text};
-  Value value;
-  if (!parser.ParseValue(&value)) return false;
-  parser.SkipWs();
-  if (parser.pos != text.size()) return false;
-  *out = std::move(value);
-  return true;
-}
-
-}  // namespace minijson
-
-// ---------------------------------------------------------------------------
-// ParseMetricsJson
-// ---------------------------------------------------------------------------
-
-namespace {
-
-double NumberOr(const minijson::Value* v, double fallback) {
-  return v != nullptr && v->type == minijson::Value::Type::kNumber ? v->number
-                                                                   : fallback;
-}
-
-// Finds the first "metrics" array anywhere in the document (top level or
-// one level down, covering both the registry export and BENCH_*.json).
-const minijson::Value* FindMetricsArray(const minijson::Value& root) {
-  if (root.type == minijson::Value::Type::kArray) return &root;
-  const minijson::Value* direct = root.Find("metrics");
-  if (direct != nullptr && direct->type == minijson::Value::Type::kArray) {
-    return direct;
-  }
-  for (const auto& [key, value] : root.object) {
-    if (value.type == minijson::Value::Type::kObject) {
-      const minijson::Value* nested = value.Find("metrics");
-      if (nested != nullptr &&
-          nested->type == minijson::Value::Type::kArray) {
-        return nested;
-      }
-    }
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-bool ParseMetricsJson(std::string_view text, std::vector<MetricSample>* out) {
-  minijson::Value root;
-  if (!minijson::Parse(text, &root)) return false;
-  const minijson::Value* metrics = FindMetricsArray(root);
-  if (metrics == nullptr) return false;
-  std::vector<MetricSample> result;
-  result.reserve(metrics->array.size());
-  for (const minijson::Value& m : metrics->array) {
-    if (m.type != minijson::Value::Type::kObject) return false;
-    MetricSample sample;
-    const minijson::Value* name = m.Find("name");
-    const minijson::Value* kind = m.Find("kind");
-    if (name == nullptr || name->type != minijson::Value::Type::kString ||
-        kind == nullptr || kind->type != minijson::Value::Type::kString) {
-      return false;
-    }
-    sample.name = name->string;
-    const minijson::Value* wall = m.Find("wall_time");
-    sample.wall_time = wall != nullptr &&
-                       wall->type == minijson::Value::Type::kBool &&
-                       wall->boolean;
-    if (kind->string == "counter") {
-      sample.kind = MetricKind::kCounter;
-      sample.counter_value =
-          static_cast<uint64_t>(NumberOr(m.Find("value"), 0));
-    } else if (kind->string == "gauge") {
-      sample.kind = MetricKind::kGauge;
-      sample.gauge_value = NumberOr(m.Find("value"), 0);
-    } else if (kind->string == "histogram") {
-      sample.kind = MetricKind::kHistogram;
-      sample.count = static_cast<uint64_t>(NumberOr(m.Find("count"), 0));
-      sample.sum = NumberOr(m.Find("sum"), 0);
-      sample.min = NumberOr(m.Find("min"), 0);
-      sample.max = NumberOr(m.Find("max"), 0);
-      sample.mean = NumberOr(m.Find("mean"), 0);
-      sample.p50 = NumberOr(m.Find("p50"), 0);
-      sample.p90 = NumberOr(m.Find("p90"), 0);
-      sample.p99 = NumberOr(m.Find("p99"), 0);
-      sample.p999 = NumberOr(m.Find("p999"), 0);
-      sample.h_min_bound = NumberOr(m.Find("min_bound"), 0);
-      sample.h_max_bound = NumberOr(m.Find("max_bound"), 0);
-      sample.h_buckets_per_decade =
-          static_cast<uint32_t>(NumberOr(m.Find("buckets_per_decade"), 0));
-      const minijson::Value* buckets = m.Find("buckets");
-      if (buckets != nullptr &&
-          buckets->type == minijson::Value::Type::kArray) {
-        for (const minijson::Value& pair : buckets->array) {
-          if (pair.type != minijson::Value::Type::kArray ||
-              pair.array.size() != 2) {
-            return false;
-          }
-          sample.buckets.emplace_back(
-              static_cast<uint32_t>(pair.array[0].number),
-              static_cast<uint64_t>(pair.array[1].number));
-        }
-      }
-    } else {
-      return false;
-    }
-    result.push_back(std::move(sample));
-  }
-  *out = std::move(result);
-  return true;
+std::string MetricsRegistry::ExportJson(MetricFilter filter) const {
+  return "{\"schema\":\"sgp.metrics.v1\",\"metrics\":" +
+         SerializeMetricsArrayJson(Snapshot(filter)) + "}";
 }
 
 }  // namespace sgp

@@ -1,7 +1,6 @@
 #ifndef SGP_COMMON_TELEMETRY_H_
 #define SGP_COMMON_TELEMETRY_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -17,7 +16,7 @@
 
 namespace sgp {
 
-/// Unified metrics & tracing layer. The paper's contribution is
+/// Unified metrics layer. The paper's contribution is
 /// *measurement* — communication volume, replication factor, latency
 /// quantiles, load imbalance — so the library instruments itself: every
 /// subsystem publishes counters, gauges and histograms into a
@@ -149,94 +148,6 @@ class Histogram {
   std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
-// ---------------------------------------------------------------------------
-// Tracing
-// ---------------------------------------------------------------------------
-
-/// One completed span or event. `start`/`end` are seconds on a
-/// producer-defined clock: wall seconds since the buffer epoch for Span,
-/// simulated seconds for the discrete-event simulators. `args` carries
-/// four producer-defined payload slots (the query simulator stores
-/// binding / coordinator / reads / rounds).
-struct TraceEvent {
-  static constexpr uint32_t kNoParent = 0xffffffffu;
-
-  std::string name;
-  double start = 0;
-  double end = 0;
-  uint32_t id = 0;
-  uint32_t parent = kNoParent;
-  uint32_t depth = 0;
-  std::array<uint64_t, 4> args{};
-};
-
-/// Bounded in-memory trace sink. Appends beyond the capacity are counted
-/// in dropped() instead of growing the buffer, so tracing can stay on in
-/// long runs with a hard memory cap.
-class TraceBuffer {
- public:
-  explicit TraceBuffer(size_t capacity = 1u << 16);
-  TraceBuffer(const TraceBuffer& other);
-  TraceBuffer& operator=(const TraceBuffer& other);
-  TraceBuffer(TraceBuffer&& other) noexcept;
-  TraceBuffer& operator=(TraceBuffer&& other) noexcept;
-
-  /// Appends one event (assigning no id — callers that need ids draw them
-  /// from NextId() first). Returns false and counts a drop when full.
-  bool Append(TraceEvent event);
-
-  /// Draws a fresh event id (monotonic per buffer).
-  uint32_t NextId();
-
-  /// Wall seconds since construction or the last Clear() — the epoch Span
-  /// timestamps are relative to.
-  double NowSeconds() const;
-
-  size_t size() const;
-  bool empty() const { return size() == 0; }
-  size_t capacity() const;
-  void set_capacity(size_t capacity);  // excess existing events are kept
-  uint64_t dropped() const;
-  void Clear();
-
-  /// Copy of the buffered events, append order.
-  std::vector<TraceEvent> Snapshot() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
-  size_t capacity_;
-  uint64_t dropped_ = 0;
-  uint32_t next_id_ = 0;
-  Timer epoch_;
-};
-
-/// RAII wall-clock span recorded into a TraceBuffer on destruction.
-/// Nesting is tracked per thread: a span constructed while another span
-/// is alive on the same thread records it as its parent. A null buffer
-/// makes the span inert (zero-cost tracing opt-out).
-class Span {
- public:
-  Span(TraceBuffer* buffer, std::string name);
-  ~Span();
-
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  uint32_t id() const { return id_; }
-
-  /// Current nesting depth of the calling thread (0 = no open span).
-  static uint32_t CurrentDepth();
-
- private:
-  TraceBuffer* buffer_;
-  std::string name_;
-  double start_ = 0;
-  uint32_t id_ = 0;
-  uint32_t parent_ = TraceEvent::kNoParent;
-  uint32_t depth_ = 0;
-};
-
 /// RAII wall-clock stopwatch recording its elapsed seconds into a
 /// Histogram on destruction. Built on common/timer.h (one clock
 /// implementation in the codebase). A null histogram makes it inert.
@@ -273,7 +184,7 @@ struct MetricOptions {
   /// lookups of an already-registered histogram).
   HistogramOptions histogram;
 
-  /// Options for a wall-clock metric (every ScopedTimer / Span-fed metric
+  /// Options for a wall-clock metric (every ScopedTimer-fed metric
   /// must use this so deterministic exports can exclude it).
   static MetricOptions WallClock() {
     MetricOptions options;
@@ -288,13 +199,7 @@ enum class MetricFilter {
   kWallTimeOnly,
 };
 
-struct ExportOptions {
-  MetricFilter filter = MetricFilter::kAll;
-  bool include_traces = false;
-};
-
-/// One exported metric value — the unit of the JSON/CSV schema and of the
-/// round-trip parser.
+/// One exported metric value — the unit of the JSON schema.
 struct MetricSample {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
@@ -317,11 +222,9 @@ struct MetricSample {
   double h_max_bound = 0;
   uint32_t h_buckets_per_decade = 0;
   std::vector<std::pair<uint32_t, uint64_t>> buckets;  // non-empty only
-
-  bool operator==(const MetricSample&) const = default;
 };
 
-/// Thread-safe registry of named metrics plus one trace buffer.
+/// Thread-safe registry of named metrics.
 /// Registration (Get*) takes a lock and is meant for setup / cold paths;
 /// the returned pointers are stable for the registry's lifetime and are
 /// what hot paths use. Exports iterate metrics in name order, so a
@@ -340,7 +243,7 @@ class MetricsRegistry {
   /// The calling thread's active registry: the innermost
   /// ScopedMetricsRegistry on this thread, or Global() when none is
   /// installed. All built-in instrumentation publishes here, which is how
-  /// the experiment grid isolates per-cell telemetry on worker threads.
+  /// the experiment grid isolates per-cell telemetry.
   static MetricsRegistry& Current();
 
   /// Process-unique id (never 0). Lets callers cache metric pointers per
@@ -350,12 +253,10 @@ class MetricsRegistry {
 
   /// Folds `other`'s metrics into this registry: counters add, gauges add
   /// (the library's gauges are all accumulators), histograms merge
-  /// exactly (same bucket layout required), and trace events are
-  /// appended. Metrics missing here are registered with `other`'s kind,
-  /// wall-time flag and bucket layout; a name registered under a
-  /// different kind aborts. Merging the same registries in the same order
-  /// is deterministic, so a serial run and a parallel run joined in
-  /// canonical order export identical deterministic snapshots.
+  /// exactly (same bucket layout required). Metrics missing here are
+  /// registered with `other`'s kind, wall-time flag and bucket layout; a
+  /// name registered under a different kind aborts. Merging the same
+  /// registries in the same order is deterministic.
   void MergeFrom(const MetricsRegistry& other);
 
   /// Returns the metric registered under `name`, creating it on first
@@ -365,23 +266,18 @@ class MetricsRegistry {
   Histogram* GetHistogram(std::string_view name,
                           const MetricOptions& options = {});
 
-  TraceBuffer& traces() { return traces_; }
-  const TraceBuffer& traces() const { return traces_; }
-
-  /// Zeroes every registered metric and clears the trace buffer;
-  /// registrations (and previously returned pointers) stay valid.
+  /// Zeroes every registered metric; registrations (and previously
+  /// returned pointers) stay valid.
   void Reset();
 
   /// Name-ordered snapshot of the registered metrics.
   std::vector<MetricSample> Snapshot(
-      const ExportOptions& options = {}) const;
+      MetricFilter filter = MetricFilter::kAll) const;
 
-  /// JSON document: {"schema":"sgp.metrics.v1","metrics":[...]} plus a
-  /// "traces" array and a "dropped_traces" count (appends the buffer
-  /// rejected at capacity) when options.include_traces. Deterministic:
-  /// metrics are name-ordered and doubles print as shortest
-  /// round-trippable form.
-  std::string ExportJson(const ExportOptions& options = {}) const;
+  /// JSON document: {"schema":"sgp.metrics.v1","metrics":[...]}.
+  /// Deterministic: metrics are name-ordered and doubles print as
+  /// shortest round-trippable form.
+  std::string ExportJson(MetricFilter filter = MetricFilter::kAll) const;
 
  private:
   struct Entry {
@@ -400,13 +296,12 @@ class MetricsRegistry {
   const uint64_t id_;
   mutable std::mutex mu_;
   std::map<std::string, Entry, std::less<>> metrics_;
-  TraceBuffer traces_;
 };
 
 /// RAII override of MetricsRegistry::Current() for the constructing
 /// thread. Scopes nest; destruction restores the previous registry. The
-/// experiment grid installs one per cell task so each cell's telemetry
-/// lands in its own registry and can be merged deterministically at join.
+/// experiment grid installs one per cell so each cell's telemetry lands
+/// in its own registry and is merged into the caller's after the cell.
 class ScopedMetricsRegistry {
  public:
   explicit ScopedMetricsRegistry(MetricsRegistry* registry);
@@ -440,37 +335,6 @@ Metrics& CurrentRegistryMetrics() {
 /// Serializes a snapshot to the "metrics" JSON array (no enclosing
 /// document) — what bench_util.h embeds into BENCH_*.json files.
 std::string SerializeMetricsArrayJson(const std::vector<MetricSample>& metrics);
-
-/// Parses the "metrics" array out of any JSON document produced by
-/// ExportJson / SerializeMetricsArrayJson / the BENCH_*.json writer
-/// (unknown sibling keys are skipped). Returns false on malformed input.
-bool ParseMetricsJson(std::string_view text, std::vector<MetricSample>* out);
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser (validation + round-trip tooling)
-// ---------------------------------------------------------------------------
-
-namespace minijson {
-
-struct Value {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<Value> array;
-  std::vector<std::pair<std::string, Value>> object;
-
-  /// First member named `key`, or nullptr.
-  const Value* Find(std::string_view key) const;
-};
-
-/// Strict parser for the JSON subset the exporters emit (no comments, no
-/// trailing commas; \uXXXX escapes are passed through verbatim). Returns
-/// false without touching `out` on malformed input or trailing garbage.
-bool Parse(std::string_view text, Value* out);
-
-}  // namespace minijson
 
 }  // namespace sgp
 

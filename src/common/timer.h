@@ -8,7 +8,7 @@ namespace sgp {
 
 /// Monotonic stopwatch used to time partitioning runs (the paper's
 /// "partitioning time" metric, Section 4.1) and as the single clock
-/// implementation behind the telemetry layer's ScopedTimer / Span.
+/// implementation behind the telemetry layer's ScopedTimer.
 class Timer {
  public:
   Timer() : start_(Clock::now()) {}

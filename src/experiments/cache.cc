@@ -9,9 +9,9 @@ namespace sgp {
 
 namespace {
 
-// Hit accounting goes to the requesting thread's current registry, so a
-// grid cell's hits are isolated with the rest of its telemetry and merge
-// into the parent registry at join.
+// Hit accounting goes to the current registry, so a grid cell's hits are
+// isolated with the rest of its telemetry and merge into the caller's
+// registry after the cell.
 void CountHit(bool was_hit) {
   if (was_hit) {
     MetricsRegistry::Current().GetCounter("grid.cache_hits")->Increment();

@@ -2,7 +2,6 @@
 #define SGP_EXPERIMENTS_CACHE_H_
 
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,35 +15,25 @@
 
 namespace sgp {
 
-/// Memoized, thread-safe caches for the experiment grid's shared build
-/// products: dataset graphs, partitionings (with their structural
-/// metrics) and query workloads. These are the upstream nodes of the grid
-/// runner's cell-task DAG — many cells need the same graph or the same
-/// partitioning, and the caches guarantee each key is computed exactly
-/// once no matter how many worker threads request it concurrently.
+/// Memoized caches for the experiment grid's shared build products:
+/// dataset graphs, partitionings (with their structural metrics) and
+/// query workloads. Many grid cells need the same graph or the same
+/// partitioning; the caches build each key once and hand out references
+/// to it. Values have stable addresses for the cache's lifetime, so
+/// returned references stay valid across later insertions.
 ///
-/// Concurrency model (requester-computes): the first thread to request a
-/// key computes the value on its own thread; every other requester blocks
-/// on a shared future until the value is ready. Because the computation
-/// always runs on a thread that is already executing (never on a task
-/// still sitting in a queue), a fixed-size thread pool cannot deadlock on
-/// cache dependencies. Values have stable addresses for the cache's
-/// lifetime, so returned references stay valid across later insertions.
-///
-/// Every satisfied request for an already-present (or in-flight) key
-/// increments `grid.cache_hits` in the requesting thread's current
-/// metrics registry; the total is deterministic (requests minus distinct
-/// keys), regardless of which thread happened to compute each value.
+/// Every request for an already-present key increments `grid.cache_hits`
+/// in the current metrics registry; the total is requests minus distinct
+/// keys.
 
-/// Keyed, memoized single-computation cache (see file comment). Key must
-/// be strict-weak-orderable; Value is computed by the builder passed to
-/// Get and stored behind a stable unique_ptr.
+/// Keyed, memoized cache: a lock-guarded map of unique_ptr values. Key
+/// must be strict-weak-orderable; Value is computed by the builder passed
+/// to Get.
 template <typename Key, typename Value>
 class MemoCache {
  public:
-  /// Returns the value for `key`, invoking `build` (exactly once per key
-  /// across all threads) to create it when absent. `was_hit`, when given,
-  /// reports whether the key was already present or in flight.
+  /// Returns the value for `key`, invoking `build` to create it when
+  /// absent. `was_hit`, when given, reports whether the key was present.
   template <typename Builder>
   const Value& Get(const Key& key, Builder&& build, bool* was_hit = nullptr);
 
@@ -53,22 +42,16 @@ class MemoCache {
     return entries_.size();
   }
 
-  /// Drops every entry. Callers must ensure no Get is in flight and no
-  /// returned reference is still in use.
+  /// Drops every entry. Callers must ensure no returned reference is
+  /// still in use.
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
   }
 
  private:
-  struct Entry {
-    std::promise<const Value*> promise;
-    std::shared_future<const Value*> future;
-    std::unique_ptr<Value> value;
-  };
-
   mutable std::mutex mu_;
-  std::map<Key, Entry> entries_;
+  std::map<Key, std::unique_ptr<Value>> entries_;
 };
 
 /// A partitioning plus the structural metrics every cell derives from it.
@@ -115,7 +98,7 @@ struct WorkloadKey {
 /// graphs and partitionings.
 class GridCaches {
  public:
-  /// Process-wide instance used by GridRunner.
+  /// Process-wide instance used by the grid runners.
   static GridCaches& Global();
 
   /// Graph for (dataset, scale), built via MakeDataset on first request.
@@ -128,11 +111,6 @@ class GridCaches {
 
   /// Workload for `key`; `graph` must match (key.dataset, key.scale).
   const Workload& GetWorkload(const Graph& graph, const WorkloadKey& key);
-
-  /// Entry counts, exposed for tests.
-  size_t num_graphs() const { return graphs_.size(); }
-  size_t num_partitionings() const { return partitionings_.size(); }
-  size_t num_workloads() const { return workloads_.size(); }
 
   /// Drops everything (tests / memory reclamation on a quiesced grid).
   void Clear();
@@ -151,30 +129,15 @@ template <typename Key, typename Value>
 template <typename Builder>
 const Value& MemoCache<Key, Value>::Get(const Key& key, Builder&& build,
                                         bool* was_hit) {
-  std::unique_lock<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(key);
-  Entry& entry = it->second;
-  if (was_hit != nullptr) *was_hit = !inserted;
-  if (!inserted) {
-    std::shared_future<const Value*> future = entry.future;
-    lock.unlock();
-    return *future.get();  // rethrows if the computing thread failed
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = entries_.find(key);
+    if (was_hit != nullptr) *was_hit = it != entries_.end();
+    if (it != entries_.end()) return *it->second;
   }
-  entry.future = entry.promise.get_future().share();
-  lock.unlock();
-  try {
-    auto value = std::make_unique<Value>(build());
-    const Value* ptr = value.get();
-    {
-      std::lock_guard<std::mutex> relock(mu_);
-      entry.value = std::move(value);  // std::map: entry address is stable
-    }
-    entry.promise.set_value(ptr);
-    return *ptr;
-  } catch (...) {
-    entry.promise.set_exception(std::current_exception());
-    throw;
-  }
+  auto value = std::make_unique<Value>(build());
+  std::lock_guard<std::mutex> lock(mu_);
+  return *entries_.try_emplace(key, std::move(value)).first->second;
 }
 
 }  // namespace sgp

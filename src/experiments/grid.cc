@@ -1,18 +1,13 @@
 #include "experiments/grid.h"
 
 #include <algorithm>
-#include <functional>
-#include <future>
 #include <map>
-#include <memory>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
 #include "common/statistics.h"
 #include "common/telemetry.h"
-#include "common/thread_pool.h"
 #include "engine/programs.h"
 #include "experiments/cache.h"
 #include "graphdb/workload.h"
@@ -41,8 +36,8 @@ EngineStats RunEngineWorkload(const AnalyticsEngine& engine,
 }
 
 // One offline cell: a (dataset, algorithm, k) triple. Seeds and workloads
-// run sequentially inside the cell — their accumulation order is part of
-// the records' bit pattern — while distinct cells are independent.
+// run sequentially inside the cell; their accumulation order is part of
+// the records' bit pattern.
 std::vector<OfflineRunRecord> RunOfflineCell(const OfflineGridSpec& spec,
                                              const std::string& dataset,
                                              const std::string& algorithm,
@@ -144,101 +139,55 @@ std::vector<OnlineRunRecord> RunOnlineCell(const OnlineGridSpec& spec,
   return records;
 }
 
-// Runs every cell task, serially or on a thread pool, with an isolated
-// metrics registry per cell. Results and telemetry join in canonical
-// (submission) order: each cell registry is merged into the caller's
-// registry and `grid.cells_done` ticks once per cell, so merged totals
-// and record order do not depend on the thread count or on which worker
-// ran which cell.
-template <typename Record>
-std::vector<Record> RunCells(
-    uint32_t threads,
-    std::vector<std::function<std::vector<Record>()>> cells) {
+// Runs one cell with its own metrics registry, then merges that registry
+// into the caller's, ticks `grid.cells_done` and appends the cell's
+// records. Cells run in specification order, so record order and merged
+// totals are fixed by the spec.
+template <typename Record, typename Cell>
+void RunCell(Cell cell, std::vector<Record>* records) {
   MetricsRegistry& parent = MetricsRegistry::Current();
-  std::vector<std::unique_ptr<MetricsRegistry>> registries;
-  registries.reserve(cells.size());
-  for (size_t i = 0; i < cells.size(); ++i) {
-    registries.push_back(std::make_unique<MetricsRegistry>());
+  MetricsRegistry registry;
+  std::vector<Record> cell_records;
+  {
+    ScopedMetricsRegistry scoped(&registry);
+    cell_records = cell();
   }
-  std::vector<std::vector<Record>> results(cells.size());
-  if (threads <= 1 || cells.size() <= 1) {
-    for (size_t i = 0; i < cells.size(); ++i) {
-      ScopedMetricsRegistry scoped(registries[i].get());
-      results[i] = cells[i]();
-    }
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<std::vector<Record>>> futures;
-    futures.reserve(cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-      futures.push_back(pool.Submit([&cells, &registries, i] {
-        ScopedMetricsRegistry scoped(registries[i].get());
-        return cells[i]();
-      }));
-    }
-    for (size_t i = 0; i < cells.size(); ++i) {
-      results[i] = futures[i].get();
-    }
-  }
-  Counter* cells_done = parent.GetCounter("grid.cells_done");
-  std::vector<Record> flat;
-  for (size_t i = 0; i < cells.size(); ++i) {
-    parent.MergeFrom(*registries[i]);
-    cells_done->Increment();
-    for (Record& record : results[i]) {
-      flat.push_back(std::move(record));
-    }
-  }
-  return flat;
+  parent.MergeFrom(registry);
+  parent.GetCounter("grid.cells_done")->Increment();
+  for (Record& record : cell_records) records->push_back(std::move(record));
 }
 
 }  // namespace
 
-GridRunner::GridRunner(const GridOptions& options)
-    : threads_(options.threads != 0
-                   ? options.threads
-                   : std::max(1u, std::thread::hardware_concurrency())) {}
-
-std::vector<OfflineRunRecord> GridRunner::Run(const OfflineGridSpec& spec) {
+std::vector<OfflineRunRecord> RunOfflineGrid(const OfflineGridSpec& spec) {
   const std::vector<std::string> algorithms =
       spec.algorithms.empty() ? PartitionerNames() : spec.algorithms;
-  std::vector<std::function<std::vector<OfflineRunRecord>()>> cells;
+  std::vector<OfflineRunRecord> records;
   for (const std::string& dataset : spec.datasets) {
     for (const std::string& algorithm : algorithms) {
       for (PartitionId k : spec.cluster_sizes) {
-        cells.push_back([&spec, dataset, algorithm, k] {
-          return RunOfflineCell(spec, dataset, algorithm, k);
-        });
+        RunCell([&] { return RunOfflineCell(spec, dataset, algorithm, k); },
+                &records);
       }
     }
   }
-  return RunCells(threads_, std::move(cells));
+  return records;
 }
 
-std::vector<OnlineRunRecord> GridRunner::Run(const OnlineGridSpec& spec) {
-  std::vector<std::function<std::vector<OnlineRunRecord>()>> cells;
+std::vector<OnlineRunRecord> RunOnlineGrid(const OnlineGridSpec& spec) {
+  std::vector<OnlineRunRecord> records;
   for (const std::string& dataset : spec.datasets) {
     for (QueryKind kind : spec.workloads) {
       for (const std::string& algorithm : spec.algorithms) {
         for (PartitionId k : spec.cluster_sizes) {
-          cells.push_back([&spec, dataset, kind, algorithm, k] {
-            return RunOnlineCell(spec, dataset, kind, algorithm, k);
-          });
+          RunCell(
+              [&] { return RunOnlineCell(spec, dataset, kind, algorithm, k); },
+              &records);
         }
       }
     }
   }
-  return RunCells(threads_, std::move(cells));
-}
-
-std::vector<OfflineRunRecord> RunOfflineGrid(const OfflineGridSpec& spec,
-                                             const GridOptions& options) {
-  return GridRunner(options).Run(spec);
-}
-
-std::vector<OnlineRunRecord> RunOnlineGrid(const OnlineGridSpec& spec,
-                                           const GridOptions& options) {
-  return GridRunner(options).Run(spec);
+  return records;
 }
 
 const CsvSchema<OfflineRunRecord>& OfflineCsvSchema() {

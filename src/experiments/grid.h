@@ -20,13 +20,13 @@ namespace sgp {
 /// regression tracking, new studies — does not have to scrape stdout.
 ///
 /// Execution model (docs/EXPERIMENTS.md): a grid is decomposed into
-/// independent cell tasks — one per (dataset, algorithm, k) offline, one
-/// per (dataset, workload, algorithm, k) online — that pull their graph,
-/// partitioning and workload dependencies from process-wide memoized
-/// caches. Cells run on a shared thread pool when GridOptions::threads
-/// > 1; results and per-cell telemetry are joined in canonical
-/// (specification) order, so record order, CSV bytes and merged metric
-/// totals are independent of the thread count.
+/// cells — one per (dataset, algorithm, k) offline, one per (dataset,
+/// workload, algorithm, k) online — that pull their graph, partitioning
+/// and workload dependencies from process-wide memoized caches. Cells run
+/// serially in specification order, each with its own metrics registry
+/// that is merged into the caller's registry after the cell. Every run
+/// increments `grid.cells_done` per completed cell and `grid.cache_hits`
+/// per memoized dependency reuse in the caller's current registry.
 
 /// One offline-analytics configuration's results (Sections 5.1.4/6.2).
 struct OfflineRunRecord {
@@ -119,44 +119,14 @@ struct OnlineGridSpec {
   DbCostModel cost_model;
 };
 
-/// Grid execution knobs, shared by the offline and online runners.
-struct GridOptions {
-  /// Worker threads for cell execution. 1 (default) runs every cell
-  /// serially in the calling thread; 0 means one worker per hardware
-  /// thread. Any value yields identical records — parallelism only
-  /// changes wall-clock time.
-  uint32_t threads = 1;
-};
+/// Runs every (dataset × algorithm × k × workload) combination.
+/// Graphs and partitionings are cached process-wide, so the cost is one
+/// partitioning per (dataset, algorithm, k, seed) plus one engine run per
+/// cell — across repeated calls.
+std::vector<OfflineRunRecord> RunOfflineGrid(const OfflineGridSpec& spec);
 
-/// Unified runner for both grid flavors. Cells execute on a shared
-/// thread pool (see GridOptions::threads); every run increments
-/// `grid.cells_done` per completed cell and `grid.cache_hits` per
-/// memoized dependency reuse in the caller's current metrics registry.
-class GridRunner {
- public:
-  explicit GridRunner(const GridOptions& options = {});
-
-  /// Runs every (dataset × algorithm × k × workload) combination.
-  /// Graphs and partitionings are cached process-wide, so the cost is
-  /// one partitioning per (dataset, algorithm, k, seed) plus one engine
-  /// run per cell — across repeated Run calls.
-  std::vector<OfflineRunRecord> Run(const OfflineGridSpec& spec);
-
-  /// Runs every (dataset × algorithm × k × workload × load) combination.
-  std::vector<OnlineRunRecord> Run(const OnlineGridSpec& spec);
-
-  /// Resolved worker-thread count (never 0).
-  uint32_t threads() const { return threads_; }
-
- private:
-  uint32_t threads_;
-};
-
-/// Convenience wrappers around GridRunner.
-std::vector<OfflineRunRecord> RunOfflineGrid(const OfflineGridSpec& spec,
-                                             const GridOptions& options = {});
-std::vector<OnlineRunRecord> RunOnlineGrid(const OnlineGridSpec& spec,
-                                           const GridOptions& options = {});
+/// Runs every (dataset × algorithm × k × workload × load) combination.
+std::vector<OnlineRunRecord> RunOnlineGrid(const OnlineGridSpec& spec);
 
 /// Column schemas — the single source of truth for the grids' CSV
 /// layout, shared by the writers below and the bench binaries.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/random.h"
+#include "common/telemetry.h"
 
 namespace sgp {
 
@@ -72,29 +73,10 @@ struct SimMetrics {
 
 }  // namespace
 
-std::vector<QueryTraceRecord> SimResult::Traces() const {
-  std::vector<QueryTraceRecord> out;
-  std::vector<TraceEvent> events = query_traces.Snapshot();
-  out.reserve(events.size());
-  for (const TraceEvent& e : events) {
-    QueryTraceRecord record;
-    record.binding = static_cast<uint32_t>(e.args[0]);
-    record.issue_time = e.start;
-    record.completion_time = e.end;
-    record.coordinator = static_cast<PartitionId>(e.args[1]);
-    record.reads = e.args[2];
-    record.rounds = static_cast<uint32_t>(e.args[3]);
-    out.push_back(record);
-  }
-  return out;
-}
-
 SimResult SimulateClosedLoop(const GraphDatabase& db, const Workload& workload,
                              const SimConfig& config) {
   SimResult result;
   result.reads_per_worker.assign(db.k(), 0.0);
-  result.query_traces.set_capacity(config.collect_traces ? config.max_traces
-                                                         : 0);
   // Degenerate configurations produce a well-defined empty result instead
   // of hanging, dividing by zero, or aborting.
   if (config.clients == 0 || config.num_queries == 0 ||
@@ -177,16 +159,6 @@ SimResult SimulateClosedLoop(const GraphDatabase& db, const Workload& workload,
           .latency_by_kind[static_cast<int>(
               workload.bindings()[q.binding].kind)]
           ->Record(latency);
-      if (config.collect_traces) {
-        TraceEvent trace;
-        trace.name = "query";
-        trace.start = q.start_time;
-        trace.end = t;
-        trace.id = result.query_traces.NextId();
-        trace.args = {q.binding, q.plan->coordinator, q.plan->total_reads,
-                      static_cast<uint64_t>(q.plan->rounds.size())};
-        result.query_traces.Append(std::move(trace));
-      }
     }
     push({t, 0, EventType::kIssue, client});
   };

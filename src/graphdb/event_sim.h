@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/statistics.h"
-#include "common/telemetry.h"
 #include "graphdb/graphdb.h"
 #include "graphdb/workload.h"
 
@@ -26,27 +25,6 @@ struct SimConfig {
   double warmup_fraction = 0.1;
 
   uint64_t seed = 123;
-
-  /// Collect a per-query trace (for debugging and latency-breakdown
-  /// analysis). Off by default — traces cost memory.
-  bool collect_traces = false;
-
-  /// Cap on collected trace records when collect_traces is set.
-  uint32_t max_traces = 1u << 20;
-};
-
-/// One completed query, when tracing is enabled. This is the decoded view
-/// of a telemetry TraceEvent (name "query"; args = binding, coordinator,
-/// reads, rounds; start/end = issue/completion on the simulated clock)
-/// kept for analysis convenience — the raw events live in
-/// SimResult::query_traces.
-struct QueryTraceRecord {
-  uint32_t binding = 0;          // index into Workload::bindings()
-  double issue_time = 0;         // seconds, simulated clock
-  double completion_time = 0;
-  PartitionId coordinator = 0;
-  uint64_t reads = 0;            // total vertex reads of the plan
-  uint32_t rounds = 0;           // fork-join rounds of the plan
 };
 
 /// Everything the paper measures about one online-workload run.
@@ -69,15 +47,6 @@ struct SimResult {
   /// Cluster-internal traffic of the whole run (Figure 5).
   uint64_t total_network_bytes = 0;
   uint64_t total_remote_messages = 0;
-
-  /// Bounded per-query trace buffer (telemetry API): one "query" event
-  /// per measured query, oldest first, capped at SimConfig::max_traces.
-  /// Empty unless SimConfig::collect_traces.
-  TraceBuffer query_traces{0};
-
-  /// Compatibility accessor: the trace buffer decoded into the classic
-  /// per-query records.
-  std::vector<QueryTraceRecord> Traces() const;
 };
 
 /// Discrete-event simulation of the JanusGraph cluster: FIFO single-server

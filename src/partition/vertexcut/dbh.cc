@@ -67,7 +67,10 @@ Partitioning DbhPartitioner::Run(const Graph& graph,
   for (VertexId u = 0; u < graph.num_vertices(); ++u) {
     degree[u] = graph.Degree(u);
   }
-  InMemoryEdgeSource source(graph, config.order, config.seed,
+  // Neither the pivot hash nor the master rule depends on arrival order,
+  // so the graph streams in natural order: config.order would only cost a
+  // shuffle or a traversal.
+  InMemoryEdgeSource source(graph, StreamOrder::kNatural, config.seed,
                             config.ingest_chunk_size);
   StreamRunResult run = RunDbh(source, config, degree, timer);
   SGP_CHECK(run.ok);

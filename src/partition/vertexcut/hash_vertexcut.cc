@@ -61,7 +61,10 @@ StreamRunResult RunHashVertexCut(EdgeStreamSource& source,
 
 Partitioning HashVertexCutPartitioner::Run(
     const Graph& graph, const PartitionConfig& config) const {
-  InMemoryEdgeSource source(graph, config.order, config.seed,
+  // Neither the edge hash nor the master rule depends on arrival order, so
+  // the graph streams in natural order: config.order would only cost a
+  // shuffle or a traversal.
+  InMemoryEdgeSource source(graph, StreamOrder::kNatural, config.seed,
                             config.ingest_chunk_size);
   StreamRunResult run = RunHashVertexCut(source, config, graph.num_vertices());
   SGP_CHECK(run.ok);

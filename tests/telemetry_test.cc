@@ -189,68 +189,8 @@ TEST(HistogramTest, ResetClearsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Tracing
+// ScopedTimer
 // ---------------------------------------------------------------------------
-
-TEST(TraceBufferTest, CapacityAndDropAccounting) {
-  TraceBuffer buf(3);
-  for (int i = 0; i < 5; ++i) {
-    TraceEvent e;
-    e.name = "e" + std::to_string(i);
-    buf.Append(std::move(e));
-  }
-  EXPECT_EQ(buf.size(), 3u);
-  EXPECT_EQ(buf.dropped(), 2u);
-  std::vector<TraceEvent> events = buf.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "e0");  // append order, oldest kept
-  EXPECT_EQ(events[2].name, "e2");
-  buf.Clear();
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.dropped(), 0u);
-}
-
-TEST(TraceBufferTest, ZeroCapacityDropsEverything) {
-  TraceBuffer buf(0);
-  EXPECT_FALSE(buf.Append(TraceEvent{}));
-  EXPECT_EQ(buf.size(), 0u);
-  EXPECT_EQ(buf.dropped(), 1u);
-}
-
-TEST(SpanTest, NestingRecordsParentAndDepth) {
-  TraceBuffer buf;
-  EXPECT_EQ(Span::CurrentDepth(), 0u);
-  uint32_t outer_id;
-  {
-    Span outer(&buf, "outer");
-    outer_id = outer.id();
-    EXPECT_EQ(Span::CurrentDepth(), 1u);
-    {
-      Span inner(&buf, "inner");
-      EXPECT_EQ(Span::CurrentDepth(), 2u);
-    }
-    EXPECT_EQ(Span::CurrentDepth(), 1u);
-  }
-  EXPECT_EQ(Span::CurrentDepth(), 0u);
-
-  // Spans land on destruction, so "inner" precedes "outer".
-  std::vector<TraceEvent> events = buf.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "inner");
-  EXPECT_EQ(events[0].parent, outer_id);
-  EXPECT_EQ(events[0].depth, 1u);
-  EXPECT_EQ(events[1].name, "outer");
-  EXPECT_EQ(events[1].parent, TraceEvent::kNoParent);
-  EXPECT_EQ(events[1].depth, 0u);
-  EXPECT_LE(events[1].start, events[0].start);
-  EXPECT_GE(events[1].end, events[0].end);
-}
-
-TEST(SpanTest, NullBufferIsInert) {
-  Span span(nullptr, "noop");
-  // An inert span takes no part in nesting (zero-cost opt-out).
-  EXPECT_EQ(Span::CurrentDepth(), 0u);
-}
 
 TEST(ScopedTimerTest, RecordsOneSample) {
   Histogram h;
@@ -280,11 +220,9 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
   Histogram* h = reg.GetHistogram("test.hist");
   c->Increment(3);
   h->Record(0.5);
-  reg.traces().Append(TraceEvent{});
   reg.Reset();
   EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(h->count(), 0u);
-  EXPECT_TRUE(reg.traces().empty());
   EXPECT_EQ(reg.GetCounter("test.counter"), c);  // registration survives
 }
 
@@ -300,16 +238,14 @@ TEST(MetricsRegistryTest, SnapshotIsNameOrderedAndFiltered) {
   EXPECT_EQ(all[1].name, "b.deterministic");
   EXPECT_EQ(all[2].name, "c.gauge");
 
-  ExportOptions det;
-  det.filter = MetricFilter::kDeterministicOnly;
-  std::vector<MetricSample> filtered = reg.Snapshot(det);
+  std::vector<MetricSample> filtered =
+      reg.Snapshot(MetricFilter::kDeterministicOnly);
   ASSERT_EQ(filtered.size(), 2u);
   EXPECT_EQ(filtered[0].name, "b.deterministic");
 
-  ExportOptions wall;
-  wall.filter = MetricFilter::kWallTimeOnly;
-  ASSERT_EQ(reg.Snapshot(wall).size(), 1u);
-  EXPECT_TRUE(reg.Snapshot(wall)[0].wall_time);
+  std::vector<MetricSample> wall = reg.Snapshot(MetricFilter::kWallTimeOnly);
+  ASSERT_EQ(wall.size(), 1u);
+  EXPECT_TRUE(wall[0].wall_time);
 }
 
 TEST(MetricsRegistryTest, ExportJsonIsDeterministic) {
@@ -326,92 +262,62 @@ TEST(MetricsRegistryTest, ExportJsonIsDeterministic) {
   EXPECT_EQ(r1->ExportJson(), r2->ExportJson());
 }
 
-TEST(MetricsRegistryTest, JsonRoundTripsThroughParser) {
-  MetricsRegistry reg;
-  reg.GetCounter("roundtrip.counter")->Increment(123456789);
-  reg.GetGauge("roundtrip.gauge")->Set(3.141592653589793);
-  Histogram* h = reg.GetHistogram("roundtrip.hist");
-  double v = 2.3e-7;
-  for (int i = 0; i < 257; ++i) {
-    h->Record(v);
-    v *= 1.07;
-  }
-
-  std::vector<MetricSample> original = reg.Snapshot();
-  std::vector<MetricSample> parsed;
-  ASSERT_TRUE(ParseMetricsJson(reg.ExportJson(), &parsed));
-  EXPECT_EQ(parsed, original);
-
-  // The bare-array serializer round-trips the same way.
-  std::vector<MetricSample> parsed_array;
-  std::string array_json =
-      "{\"metrics\":" + SerializeMetricsArrayJson(original) + "}";
-  ASSERT_TRUE(ParseMetricsJson(array_json, &parsed_array));
-  EXPECT_EQ(parsed_array, original);
+// The writer's exact bytes. One registry holds every sample shape: a
+// counter, a gauge, a wall-time gauge and a histogram whose p999 differs
+// from its p99. The histogram has one bucket per decade over [1, 1000], so
+// every quantile is a bucket's geometric midpoint clamped to [min, max]:
+// 999 samples of 5 put p50..p99 in (1, 10] (midpoint √10, clamped to 5),
+// and the one sample of 500 puts p999 in (100, 1000] (midpoint √1e5).
+void FillExportFixture(MetricsRegistry* reg) {
+  reg->GetCounter("a.counter")->Increment(42);
+  reg->GetGauge("b.gauge")->Set(0.25);
+  reg->GetGauge("c.wall_seconds", MetricOptions::WallClock())->Set(1.5);
+  MetricOptions layout;
+  layout.histogram = {.min_bound = 1, .max_bound = 1000,
+                      .buckets_per_decade = 1};
+  Histogram* h = reg->GetHistogram("d.hist", layout);
+  for (int i = 0; i < 999; ++i) h->Record(5);
+  h->Record(500);
 }
 
-TEST(MetricsRegistryTest, ParserRejectsMalformedInput) {
-  std::vector<MetricSample> out;
-  EXPECT_FALSE(ParseMetricsJson("{\"metrics\":[", &out));
-  EXPECT_FALSE(ParseMetricsJson("not json", &out));
-  EXPECT_FALSE(ParseMetricsJson("{\"nope\":1}", &out));
+constexpr char kCounterJson[] =
+    "{\"name\":\"a.counter\",\"kind\":\"counter\",\"wall_time\":false,"
+    "\"value\":42}";
+constexpr char kGaugeJson[] =
+    "{\"name\":\"b.gauge\",\"kind\":\"gauge\",\"wall_time\":false,"
+    "\"value\":0.25}";
+constexpr char kWallGaugeJson[] =
+    "{\"name\":\"c.wall_seconds\",\"kind\":\"gauge\",\"wall_time\":true,"
+    "\"value\":1.5}";
+constexpr char kHistogramJson[] =
+    "{\"name\":\"d.hist\",\"kind\":\"histogram\",\"wall_time\":false,"
+    "\"count\":1000,\"sum\":5495,\"min\":5,\"max\":500,\"mean\":5.495,"
+    "\"p50\":5,\"p90\":5,\"p99\":5,\"p999\":316.22776601683796,"
+    "\"min_bound\":1,\"max_bound\":1000,\"buckets_per_decade\":1,"
+    "\"buckets\":[[1,999],[3,1]]}";
+
+TEST(MetricsRegistryTest, ExportJsonExactBytes) {
+  MetricsRegistry reg;
+  FillExportFixture(&reg);
+  const std::string head = "{\"schema\":\"sgp.metrics.v1\",\"metrics\":[";
+  EXPECT_EQ(reg.ExportJson(), head + kCounterJson + ",\n " + kGaugeJson +
+                                  ",\n " + kWallGaugeJson + ",\n " +
+                                  kHistogramJson + "]}");
+  EXPECT_EQ(reg.ExportJson(MetricFilter::kDeterministicOnly),
+            head + kCounterJson + ",\n " + kGaugeJson + ",\n " +
+                kHistogramJson + "]}");
 }
 
-TEST(MetricsRegistryTest, ExportIncludesTracesWhenRequested) {
+TEST(MetricsRegistryTest, SerializeMetricsArrayJsonExactBytes) {
   MetricsRegistry reg;
-  { Span s(&reg.traces(), "unit"); }
-  ExportOptions opt;
-  opt.include_traces = true;
-  std::string json = reg.ExportJson(opt);
-  EXPECT_NE(json.find("\"traces\""), std::string::npos);
-  EXPECT_NE(json.find("\"unit\""), std::string::npos);
-  EXPECT_NE(json.find("\"dropped_traces\":0"), std::string::npos);
-  // Still a valid document.
-  std::vector<MetricSample> out;
-  EXPECT_TRUE(ParseMetricsJson(json, &out));
-}
-
-TEST(MetricsRegistryTest, ExportSurfacesDroppedTraceCount) {
-  MetricsRegistry reg;
-  reg.traces().set_capacity(2);
-  for (int i = 0; i < 5; ++i) {
-    reg.traces().Append({.name = "e" + std::to_string(i)});
-  }
-  ASSERT_EQ(reg.traces().dropped(), 3u);
-  ExportOptions opt;
-  opt.include_traces = true;
-  std::string json = reg.ExportJson(opt);
-  // A capped trace is visibly incomplete in the export, not silently so.
-  EXPECT_NE(json.find("\"dropped_traces\":3"), std::string::npos);
-  minijson::Value doc;
-  ASSERT_TRUE(minijson::Parse(json, &doc));
-  const minijson::Value* dropped = doc.Find("dropped_traces");
-  ASSERT_NE(dropped, nullptr);
-  EXPECT_EQ(dropped->number, 3.0);
-  EXPECT_EQ(doc.Find("traces")->array.size(), 2u);
-  // Without include_traces, neither key appears.
-  std::string plain = reg.ExportJson();
-  EXPECT_EQ(plain.find("\"dropped_traces\""), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, RoundTripsDocumentsWithTracesAndP999) {
-  MetricsRegistry reg;
-  Histogram* h = reg.GetHistogram("tail.hist");
-  for (int i = 1; i <= 2000; ++i) h->Record(i * 1e-4);
-  { Span s(&reg.traces(), "traced-op"); }
-  ExportOptions opt;
-  opt.include_traces = true;
-
-  // The parser skips the trace siblings and recovers every metric field,
-  // p999 included, exactly.
-  std::vector<MetricSample> original = reg.Snapshot();
-  std::vector<MetricSample> parsed;
-  ASSERT_TRUE(ParseMetricsJson(reg.ExportJson(opt), &parsed));
-  EXPECT_EQ(parsed, original);
-  ASSERT_EQ(parsed.size(), 1u);
-  EXPECT_GT(parsed[0].p999, 0.0);
-  EXPECT_GE(parsed[0].p999, parsed[0].p99);
-  EXPECT_NE(reg.ExportJson(opt).find("\"p999\":"), std::string::npos);
+  FillExportFixture(&reg);
+  EXPECT_EQ(SerializeMetricsArrayJson(reg.Snapshot()),
+            std::string("[") + kCounterJson + ",\n " + kGaugeJson + ",\n " +
+                kWallGaugeJson + ",\n " + kHistogramJson + "]");
+  EXPECT_EQ(
+      SerializeMetricsArrayJson(reg.Snapshot(MetricFilter::kWallTimeOnly)),
+      std::string("[") + kWallGaugeJson + "]");
+  EXPECT_EQ(SerializeMetricsArrayJson({}), "[]");
 }
 
 TEST(MetricsRegistryTest, GlobalRegistryHasLibraryInstrumentation) {

@@ -5,6 +5,7 @@
 #include "graph/generators.h"
 #include "partition/metrics.h"
 #include "partition/partitioner.h"
+#include "stream/source.h"
 #include "stream/stream.h"
 #include "tests/test_util.h"
 
@@ -133,6 +134,44 @@ TEST(VertexCutTest, ReplicaSetsMatchEdgeIncidence) {
     };
     ASSERT_TRUE(contains(edge.src));
     ASSERT_TRUE(contains(edge.dst));
+  }
+}
+
+// VCR hashes each edge and DBH each edge's pivot, and the master rule
+// counts replicas, so neither code's output depends on arrival order: Run
+// streams the graph in natural order whatever config.order says. The
+// stream body itself is checked too, by feeding it every order directly.
+TEST(VertexCutTest, HashCodesIgnoreStreamOrder) {
+  const StreamOrder orders[] = {StreamOrder::kNatural, StreamOrder::kRandom,
+                                StreamOrder::kBfs, StreamOrder::kDfs};
+  for (const char* dataset : {"ldbc", "twitter"}) {
+    Graph g = MakeDataset(dataset, 10);
+    for (const char* algo : {"VCR", "DBH"}) {
+      auto partitioner = CreatePartitioner(algo);
+      PartitionConfig cfg;
+      cfg.k = 8;
+      cfg.order = StreamOrder::kNatural;
+      const Partitioning natural = partitioner->Run(g, cfg);
+      InMemoryEdgeSource natural_source(g, StreamOrder::kNatural, cfg.seed);
+      const StreamRunResult natural_stream =
+          partitioner->RunOnSource(natural_source, cfg);
+      ASSERT_TRUE(natural_stream.ok);
+      for (StreamOrder order : orders) {
+        SCOPED_TRACE(std::string(dataset) + " " + algo + " " +
+                     std::string(StreamOrderName(order)));
+        cfg.order = order;
+        const Partitioning p = partitioner->Run(g, cfg);
+        EXPECT_EQ(p.edge_to_partition, natural.edge_to_partition);
+        EXPECT_EQ(p.vertex_to_partition, natural.vertex_to_partition);
+        InMemoryEdgeSource source(g, order, cfg.seed);
+        const StreamRunResult stream = partitioner->RunOnSource(source, cfg);
+        ASSERT_TRUE(stream.ok);
+        EXPECT_EQ(stream.partitioning.edge_to_partition,
+                  natural_stream.partitioning.edge_to_partition);
+        EXPECT_EQ(stream.partitioning.vertex_to_partition,
+                  natural_stream.partitioning.vertex_to_partition);
+      }
+    }
   }
 }
 
